@@ -421,7 +421,7 @@ std::int64_t FatVolume::Read(const FatNode& f, std::uint8_t* out, std::uint32_t 
     std::uint32_t nsec = static_cast<std::uint32_t>(sec_hi - sec_lo);
     temp.resize(std::size_t(nsec) * kBlockSize);
     if (bc_.ReadRange(dev_, ClusterFirstSector(c) + sec_lo, nsec, temp.data(), burn) < 0) {
-      return done > 0 ? done : kErrIo;
+      return done > 0 ? done : std::int64_t{kErrIo};
     }
     std::memcpy(out + done, temp.data() + (coff - sec_lo * kBlockSize), want);
     done += static_cast<std::uint32_t>(want);

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "src/base/status.h"
+#include "src/fs/procfs.h"
 
 namespace vos {
 
@@ -169,13 +170,21 @@ void FaultInjector::Reset() {
 }
 
 std::int64_t FaultInjector::Command(const std::string& text) {
-  std::istringstream lines(text);
-  std::string line;
-  while (std::getline(lines, line)) {
-    std::istringstream in(line);
-    std::string op;
-    if (!(in >> op) || op[0] == '#') {
-      continue;
+  return RunProcCommands(text, [this](const ProcCommand& c) -> std::int64_t {
+    const std::string& op = c.verb();
+    if (op == "cut") {
+      std::uint64_t n = 0;
+      if (!c.Arg(1, &n)) return kErrInval;
+      CutPowerAfter(n);
+      return 0;
+    }
+    if (op == "restore") {
+      RestorePower();
+      return 0;
+    }
+    if (op == "clear") {
+      Reset();
+      return 0;
     }
     SpinGuard g(lock_);
     if (op == "on") {
@@ -184,49 +193,35 @@ std::int64_t FaultInjector::Command(const std::string& text) {
       enabled_ = false;
     } else if (op == "seed") {
       std::uint64_t s = 0;
-      if (!(in >> s)) return kErrInval;
+      if (!c.Arg(1, &s)) return kErrInval;
       rng_ = Rng(s);
     } else if (op == "transient_rate" || op == "timeout_rate" || op == "latency_rate" ||
                op == "latency_mult") {
       double v = 0;
-      if (!(in >> v) || v < 0) return kErrInval;
+      if (!c.Arg(1, &v) || v < 0) return kErrInval;
       if (op == "transient_rate") transient_rate_ = v;
       else if (op == "timeout_rate") timeout_rate_ = v;
       else if (op == "latency_rate") latency_rate_ = v;
       else latency_mult_ = v;
     } else if (op == "stuck" || op == "transient") {
       FaultLbaRange r;
-      if (!(in >> r.dev >> r.lba >> r.count) || r.count == 0) return kErrInval;
+      if (!c.Arg(1, &r.dev) || !c.Arg(2, &r.lba) || !c.Arg(3, &r.count) || r.count == 0) {
+        return kErrInval;
+      }
       if (op == "stuck") {
         r.status = BlockStatus::kMedia;
       } else {
         r.status = BlockStatus::kTransient;
-        if (!(in >> r.remaining) || r.remaining == 0) return kErrInval;
+        if (!c.Arg(4, &r.remaining) || r.remaining == 0) return kErrInval;
       }
       ranges_.push_back(r);
-    } else if (op == "cut") {
-      std::uint64_t n = 0;
-      if (!(in >> n)) return kErrInval;
-      cut_armed_ = true;
-      cut_dead_ = false;
-      cut_budget_ = n;
-    } else if (op == "restore") {
-      cut_armed_ = false;
-      cut_dead_ = false;
-      cut_budget_ = 0;
     } else if (op == "clear_ranges") {
       ranges_.clear();
-    } else if (op == "clear") {
-      ranges_.clear();
-      cut_armed_ = false;
-      cut_dead_ = false;
-      cut_budget_ = 0;
-      counters_ = Counters{};
     } else {
       return kErrInval;
     }
-  }
-  return 0;
+    return 0;
+  });
 }
 
 std::string FaultInjector::StatusText() {

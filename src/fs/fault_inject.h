@@ -70,11 +70,10 @@ class FaultInjector {
   // Clears ranges, counters, and the power cut (rates and enable stay).
   void Reset();
 
-  // One command per line: on | off | seed N | transient_rate X |
-  // timeout_rate X | latency_rate X | latency_mult X |
-  // stuck DEV LBA COUNT | transient DEV LBA COUNT N | cut N |
-  // clear_ranges | clear. Returns 0 or kErrInval. This is the
-  // /proc/faultinject write syntax.
+  // The /proc/faultinject write syntax (RunProcCommands, one per line):
+  // on | off | seed N | transient_rate X | timeout_rate X | latency_rate X |
+  // latency_mult X | stuck DEV LBA COUNT | transient DEV LBA COUNT N |
+  // cut N | restore | clear_ranges | clear. Returns 0 or kErrInval.
   std::int64_t Command(const std::string& text);
 
   // /proc/faultinject read side.

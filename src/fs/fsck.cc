@@ -345,8 +345,8 @@ struct Repairer {
   // a wrong '.', drops duplicate names for the same directory (keep-first),
   // then recreates missing '.'/'..' from the child->parent map. Produces the
   // reference counts phase C reconciles nlink against.
-  std::map<std::uint32_t, int> dir_refs;
-  std::map<std::uint32_t, std::uint32_t> parent_of;  // dir inum -> parent dir
+  std::map<std::uint32_t, int> dir_refs{};
+  std::map<std::uint32_t, std::uint32_t> parent_of{};  // dir inum -> parent dir
 
   void FixDirents() {
     dir_refs.clear();

@@ -273,7 +273,11 @@ std::int64_t Journal::CommitLocked(Cycles* burn) {
   RD_WRITE(stats_).txs += RD_READ(open_)->txs;
   RD_WRITE(stats_).blocks_logged += n;
   if (commit_latency_ && now_) {
-    commit_latency_(NowStamp() - RD_READ(open_)->opened_at);
+    // Clamped at 0 like SyscallExit: the committing core's virtual clock can
+    // trail the clock of the core that opened the batch.
+    const Cycles now = NowStamp();
+    const Cycles opened = RD_READ(open_)->opened_at;
+    commit_latency_(now > opened ? now - opened : 0);
   }
   Trace(TraceEvent::kJrnlCommit, desc.seq, n);
   RD_WRITE(committed_).push_back(std::move(RD_WRITE(open_)));

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "src/base/status.h"
+
 namespace vos {
 
 std::string FormatCpuInfo(const std::vector<ProcCpuLine>& cores, std::uint64_t uptime_ms) {
@@ -234,6 +236,28 @@ bool ParseSchedStat(const std::string& schedstat, std::vector<ProcSchedLine>* ou
     }
   }
   return !out->empty();
+}
+
+std::int64_t RunProcCommands(const std::string& text,
+                             const std::function<std::int64_t(const ProcCommand&)>& verb) {
+  std::istringstream lines(text);
+  std::string line;
+  bool any = false;
+  while (std::getline(lines, line)) {
+    ProcCommand cmd;
+    std::istringstream in(line);
+    for (std::string w; in >> w;) {
+      cmd.words.push_back(std::move(w));
+    }
+    if (cmd.words.empty() || cmd.verb()[0] == '#') {
+      continue;
+    }
+    any = true;
+    if (std::int64_t r = verb(cmd); r < 0) {
+      return r;
+    }
+  }
+  return any ? 0 : std::int64_t{kErrInval};
 }
 
 bool ParseMetricValue(const std::string& metrics, const std::string& name, std::uint64_t* out) {

@@ -5,6 +5,8 @@
 #define VOS_SRC_FS_PROCFS_H_
 
 #include <cstdint>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -113,6 +115,29 @@ std::string FormatBlkStat(const std::vector<ProcBlkLine>& devs);
 std::string FormatMemStat(const ProcMemStat& ms);
 std::string FormatSchedStat(const std::vector<ProcSchedLine>& cores,
                             const std::vector<ProcTaskLine>& tasks);
+
+// One command line written to a control file (/proc/faultinject, profile,
+// metrics, netstat), split into whitespace-separated words; words[0] is the
+// verb.
+struct ProcCommand {
+  std::vector<std::string> words;
+
+  const std::string& verb() const { return words[0]; }
+  // Reads word i (1 = the first argument) with operator>>; false if the word
+  // is missing or does not start with a T.
+  template <typename T>
+  bool Arg(std::size_t i, T* out) const {
+    std::istringstream in(i < words.size() ? words[i] : std::string());
+    return static_cast<bool>(in >> *out);
+  }
+};
+
+// The control files' shared syntax: one command per line; blank lines and
+// lines whose first word starts with '#' are skipped. Runs `verb` on each
+// command in order and stops at the first negative result, which it returns.
+// A write with no command at all is kErrInval.
+std::int64_t RunProcCommands(const std::string& text,
+                             const std::function<std::int64_t(const ProcCommand&)>& verb);
 
 // Parsers used by sysmon (the other direction of the same format).
 bool ParseCpuUtilization(const std::string& cpuinfo, std::vector<double>* out);

@@ -253,6 +253,7 @@ std::int64_t Vfs::Read(Task* t, File& f, std::uint8_t* dst, std::uint32_t n, Cyc
       return take;
     }
     case FileKind::kNone:
+    case FileKind::kSocket:  // syscall.cc serves sockets before this point
       break;
   }
   return kErrBadFd;
@@ -310,6 +311,7 @@ std::int64_t Vfs::Write(Task* t, File& f, const std::uint8_t* src, std::uint32_t
       return r < 0 ? r : n;
     }
     case FileKind::kNone:
+    case FileKind::kSocket:  // syscall.cc serves sockets before this point
       break;
   }
   return kErrBadFd;
@@ -514,6 +516,7 @@ std::int64_t Vfs::Fsync(File& f, Cycles* burn) {
     case FileKind::kProc:
       return 0;  // nothing cached at the block layer
     case FileKind::kNone:
+    case FileKind::kSocket:
       break;
   }
   return kErrBadFd;

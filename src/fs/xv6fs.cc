@@ -264,7 +264,7 @@ std::int64_t Xv6Fs::BMap(Xv6Inode& ip, std::uint32_t bn, bool alloc, std::uint32
   if (bn >= kNIndirect) {
     // Beyond the maximum file size: impossible through Writei's cap, but a
     // damaged inode's size can imply it. Reads see a hole; writes refuse.
-    return alloc ? kErrFBig : 0;
+    return alloc ? std::int64_t{kErrFBig} : 0;
   }
   if (ip.addrs[kNDirect] == 0) {
     if (!alloc) {
@@ -318,7 +318,7 @@ std::int64_t Xv6Fs::Readi(Xv6Inode& ip, std::uint8_t* dst, std::uint32_t off, st
   while (done < n) {
     std::uint32_t b = 0;
     if (BMap(ip, (off + done) / kFsBlockSize, false, &b, burn) < 0) {
-      return done > 0 ? done : kErrIo;
+      return done > 0 ? done : std::int64_t{kErrIo};
     }
     std::uint32_t boff = (off + done) % kFsBlockSize;
     std::uint32_t take = std::min(n - done, kFsBlockSize - boff);
@@ -326,7 +326,7 @@ std::int64_t Xv6Fs::Readi(Xv6Inode& ip, std::uint8_t* dst, std::uint32_t off, st
       std::memset(dst + done, 0, take);  // sparse hole
     } else {
       if (ReadFsBlock(b, blk, burn) < 0) {
-        return done > 0 ? done : kErrIo;
+        return done > 0 ? done : std::int64_t{kErrIo};
       }
       std::memcpy(dst + done, blk + boff, take);
     }

@@ -23,48 +23,9 @@ constexpr PhysAddr kKernelReservedEnd = MiB(8);
 
 const char* SysName(Sys num) {
   switch (num) {
-    case Sys::kFork: return "fork";
-    case Sys::kExit: return "exit";
-    case Sys::kWait: return "wait";
-    case Sys::kPipe: return "pipe";
-    case Sys::kRead: return "read";
-    case Sys::kKill: return "kill";
-    case Sys::kExec: return "exec";
-    case Sys::kFstat: return "fstat";
-    case Sys::kChdir: return "chdir";
-    case Sys::kDup: return "dup";
-    case Sys::kGetPid: return "getpid";
-    case Sys::kSbrk: return "sbrk";
-    case Sys::kSleep: return "sleep";
-    case Sys::kUptime: return "uptime";
-    case Sys::kOpen: return "open";
-    case Sys::kWrite: return "write";
-    case Sys::kMknod: return "mknod";
-    case Sys::kUnlink: return "unlink";
-    case Sys::kLink: return "link";
-    case Sys::kMkdir: return "mkdir";
-    case Sys::kClose: return "close";
-    case Sys::kLseek: return "lseek";
-    case Sys::kMmap: return "mmap";
-    case Sys::kCacheFlush: return "cacheflush";
-    case Sys::kClone: return "clone";
-    case Sys::kSemCreate: return "semcreate";
-    case Sys::kSemWait: return "semwait";
-    case Sys::kSemPost: return "sempost";
-    case Sys::kSync: return "sync";
-    case Sys::kFsync: return "fsync";
-    case Sys::kIpcCreate: return "ipccreate";
-    case Sys::kIpcWait: return "ipcwait";
-    case Sys::kIpcWake: return "ipcwake";
-    case Sys::kIpcMap: return "ipcmap";
-    case Sys::kSocket: return "socket";
-    case Sys::kBind: return "bind";
-    case Sys::kListen: return "listen";
-    case Sys::kAccept: return "accept";
-    case Sys::kConnect: return "connect";
-    case Sys::kSend: return "send";
-    case Sys::kRecv: return "recv";
-    case Sys::kShutdown: return "shutdown";
+#define VOS_SYS_NAME(e, n, name) case Sys::e: return name;
+    VOS_SYSCALLS(VOS_SYS_NAME)
+#undef VOS_SYS_NAME
   }
   return "?";
 }
@@ -98,11 +59,10 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
     }
     return "<machine-loop>";
   });
-  Racedet::Instance().SetTraceHook([this](std::uintptr_t addr, std::size_t index) {
-    Task* t = g_current_task;
-    trace_.Emit(Now(), t != nullptr ? t->core : 0, TraceEvent::kRaceReport,
-                t != nullptr ? static_cast<std::int32_t>(t->pid()) : 0, addr, index);
-  });
+  Racedet::Instance().SetTraceHook(
+      [emit = TaskTraceHook()](std::uintptr_t addr, std::size_t index) {
+        emit(TraceEvent::kRaceReport, addr, index);
+      });
 
   // Observability: latency histograms and gauges live in the metrics
   // registry from the start; subsystems cache the pointers and record
@@ -225,10 +185,7 @@ Kernel::BootReport Kernel::Boot() {
   // Kernel core: vectors, PMM over [8 MB, dram_end), timers, UART.
   Cycles core = 0;
   pmm_ = std::make_unique<Pmm>(board_.mem(), kKernelReservedEnd, board_.config().dram_size);
-  pmm_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
-    Task* cur = CurrentTask();
-    trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev, cur != nullptr ? cur->pid() : 0, a, b);
-  });
+  pmm_->SetTraceHook(TaskTraceHook());
   metrics_.Gauge("pmm.total_pages", [this] { return pmm_->total_pages(); });
   metrics_.Gauge("pmm.free_pages", [this] { return pmm_->free_pages(); });
   metrics_.Gauge("pmm.largest_block_pages", [this] { return pmm_->LargestFreeBlockPages(); });
@@ -245,11 +202,7 @@ Kernel::BootReport Kernel::Boot() {
       Task* cur = CurrentTask();
       return cur != nullptr ? cur->core : 0u;
     });
-    kmalloc_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
-      Task* cur = CurrentTask();
-      trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev, cur != nullptr ? cur->pid() : 0, a,
-                  b);
-    });
+    kmalloc_->SetTraceHook(TaskTraceHook());
     metrics_.Gauge("slab.large_live", [this] { return kmalloc_->large_live(); });
     metrics_.Gauge("slab.large_allocs", [this] { return kmalloc_->large_allocs(); });
     for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
@@ -308,11 +261,7 @@ Kernel::BootReport Kernel::Boot() {
     ramdisk_ = std::make_unique<RamDisk>(ramdisk_image_);
     bcache_ = std::make_unique<Bcache>(cfg_);
     bcache_->SetNowFn([this] { return Now(); });
-    bcache_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
-      Task* cur = CurrentTask();
-      trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev,
-                  cur != nullptr ? cur->pid() : 0, a, b);
-    });
+    bcache_->SetTraceHook(TaskTraceHook());
     Histogram* blk_lat = metrics_.Hist("block.req_latency");
     bcache_->SetLatencyHook([blk_lat](Cycles lat) { blk_lat->Record(lat); });
     ramdisk_dev_ = bcache_->AddDevice(wrap_fault(ramdisk_.get()), "ramdisk");
@@ -328,11 +277,7 @@ Kernel::BootReport Kernel::Boot() {
       journal_ = std::make_unique<Journal>(*bcache_, ramdisk_dev_, cfg_);
       if (journal_->Init(rootfs_->sb(), &fs_time) == 0 && journal_->active()) {
         journal_->SetNowFn([this] { return Now(); });
-        journal_->SetTraceHook([this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
-          Task* cur = CurrentTask();
-          trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev,
-                      cur != nullptr ? cur->pid() : 0, a, b);
-        });
+        journal_->SetTraceHook(TaskTraceHook());
         Histogram* jrnl_lat = metrics_.Hist("jrnl.commit_latency");
         journal_->SetCommitLatencyHook([jrnl_lat](Cycles lat) { jrnl_lat->Record(lat); });
         rootfs_->AttachJournal(journal_.get());
@@ -644,6 +589,13 @@ Kernel::BootReport Kernel::Boot() {
 
   booted_ = true;
   return r;
+}
+
+Kernel::TraceHook Kernel::TaskTraceHook() {
+  return [this](TraceEvent ev, std::uint64_t a, std::uint64_t b) {
+    Task* cur = CurrentTask();
+    trace_.Emit(Now(), cur != nullptr ? cur->core : 0, ev, cur != nullptr ? cur->pid() : 0, a, b);
+  };
 }
 
 void Kernel::RegisterBlockDevMetrics(int dev) {

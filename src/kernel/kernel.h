@@ -47,58 +47,42 @@ namespace vos {
 
 class WindowManager;
 
-// Syscall numbers: the paper's 30 syscalls across task management,
-// filesystem, threading/synchronization, and durability (§3), plus the four
-// futex-IPC calls the "Scheduling & IPC" refactor adds.
+// Syscalls, once: X(enumerator, number, lowercase name). The paper's 30
+// syscalls across task management, filesystem, threading/synchronization, and
+// durability (§3), the four futex-IPC calls the "Scheduling & IPC" refactor
+// adds, and the socket calls. Sys, SysName and kNumSyscalls are generated from
+// this list. The numbers are ABI: trace records carry them, and the names
+// become metric paths ("syscall.<name>.latency").
+#define VOS_SYSCALLS(X)                                                                            \
+  X(kFork, 1, "fork") X(kExit, 2, "exit") X(kWait, 3, "wait")                                      \
+  X(kPipe, 4, "pipe") X(kRead, 5, "read") X(kKill, 6, "kill")                                      \
+  X(kExec, 7, "exec") X(kFstat, 8, "fstat") X(kChdir, 9, "chdir")                                  \
+  X(kDup, 10, "dup") X(kGetPid, 11, "getpid") X(kSbrk, 12, "sbrk")                                 \
+  X(kSleep, 13, "sleep") X(kUptime, 14, "uptime") X(kOpen, 15, "open")                             \
+  X(kWrite, 16, "write") X(kMknod, 17, "mknod") X(kUnlink, 18, "unlink")                           \
+  X(kLink, 19, "link") X(kMkdir, 20, "mkdir") X(kClose, 21, "close")                               \
+  X(kLseek, 22, "lseek") X(kMmap, 23, "mmap") X(kCacheFlush, 24, "cacheflush")                     \
+  X(kClone, 25, "clone") X(kSemCreate, 26, "semcreate") X(kSemWait, 27, "semwait")                 \
+  X(kSemPost, 28, "sempost") X(kSync, 29, "sync") X(kFsync, 30, "fsync")                           \
+  X(kIpcCreate, 31, "ipccreate") X(kIpcWait, 32, "ipcwait") X(kIpcWake, 33, "ipcwake")             \
+  X(kIpcMap, 34, "ipcmap")                                                                         \
+  X(kSocket, 35, "socket") X(kBind, 36, "bind") X(kListen, 37, "listen")                           \
+  X(kAccept, 38, "accept") X(kConnect, 39, "connect") X(kSend, 40, "send")                         \
+  X(kRecv, 41, "recv") X(kShutdown, 42, "shutdown")
+
 enum class Sys : int {
-  kFork = 1,
-  kExit = 2,
-  kWait = 3,
-  kPipe = 4,
-  kRead = 5,
-  kKill = 6,
-  kExec = 7,
-  kFstat = 8,
-  kChdir = 9,
-  kDup = 10,
-  kGetPid = 11,
-  kSbrk = 12,
-  kSleep = 13,
-  kUptime = 14,
-  kOpen = 15,
-  kWrite = 16,
-  kMknod = 17,
-  kUnlink = 18,
-  kLink = 19,
-  kMkdir = 20,
-  kClose = 21,
-  kLseek = 22,
-  kMmap = 23,
-  kCacheFlush = 24,
-  kClone = 25,
-  kSemCreate = 26,
-  kSemWait = 27,
-  kSemPost = 28,
-  kSync = 29,
-  kFsync = 30,
-  kIpcCreate = 31,
-  kIpcWait = 32,
-  kIpcWake = 33,
-  kIpcMap = 34,
-  // Sockets (proto5, HasNet()): src/kernel/net/.
-  kSocket = 35,
-  kBind = 36,
-  kListen = 37,
-  kAccept = 38,
-  kConnect = 39,
-  kSend = 40,
-  kRecv = 41,
-  kShutdown = 42,
+#define VOS_SYS_ENUM(e, num, name) e = num,
+  VOS_SYSCALLS(VOS_SYS_ENUM)
+#undef VOS_SYS_ENUM
 };
 
-constexpr int kNumSyscalls = 42;
+// Numbers run 1..kNumSyscalls without gaps.
+constexpr int kNumSyscalls = 0
+#define VOS_SYS_COUNT(e, num, name) +1
+    VOS_SYSCALLS(VOS_SYS_COUNT)
+#undef VOS_SYS_COUNT
+    ;
 
-// Lowercase syscall name for metric paths ("syscall.<name>.latency").
 const char* SysName(Sys num);
 
 class Kernel final : public MachineClient {
@@ -285,6 +269,11 @@ class Kernel final : public MachineClient {
   // the task if a kill is pending.
   Task* SyscallEnter(Sys num);
   std::int64_t SyscallExit(Sys num, std::int64_t ret);
+  // The trace hook pmm, kmalloc, bcache, journal and racedet emit through:
+  // events are stamped with the current task's core and pid (0 and 0 off a
+  // task).
+  using TraceHook = std::function<void(TraceEvent, std::uint64_t, std::uint64_t)>;
+  TraceHook TaskTraceHook();
   // Registers the block.<name>.* gauges for a newly added bcache device.
   void RegisterBlockDevMetrics(int dev);
   void FlusherBody();  // bflush kernel thread: periodic aged-dirty write-back

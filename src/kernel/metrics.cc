@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "src/base/status.h"
+#include "src/fs/procfs.h"
 #include "src/kernel/racedet.h"
 
 namespace vos {
@@ -114,20 +115,14 @@ std::string Metrics::ExportText() const {
 }
 
 std::int64_t Metrics::Command(const std::string& text) {
-  // Strip trailing whitespace/newline from echo-style writers.
-  std::string cmd = text;
-  while (!cmd.empty() && (cmd.back() == '\n' || cmd.back() == ' ')) {
-    cmd.pop_back();
-  }
-  if (cmd == "buckets on") {
-    buckets_.store(true, std::memory_order_relaxed);
+  return RunProcCommands(text, [this](const ProcCommand& c) -> std::int64_t {
+    if (c.verb() != "buckets" || c.words.size() != 2 ||
+        (c.words[1] != "on" && c.words[1] != "off")) {
+      return kErrInval;
+    }
+    buckets_.store(c.words[1] == "on", std::memory_order_relaxed);
     return 0;
-  }
-  if (cmd == "buckets off") {
-    buckets_.store(false, std::memory_order_relaxed);
-    return 0;
-  }
-  return kErrInval;
+  });
 }
 
 }  // namespace vos

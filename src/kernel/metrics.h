@@ -63,8 +63,8 @@ class Metrics {
   // can recompute any percentile instead of trusting the baked p50/p95/p99.
   std::string ExportText() const;
 
-  // The /proc/metrics command language: "buckets on" / "buckets off".
-  // Returns 0 or a negative errno-style code.
+  // /proc/metrics writes: "buckets on" / "buckets off" (RunProcCommands
+  // syntax). Returns 0 or kErrInval.
   std::int64_t Command(const std::string& text);
   bool buckets_enabled() const { return buckets_.load(std::memory_order_relaxed); }
 

@@ -7,6 +7,7 @@
 
 #include "src/base/assert.h"
 #include "src/base/status.h"
+#include "src/fs/procfs.h"
 
 namespace vos {
 
@@ -362,48 +363,41 @@ std::string NetStack::NetstatText() const {
 }
 
 std::int64_t NetStack::Control(const std::string& text) {
-  std::istringstream is(text);
-  std::string cmd;
-  is >> cmd;
-  SpinGuard g(lock_);
-  if (cmd == "loss") {
-    std::uint32_t ppm = 0;
-    if (!(is >> ppm)) {
+  return RunProcCommands(text, [this](const ProcCommand& c) -> std::int64_t {
+    SpinGuard g(lock_);
+    if (c.verb() == "loss") {
+      std::uint32_t ppm = 0;
+      if (!c.Arg(1, &ppm)) {
+        return kErrInval;
+      }
+      loss_ppm_override_ = ppm;
+    } else if (c.verb() == "latency_us") {
+      std::uint32_t us = 0;
+      if (!c.Arg(1, &us)) {
+        return kErrInval;
+      }
+      latency_us_override_ = us;
+    } else if (c.verb() == "seed") {
+      std::uint64_t seed = 0;
+      if (!c.Arg(1, &seed)) {
+        return kErrInval;
+      }
+      seed_override_ = seed;
+    } else if (c.verb() == "coalesce") {
+      std::uint32_t frames = 0;
+      std::uint32_t us = 0;
+      if (!c.Arg(1, &frames) || !c.Arg(2, &us)) {
+        return kErrInval;
+      }
+      SpinGuard n(nic_lock_);
+      nic_.SetIrqCoalesce(frames, Us(us));
+      return 0;
+    } else {
       return kErrInval;
     }
-    loss_ppm_override_ = ppm;
     ApplyLinkFaultsLocked();
     return 0;
-  }
-  if (cmd == "latency_us") {
-    std::uint32_t us = 0;
-    if (!(is >> us)) {
-      return kErrInval;
-    }
-    latency_us_override_ = us;
-    ApplyLinkFaultsLocked();
-    return 0;
-  }
-  if (cmd == "seed") {
-    std::uint64_t seed = 0;
-    if (!(is >> seed)) {
-      return kErrInval;
-    }
-    seed_override_ = seed;
-    ApplyLinkFaultsLocked();
-    return 0;
-  }
-  if (cmd == "coalesce") {
-    std::uint32_t frames = 0;
-    std::uint32_t us = 0;
-    if (!(is >> frames >> us)) {
-      return kErrInval;
-    }
-    SpinGuard n(nic_lock_);
-    nic_.SetIrqCoalesce(frames, Us(us));
-    return 0;
-  }
-  return kErrInval;
+  });
 }
 
 void NetStack::ApplyLinkFaultsLocked() {

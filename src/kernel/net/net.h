@@ -252,8 +252,9 @@ class NetStack {
 
   // --- /proc/netstat ---
   std::string NetstatText() const;
-  // Command language: "loss <ppm>" | "latency_us <n>" | "seed <n>" |
-  // "coalesce <frames> <us>". Returns 0 or a negative errno.
+  // /proc/netstat writes (RunProcCommands syntax): "loss <ppm>" |
+  // "latency_us <n>" | "seed <n>" | "coalesce <frames> <us>". Returns 0 or
+  // kErrInval.
   std::int64_t Control(const std::string& text);
 
   const NetStats& stats() const { return stats_; }  // racedet: ok (token-serialized snapshot)

@@ -292,7 +292,7 @@ std::int64_t NetStack::Shutdown(Task* cur, Socket& s, int how, Cycles* burn) {
     return 0;
   }
   if (s.type == Socket::Type::kUdp || s.tcb == nullptr) {
-    return s.type == Socket::Type::kUdp ? 0 : kErrInval;
+    return s.type == Socket::Type::kUdp ? 0 : std::int64_t{kErrInval};
   }
   std::shared_ptr<Tcb> t = s.tcb;
   if (how == 0 || how == 2) {

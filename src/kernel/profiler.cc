@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "src/base/status.h"
+#include "src/fs/procfs.h"
 #include "src/kernel/racedet.h"
 #include "src/kernel/trace.h"
 
@@ -24,13 +25,9 @@ Profiler::Profiler(const KernelConfig& cfg, TraceRing* trace)
     : cfg_(cfg),
       trace_(trace),
       period_(cfg.prof_hz == 0 ? kCyclesPerSec : kCyclesPerSec / cfg.prof_hz),
-      cap_(cfg.prof_ring_capacity == 0 ? 1 : cfg.prof_ring_capacity),
       max_frames_(std::min(cfg.prof_max_frames == 0 ? 1u : cfg.prof_max_frames,
-                           kProfMaxFrames)) {
-  for (auto& r : rings_) {
-    r.slots.resize(cap_);
-  }
-}
+                           kProfMaxFrames)),
+      ring_(cfg.prof_ring_capacity) {}
 
 void Profiler::Start(Cycles now) {
   if (running_) {
@@ -45,14 +42,7 @@ void Profiler::Start(Cycles now) {
 void Profiler::Stop() { running_ = false; }
 
 void Profiler::Reset() {
-  for (auto& r : rings_) {
-    // Seqlock bracket so a concurrent Dump snapshot sees torn-or-retry, not
-    // a half-cleared window (same discipline as TraceRing::Clear).
-    r.seq.fetch_add(1, std::memory_order_acq_rel);
-    r.head.store(0, std::memory_order_relaxed);
-    r.next_slot = 0;
-    r.seq.fetch_add(1, std::memory_order_release);
-  }
+  ring_.Clear();
   samples_.store(0, std::memory_order_relaxed);
   offcpu_samples_.store(0, std::memory_order_relaxed);
   symbolized_.store(0, std::memory_order_relaxed);
@@ -61,30 +51,18 @@ void Profiler::Reset() {
 }
 
 std::int64_t Profiler::Command(const std::string& text, Cycles now) {
-  // First whitespace-delimited word; /proc writers hand us the raw text.
-  std::string cmd;
-  for (char ch : text) {
-    if (ch == ' ' || ch == '\t' || ch == '\n' || ch == '\r') {
-      if (!cmd.empty()) {
-        break;
-      }
-      continue;
+  return RunProcCommands(text, [this, now](const ProcCommand& c) -> std::int64_t {
+    if (c.verb() == "start") {
+      Start(now);
+    } else if (c.verb() == "stop") {
+      Stop();
+    } else if (c.verb() == "reset") {
+      Reset();
+    } else {
+      return kErrInval;
     }
-    cmd += ch;
-  }
-  if (cmd == "start") {
-    Start(now);
     return 0;
-  }
-  if (cmd == "stop") {
-    Stop();
-    return 0;
-  }
-  if (cmd == "reset") {
-    Reset();
-    return 0;
-  }
-  return kErrInval;
+  });
 }
 
 void Profiler::CaptureFrames(const std::vector<const char*>& stack, ProfSample* s) const {
@@ -121,18 +99,7 @@ void Profiler::FoldLocked(const ProfSample& s, const std::string& name) {
 }
 
 void Profiler::EmitSample(const ProfSample& s, const std::string& name) {
-  CoreRing& r = rings_[s.core];
-  // Seqlock write side; single producer per core by token serialization
-  // (trace.cc documents the fence pairing).
-  const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-  const std::uint64_t sq = r.seq.load(std::memory_order_relaxed);
-  r.seq.store(sq + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
-  r.slots[r.next_slot] = s;
-  r.next_slot = r.next_slot + 1 == cap_ ? 0 : r.next_slot + 1;
-  r.head.store(h + 1, std::memory_order_release);
-  r.seq.store(sq + 2, std::memory_order_release);
-
+  ring_.Push(s.core, s);
   samples_.fetch_add(1, std::memory_order_relaxed);
   if (s.offcpu) {
     offcpu_samples_.fetch_add(1, std::memory_order_relaxed);
@@ -211,42 +178,6 @@ void Profiler::OnWake(Task* t, Cycles blocked) {
   t->sleep_stack.clear();
   s.stack_hash = HashStack(s);
   EmitSample(s, t->name());
-}
-
-std::vector<ProfSample> Profiler::DumpSamples() const {
-  std::vector<ProfSample> out;
-  std::vector<ProfSample> tmp;
-  for (const CoreRing& r : rings_) {
-    for (;;) {
-      std::uint64_t s0 = r.seq.load(std::memory_order_acquire);
-      if (s0 & 1) {
-        continue;
-      }
-      std::uint64_t h = r.head.load(std::memory_order_acquire);
-      std::uint64_t n = std::min<std::uint64_t>(h, cap_);
-      tmp.clear();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        tmp.push_back(r.slots[(h - n + i) % cap_]);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (r.seq.load(std::memory_order_relaxed) == s0) {
-        out.insert(out.end(), tmp.begin(), tmp.end());
-        break;
-      }
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const ProfSample& a, const ProfSample& b) { return a.ts < b.ts; });
-  return out;
-}
-
-std::uint64_t Profiler::dropped() const {
-  std::uint64_t t = 0;
-  for (const CoreRing& r : rings_) {
-    const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-    t += h > cap_ ? h - cap_ : 0;
-  }
-  return t;
 }
 
 std::string Profiler::ExportText() const {

@@ -13,8 +13,8 @@
 // that land in unreported gaps (IRQ-debt payoff) are attributed to the next
 // span on that core, like coalesced timer ticks after a masked section.
 //
-// Each sample goes three places: a per-core lock-free ring (same seqlock
-// discipline as trace.cc, for raw inspection), the folded aggregation table
+// Each sample goes three places: a per-core lock-free SeqlockRing (the trace
+// ring's template, for raw inspection), the folded aggregation table
 // keyed by (task, stack-hash) under the "profiler" spinlock, and a
 // kProfSample trace event (so tools/trace2perfetto.py can render sample
 // density per core). Capture cost is charged to the sampled core as IRQ debt
@@ -30,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/base/seqlock_ring.h"
 #include "src/base/units.h"
 #include "src/hw/intc.h"
 #include "src/kernel/kconfig.h"
@@ -66,8 +67,8 @@ class Profiler {
   void Stop();
   void Reset();
   bool running() const { return running_; }
-  // "start" / "stop" / "reset"; 0 or negative Err (the /proc/faultinject
-  // command-language idiom).
+  // /proc/profile writes: "start" / "stop" / "reset" (RunProcCommands
+  // syntax); 0 or kErrInval.
   std::int64_t Command(const std::string& text, Cycles now);
 
   // Machine span hook (machine thread, fibers parked). Returns the number of
@@ -85,7 +86,7 @@ class Profiler {
   std::string ExportText() const;
 
   // Raw ring snapshot (seqlock read side), newest-window records per core.
-  std::vector<ProfSample> DumpSamples() const;
+  std::vector<ProfSample> DumpSamples() const { return ring_.Snapshot(); }
 
   // Counters for metrics gauges. Token-serialized or relaxed-atomic reads.
   std::uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
@@ -93,7 +94,7 @@ class Profiler {
     return offcpu_samples_.load(std::memory_order_relaxed);
   }
   std::uint64_t symbolized() const { return symbolized_.load(std::memory_order_relaxed); }
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return ring_.dropped(); }
 
  private:
   // Folded aggregation entry: everything needed to print one collapsed stack.
@@ -105,20 +106,6 @@ class Profiler {
     std::array<const char*, kProfMaxFrames> frames{};
     std::uint64_t weight = 0;
     std::uint64_t count = 0;
-  };
-
-  // Per-core sample ring, one cache line of cursors per core — the trace.cc
-  // seqlock layout (see that file for the memory-ordering walkthrough).
-  //
-  // racedet policy: like TraceRing's CoreRing, these fields are deliberately
-  // NOT in the shared set — the ring is intentionally lock-free (seqlock
-  // writer, wrapping reader) and the Emit path must stay wait-free. The TSan
-  // CI leg carries the matching suppression (tools/tsan.supp).
-  struct alignas(64) CoreRing {
-    std::atomic<std::uint64_t> head{0};  // total records written since Reset
-    std::atomic<std::uint64_t> seq{0};   // seqlock: odd while a write is in flight
-    std::uint64_t next_slot = 0;         // producer-only: head % capacity
-    std::vector<ProfSample> slots;
   };
 
   // Per-core sampling cursor (machine-thread only; spans arrive in
@@ -135,11 +122,10 @@ class Profiler {
   const KernelConfig& cfg_;
   TraceRing* trace_;
   Cycles period_;
-  std::size_t cap_;
   unsigned max_frames_;
   bool running_ = false;
 
-  std::array<CoreRing, kMaxCores> rings_;
+  SeqlockRing<ProfSample, kMaxCores> ring_;
   std::array<CoreClock, kMaxCores> clocks_;
 
   // Sample counters: relaxed atomics so gauges read them wait-free.

@@ -1,71 +1,16 @@
 #include "src/kernel/trace.h"
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
+#include <iterator>
 
 namespace vos {
 
-TraceRing::TraceRing(bool enabled, std::size_t per_core_capacity)
-    : enabled_(enabled), cap_(per_core_capacity == 0 ? 1 : per_core_capacity) {
-  for (auto& r : rings_) {
-    r.slots.resize(cap_);
-  }
-}
-
 void TraceRing::Emit(Cycles ts, unsigned core, TraceEvent ev, std::int32_t pid, std::uint64_t a,
                      std::uint64_t b) {
-  if (!enabled_ || core >= kMaxCores) {
-    return;
+  if (enabled_) {
+    ring_.Push(core, TraceRecord{ts, static_cast<std::uint16_t>(core), ev, pid, a, b});
   }
-  CoreRing& r = rings_[core];
-  // Seqlock write side: odd while the slot is torn. Single producer per core,
-  // so every cursor update is a plain load+store — no RMW, no CAS, no lock.
-  const std::uint64_t h = r.head.load(std::memory_order_relaxed);
-  const std::uint64_t s = r.seq.load(std::memory_order_relaxed);
-  r.seq.store(s + 1, std::memory_order_relaxed);
-  // Store-store barrier: the odd seq must be visible before the slot is
-  // torn. Like the Linux seqlock's smp_wmb — a compiler barrier on TSO
-  // hosts, dmb ishst on ARM — it orders the plain slot stores too.
-  std::atomic_thread_fence(std::memory_order_release);
-  // next_slot tracks head % cap_ without the division (producer-only state).
-  r.slots[r.next_slot] = TraceRecord{ts, static_cast<std::uint16_t>(core), ev, pid, a, b};
-  r.next_slot = r.next_slot + 1 == cap_ ? 0 : r.next_slot + 1;
-  // Both release stores: the slot contents precede the new head and the
-  // even seq that publishes them.
-  r.head.store(h + 1, std::memory_order_release);
-  r.seq.store(s + 2, std::memory_order_release);
-}
-
-std::vector<TraceRecord> TraceRing::Dump() const {
-  std::vector<TraceRecord> out;
-  std::vector<TraceRecord> tmp;
-  for (const CoreRing& r : rings_) {
-    for (;;) {
-      std::uint64_t s0 = r.seq.load(std::memory_order_acquire);
-      if (s0 & 1) {
-        dump_retries_.fetch_add(1, std::memory_order_relaxed);
-        continue;  // writer mid-record; retry
-      }
-      std::uint64_t h = r.head.load(std::memory_order_acquire);
-      std::uint64_t n = std::min<std::uint64_t>(h, cap_);
-      tmp.clear();
-      for (std::uint64_t i = 0; i < n; ++i) {
-        tmp.push_back(r.slots[(h - n + i) % cap_]);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      // Unchanged seq == nothing was overwritten under us; keep the snapshot.
-      if (r.seq.load(std::memory_order_relaxed) == s0) {
-        out.insert(out.end(), tmp.begin(), tmp.end());
-        break;
-      }
-      dump_retries_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  std::stable_sort(out.begin(), out.end(),
-                   [](const TraceRecord& a, const TraceRecord& b) { return a.ts < b.ts; });
-  return out;
 }
 
 std::vector<TraceRecord> TraceRing::DumpEvent(TraceEvent ev) const {
@@ -79,117 +24,24 @@ std::vector<TraceRecord> TraceRing::DumpEvent(TraceEvent ev) const {
   return out;
 }
 
-void TraceRing::Clear() {
-  for (auto& r : rings_) {
-    r.seq.fetch_add(1, std::memory_order_acq_rel);
-    r.head.store(0, std::memory_order_relaxed);
-    r.next_slot = 0;
-    r.seq.fetch_add(1, std::memory_order_release);
-  }
-}
-
-std::uint64_t TraceRing::total_emitted() const {
-  std::uint64_t t = 0;
-  for (const CoreRing& r : rings_) {
-    t += r.head.load(std::memory_order_relaxed);
-  }
-  return t;
-}
-
-std::uint64_t TraceRing::dropped(unsigned core) const {
-  if (core >= kMaxCores) {
-    return 0;
-  }
-  const std::uint64_t h = rings_[core].head.load(std::memory_order_relaxed);
-  return h > cap_ ? h - cap_ : 0;
-}
-
-std::uint64_t TraceRing::total_dropped() const {
-  std::uint64_t t = 0;
-  for (unsigned c = 0; c < kMaxCores; ++c) {
-    t += dropped(c);
-  }
-  return t;
-}
-
-std::string TraceRing::EventName(TraceEvent ev) {
-  switch (ev) {
-    case TraceEvent::kSyscallEnter:
-      return "syscall_enter";
-    case TraceEvent::kSyscallExit:
-      return "syscall_exit";
-    case TraceEvent::kCtxSwitch:
-      return "ctx_switch";
-    case TraceEvent::kIrqEnter:
-      return "irq_enter";
-    case TraceEvent::kIrqExit:
-      return "irq_exit";
-    case TraceEvent::kSleep:
-      return "sleep";
-    case TraceEvent::kWakeup:
-      return "wakeup";
-    case TraceEvent::kUserMark:
-      return "user_mark";
-    case TraceEvent::kKeyEvent:
-      return "key_event";
-    case TraceEvent::kWmComposite:
-      return "wm_composite";
-    case TraceEvent::kPageFault:
-      return "page_fault";
-    case TraceEvent::kBlockRead:
-      return "block_read";
-    case TraceEvent::kBlockWrite:
-      return "block_write";
-    case TraceEvent::kBlockFlush:
-      return "block_flush";
-    case TraceEvent::kPmmAlloc:
-      return "pmm_alloc";
-    case TraceEvent::kPmmFree:
-      return "pmm_free";
-    case TraceEvent::kPmmOom:
-      return "pmm_oom";
-    case TraceEvent::kSlabRefill:
-      return "slab_refill";
-    case TraceEvent::kBlockError:
-      return "block_error";
-    case TraceEvent::kRaceReport:
-      return "race_report";
-    case TraceEvent::kJrnlCommit:
-      return "jrnl_commit";
-    case TraceEvent::kJrnlCheckpoint:
-      return "jrnl_checkpoint";
-    case TraceEvent::kProfSample:
-      return "prof_sample";
-    case TraceEvent::kWatchdogBark:
-      return "watchdog_bark";
-    case TraceEvent::kNetRx:
-      return "net_rx";
-    case TraceEvent::kNetTx:
-      return "net_tx";
-  }
-  return "?";
-}
-
 namespace {
-// Every enumerator, for name->event lookup. tools/lint_trace_events.py keeps
-// the enum, the EventName switch, and this table in lockstep.
-constexpr TraceEvent kAllTraceEvents[] = {
-    TraceEvent::kSyscallEnter, TraceEvent::kSyscallExit, TraceEvent::kCtxSwitch,
-    TraceEvent::kIrqEnter,     TraceEvent::kIrqExit,     TraceEvent::kSleep,
-    TraceEvent::kWakeup,       TraceEvent::kUserMark,    TraceEvent::kKeyEvent,
-    TraceEvent::kWmComposite,  TraceEvent::kPageFault,   TraceEvent::kBlockRead,
-    TraceEvent::kBlockWrite,   TraceEvent::kBlockFlush,  TraceEvent::kPmmAlloc,
-    TraceEvent::kPmmFree,      TraceEvent::kPmmOom,      TraceEvent::kSlabRefill,
-    TraceEvent::kBlockError,   TraceEvent::kRaceReport,  TraceEvent::kJrnlCommit,
-    TraceEvent::kJrnlCheckpoint, TraceEvent::kProfSample, TraceEvent::kWatchdogBark,
-    TraceEvent::kNetRx,        TraceEvent::kNetTx,
+// Dump names in enumerator order: TraceEvent counts from 0 down the same list.
+constexpr const char* kEventNames[] = {
+#define VOS_TRACE_EVENT_NAME(e, name) name,
+    VOS_TRACE_EVENTS(VOS_TRACE_EVENT_NAME)
+#undef VOS_TRACE_EVENT_NAME
 };
 }  // namespace
 
+std::string TraceRing::EventName(TraceEvent ev) {
+  const auto i = static_cast<std::size_t>(ev);
+  return i < std::size(kEventNames) ? kEventNames[i] : "?";
+}
+
 bool TraceRing::EventFromName(const std::string& name, TraceEvent* out) {
-  for (TraceEvent ev : kAllTraceEvents) {
-    if (EventName(ev) == name) {
-      *out = ev;
+  for (std::size_t i = 0; i < std::size(kEventNames); ++i) {
+    if (name == kEventNames[i]) {
+      *out = static_cast<TraceEvent>(i);
       return true;
     }
   }

@@ -2,54 +2,58 @@
 // events with negligible overhead, dumped on demand. Fig 11's latency
 // breakdowns are computed from these records.
 //
-// Emit is lock-free: each core owns a single-producer ring (the simulator's
-// token serialization guarantees one producer per core; the bench drives one
-// host thread per core, which is the same contract). A per-core seqlock lets
-// Dump take a consistent snapshot without ever stalling a producer; when the
-// ring wraps, the overwritten records are counted in a per-core `dropped`
-// counter so readers know the window is partial.
+// Emit is lock-free: the records live in a per-core SeqlockRing
+// (src/base/seqlock_ring.h), so Dump takes a consistent snapshot without ever
+// stalling a producer; when a ring wraps, the overwritten records are counted
+// as `dropped` so readers know the window is partial.
 #ifndef VOS_SRC_KERNEL_TRACE_H_
 #define VOS_SRC_KERNEL_TRACE_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "src/base/seqlock_ring.h"
 #include "src/base/units.h"
 #include "src/hw/intc.h"
 
 namespace vos {
 
+// Every trace event, once: X(enumerator, dump name). The TraceEvent enum,
+// EventName and EventFromName are all generated from this list, so an event
+// cannot exist without a name that round-trips through the text dump.
+#define VOS_TRACE_EVENTS(X)                                                                        \
+  X(kSyscallEnter, "syscall_enter")                                                                \
+  X(kSyscallExit, "syscall_exit")                                                                  \
+  X(kCtxSwitch, "ctx_switch")                                                                      \
+  X(kIrqEnter, "irq_enter")                                                                        \
+  X(kIrqExit, "irq_exit")                                                                          \
+  X(kSleep, "sleep")                                                                               \
+  X(kWakeup, "wakeup")                                                                             \
+  X(kUserMark, "user_mark")             /* app-defined markers (frame start/end, input seen...) */ \
+  X(kKeyEvent, "key_event")             /* input pipeline stamps */                                \
+  X(kWmComposite, "wm_composite")                                                                  \
+  X(kPageFault, "page_fault")                                                                      \
+  X(kBlockRead, "block_read")           /* block layer: device read (a=lba, b=count) */            \
+  X(kBlockWrite, "block_write")         /* block layer: device write (a=lba, b=count) */           \
+  X(kBlockFlush, "block_flush")         /* block layer: dirty write-back (a=lba, b=count) */       \
+  X(kPmmAlloc, "pmm_alloc")             /* buddy: pages handed out (a=pa, b=npages) */             \
+  X(kPmmFree, "pmm_free")               /* buddy: pages returned (a=pa, b=npages) */               \
+  X(kPmmOom, "pmm_oom")                 /* allocation failed (a=npages asked, b=pages free) */     \
+  X(kSlabRefill, "slab_refill")         /* core cache refilled (a=class size, b=objs) */           \
+  X(kBlockError, "block_error")         /* request failed after retries (a=lba, b=status) */       \
+  X(kRaceReport, "race_report")         /* racedet: lockset empty (a=addr, b=report index) */      \
+  X(kJrnlCommit, "jrnl_commit")         /* commit record durable (a=seq, b=data blocks) */         \
+  X(kJrnlCheckpoint, "jrnl_checkpoint") /* drained to home (a=first seq, b=blocks) */              \
+  X(kProfSample, "prof_sample")         /* profiler sample (a=stack hash, b=weight) */             \
+  X(kWatchdogBark, "watchdog_bark")     /* a=stalled cycles, b=core, pid=offender or -1 */         \
+  X(kNetRx, "net_rx")                   /* frame drained from the NIC RX ring (a=bytes) */         \
+  X(kNetTx, "net_tx")                   /* frame posted to the NIC TX ring (a=bytes) */
+
 enum class TraceEvent : std::uint16_t {
-  kSyscallEnter = 1,
-  kSyscallExit,
-  kCtxSwitch,
-  kIrqEnter,
-  kIrqExit,
-  kSleep,
-  kWakeup,
-  kUserMark,     // app-defined markers (frame start/end, input seen...)
-  kKeyEvent,     // input pipeline stamps
-  kWmComposite,
-  kPageFault,
-  kBlockRead,    // block layer: device read (a=lba, b=count)
-  kBlockWrite,   // block layer: device write (a=lba, b=count)
-  kBlockFlush,   // block layer: dirty write-back flushed (a=lba, b=count)
-  kPmmAlloc,     // buddy allocator: pages handed out (a=pa, b=npages)
-  kPmmFree,      // buddy allocator: pages returned (a=pa, b=npages)
-  kPmmOom,       // allocation failed (a=npages requested, b=pages still free)
-  kSlabRefill,   // per-core cache refilled from the depot (a=class size, b=objs)
-  kBlockError,   // block layer: request failed after retries (a=lba, b=status)
-  kRaceReport,   // racedet: lockset went empty (a=shadow addr, b=report index)
-  kJrnlCommit,     // journal: commit record durable (a=seq, b=data blocks)
-  kJrnlCheckpoint, // journal: batches drained to home (a=first seq, b=blocks)
-  kProfSample,     // profiler: stack sample folded (a=stack hash, b=weight)
-  kWatchdogBark,   // watchdog: hung task / stalled core (a=stalled-for cycles,
-                   // b=core) — pid is the offender (-1 = core-level stall)
-  kNetRx,          // net: frame drained from the NIC RX ring (a=frame bytes)
-  kNetTx,          // net: frame posted to the NIC TX ring (a=frame bytes)
+#define VOS_TRACE_EVENT_ENUM(e, name) e,
+  VOS_TRACE_EVENTS(VOS_TRACE_EVENT_ENUM)
+#undef VOS_TRACE_EVENT_ENUM
 };
 
 struct TraceRecord {
@@ -63,7 +67,8 @@ struct TraceRecord {
 
 class TraceRing {
  public:
-  explicit TraceRing(bool enabled, std::size_t per_core_capacity = 16384);
+  explicit TraceRing(bool enabled, std::size_t per_core_capacity = 16384)
+      : enabled_(enabled), ring_(per_core_capacity) {}
 
   // Lock-free hot path: one producer per core (token-serialized in the
   // simulator). Safe to call from IRQ context and inside any spinlock.
@@ -71,52 +76,26 @@ class TraceRing {
             std::uint64_t b = 0);
 
   // Merged, time-ordered dump of all cores' rings (seqlock snapshot).
-  std::vector<TraceRecord> Dump() const;
+  std::vector<TraceRecord> Dump() const { return ring_.Snapshot(); }
 
   // Filtered dump.
   std::vector<TraceRecord> DumpEvent(TraceEvent ev) const;
 
-  void Clear();
+  void Clear() { ring_.Clear(); }
   bool enabled() const { return enabled_; }
-  std::size_t capacity() const { return cap_; }
-  std::uint64_t total_emitted() const;
+  std::uint64_t total_emitted() const { return ring_.emitted(); }
   // Records overwritten by ring wrap since the last Clear().
-  std::uint64_t dropped(unsigned core) const;
-  std::uint64_t total_dropped() const;
-  // Seqlock snapshot retries Dump() has performed (reader observed a torn or
-  // superseded window and re-read). The seqlock torture test asserts this
-  // goes positive while a writer races the reader.
-  std::uint64_t dump_retries() const {
-    return dump_retries_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t dropped(unsigned core) const { return ring_.dropped(core); }
+  std::uint64_t total_dropped() const { return ring_.dropped(); }
+  // Seqlock snapshot retries Dump() has performed.
+  std::uint64_t dump_retries() const { return ring_.retries(); }
 
   static std::string EventName(TraceEvent ev);
   static bool EventFromName(const std::string& name, TraceEvent* out);
 
  private:
-  // One cache line of cursors per core so producers never share a line.
-  // The head cursor counts every record written since Clear, so the derived
-  // stats cost nothing on the hot path: emitted == head, and dropped ==
-  // max(0, head - capacity) — once the ring is full, every write evicts one.
-  //
-  // racedet policy: these fields are deliberately NOT in the shared set. The
-  // ring is the canonical intentionally-lock-free structure (seqlock writer,
-  // wrapping reader); a lockset checker has nothing true to say about it, and
-  // RD_* calls on the Emit hot path would also recurse through the racedet
-  // trace hook. The seqlock torture test covers it dynamically, and the TSan
-  // CI leg carries a matching suppression (tools/tsan.supp).
-  struct alignas(64) CoreRing {
-    std::atomic<std::uint64_t> head{0};  // total records written since Clear
-    std::atomic<std::uint64_t> seq{0};   // seqlock: odd while a write is in flight
-    std::uint64_t next_slot = 0;         // producer-only: head % capacity
-    std::vector<TraceRecord> slots;
-  };
-
   bool enabled_;
-  std::size_t cap_;
-  // Dump() is logically const; retry accounting is observability metadata.
-  mutable std::atomic<std::uint64_t> dump_retries_{0};
-  std::array<CoreRing, kMaxCores> rings_;
+  SeqlockRing<TraceRecord, kMaxCores> ring_;
 };
 
 // Text dump format: one record per line, "ts core event pid a b" (event by

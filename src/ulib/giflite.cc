@@ -133,7 +133,10 @@ std::vector<std::uint8_t> GifLzwEncode(const std::uint8_t* indices, std::size_t 
   auto reset = [&] {
     table.clear();
     for (int i = 0; i < clear_code; ++i) {
-      table[{static_cast<std::uint8_t>(i)}] = i;
+      // Keys arrive in ascending order, so end() is the exact hint. (GCC 12's
+      // -Wstringop-overread misfires on operator[] here.)
+      table.emplace_hint(table.end(), std::vector<std::uint8_t>(1, static_cast<std::uint8_t>(i)),
+                         i);
     }
     next_code = eoi_code + 1;
     code_width = min_code_size + 1;

@@ -183,6 +183,20 @@ TEST_F(JournalTest, GroupCommitCoalescesTransactionsIntoOneRecord) {
   EXPECT_GT(s.coalesced, 0u);  // shared dirents/bitmap/inode blocks coalesce
 }
 
+TEST_F(JournalTest, CommitLatencyClampsAtZeroWhenTheClockStepsBack) {
+  // The batch opens on a core whose virtual clock reads 5 ms and commits on
+  // one that reads 2 ms: the latency must be 0, not a wrapped 2^64 - 3 ms.
+  Cycles now = Ms(5);
+  jrnl_.SetNowFn([&now] { return now; });
+  std::vector<Cycles> recorded;
+  jrnl_.SetCommitLatencyHook([&recorded](Cycles lat) { recorded.push_back(lat); });
+  ASSERT_GT(WriteFile("/back.txt", "x"), 0);
+  now = Ms(2);
+  ASSERT_EQ(fs_.SyncJournal(&burn_), 0);
+  ASSERT_EQ(recorded.size(), 1u);
+  EXPECT_EQ(recorded[0], Cycles(0));
+}
+
 TEST_F(JournalTest, PerTxCommitWhenGroupCommitDisabled) {
   cfg_.jrnl_group_commit = false;
   ASSERT_GT(WriteFile("/p0", "x"), 0);

@@ -122,6 +122,13 @@ TEST(TraceRingTest, DumpMergesCoresInTimeOrder) {
 
 // --- Text and JSON export -------------------------------------------------
 
+// Every listed trace event, expanded from the list the enum is generated from.
+constexpr TraceEvent kEveryEvent[] = {
+#define EVERY_EVENT(e, name) TraceEvent::e,
+    VOS_TRACE_EVENTS(EVERY_EVENT)
+#undef EVERY_EVENT
+};
+
 TEST(TraceTextTest, RoundTrips) {
   std::vector<TraceRecord> recs = {
       {Cycles(100), 0, TraceEvent::kSyscallEnter, 3, 12, 0},
@@ -130,6 +137,10 @@ TEST(TraceTextTest, RoundTrips) {
       {Cycles(400), 1, TraceEvent::kIrqExit, 0, 27, 0},
       {Cycles(500), 2, TraceEvent::kBlockWrite, 4, 8192, 16},
   };
+  // One record of every event, so each name survives the text format.
+  for (TraceEvent ev : kEveryEvent) {
+    recs.push_back({Cycles(600 + recs.size()), 3, ev, -1, recs.size(), 7});
+  }
   const std::string text = FormatTraceText(recs);
   std::vector<TraceRecord> parsed;
   ASSERT_TRUE(ParseTraceText(text, &parsed));
@@ -180,13 +191,12 @@ TEST(ChromeTraceTest, PythonToolingAcceptsTheOutput) {
   if (!HavePython3()) {
     GTEST_SKIP() << "python3 not available";
   }
-  std::vector<TraceRecord> recs = {
-      {Cycles(1000), 0, TraceEvent::kSyscallEnter, 3, 5, 0},
-      {Cycles(2000), 0, TraceEvent::kSyscallExit, 3, 5, 0},
-      {Cycles(2500), 1, TraceEvent::kIrqEnter, 0, 27, 0},
-      {Cycles(2600), 1, TraceEvent::kIrqExit, 0, 27, 0},
-      {Cycles(3000), 1, TraceEvent::kPmmAlloc, 2, 4096, 1},
-  };
+  // One record of every listed event: syscall and IRQ pairs, the profiler
+  // and watchdog records trace2perfetto.py renders specially, and the rest.
+  std::vector<TraceRecord> recs;
+  for (TraceEvent ev : kEveryEvent) {
+    recs.push_back({Cycles(1000 * (recs.size() + 1)), 1, ev, 2, 27, 1});
+  }
   const std::filesystem::path tmp = ::testing::TempDir();
   const std::filesystem::path json_path = tmp / "vos_trace.json";
   const std::filesystem::path text_path = tmp / "vos_trace.txt";
@@ -197,18 +207,29 @@ TEST(ChromeTraceTest, PythonToolingAcceptsTheOutput) {
   }
   const std::filesystem::path tools =
       std::filesystem::path(__FILE__).parent_path().parent_path() / "tools";
-  const std::string check =
-      "python3 -c \"import json,sys; d=json.load(open(sys.argv[1])); "
-      "assert d['displayTimeUnit']=='ns'; assert len(d['traceEvents'])==5; "
-      "assert {e['ph'] for e in d['traceEvents']} == {'B','E','I'}\" ";
-  EXPECT_EQ(std::system((check + json_path.string()).c_str()), 0)
+  // Loads a trace-event JSON file, checks the event count, then runs
+  // `assertion` with ph = the set of phases and by = events by name.
+  auto check = [&recs](const std::string& assertion, const std::filesystem::path& file) {
+    const std::string cmd =
+        "python3 -c \"import json,sys; d=json.load(open(sys.argv[1])); ev=d['traceEvents']; "
+        "assert d['displayTimeUnit']=='ns' and len(ev)==" + std::to_string(recs.size()) +
+        "; ph={e['ph'] for e in ev}; by={e['name']: e for e in ev}; " + assertion + "\" " +
+        file.string();
+    return std::system(cmd.c_str());
+  };
+  EXPECT_EQ(check("assert ph=={'B','E','I'}", json_path), 0)
       << "FormatChromeTrace output is not valid trace-event JSON";
   const std::string convert = "python3 " + (tools / "trace2perfetto.py").string() + " " +
                               text_path.string() + " " + tool_json.string() +
                               " > /dev/null 2>&1";
   ASSERT_EQ(std::system(convert.c_str()), 0) << "trace2perfetto.py failed";
-  EXPECT_EQ(std::system((check + tool_json.string()).c_str()), 0)
-      << "trace2perfetto.py output is not valid trace-event JSON";
+  // prof_sample becomes a per-core counter track, watchdog_bark a global
+  // instant; both only happen if the tool knows the names the dump uses.
+  EXPECT_EQ(check("assert ph=={'B','E','I','C'}; assert by['prof_samples_core1']['ph']=='C'; "
+                  "w=by['watchdog_bark_core1']; assert w['ph']=='I' and w['s']=='g'",
+                  tool_json),
+            0)
+      << "trace2perfetto.py output is not the expected trace-event JSON";
 }
 
 // --- Metrics registry -----------------------------------------------------

@@ -10,7 +10,8 @@
 //    (dump_retries() > 0), proving the protocol was exercised, not dodged.
 //
 // This is also why the ring is deliberately OUTSIDE racedet's shared set
-// (see the policy note in trace.h): a lockset checker has nothing true to
+// (see the policy note in src/base/seqlock_ring.h, the SeqlockRing template
+// TraceRing and the profiler share): a lockset checker has nothing true to
 // say about an intentionally lock-free writer/reader pair. The dynamic
 // check lives here instead, and the TSan CI leg runs this test with a
 // matching suppression (tools/tsan.supp) for the by-design race.
