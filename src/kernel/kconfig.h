@@ -228,7 +228,6 @@ struct KernelConfig {
   // --- Feature tests mirroring Table 1 ---
   bool HasMultitasking() const { return stage >= Stage::kProto2; }
   bool HasVm() const { return stage >= Stage::kProto3; }
-  bool HasTaskSyscalls() const { return stage >= Stage::kProto3; }
   bool HasFiles() const { return stage >= Stage::kProto4; }
   bool HasUsb() const { return stage >= Stage::kProto4; }
   bool HasAudio() const { return stage >= Stage::kProto4; }

@@ -23,11 +23,27 @@ constexpr PhysAddr kKernelReservedEnd = MiB(8);
 
 const char* SysName(Sys num) {
   switch (num) {
-#define VOS_SYS_NAME(e, n, name) case Sys::e: return name;
+#define VOS_SYS_NAME(e, n, name, need) case Sys::e: return name;
     VOS_SYSCALLS(VOS_SYS_NAME)
 #undef VOS_SYS_NAME
   }
   return "?";
+}
+
+bool Kernel::Has(SysNeed need) const {
+  switch (need) {
+    case SysNeed::kNothing:
+      return true;
+    case SysNeed::kVm:
+      return cfg_.HasVm();
+    case SysNeed::kFiles:
+      return cfg_.HasFiles();
+    case SysNeed::kThreads:
+      return cfg_.HasThreads();
+    case SysNeed::kNet:
+      return net_ != nullptr;  // booted only with HasNet() and a NIC
+  }
+  return false;
 }
 
 Kernel::Kernel(Board& board, KernelConfig cfg)
@@ -794,7 +810,14 @@ void Kernel::KSleepMs(std::uint64_t ms) {
   Task* cur = CurrentTask();
   VOS_CHECK_MSG(cur != nullptr, "KSleepMs outside task context");
   Cycles wake_at = Now() + Ms(ms);
-  vtimers_->AddAt(wake_at, [this, cur] { sched_.WakeTask(cur); });
+  // The timer names the sleeper by pid, which is never reused: a sleeper
+  // killed and reaped before its deadline has no Task left to wake, and its
+  // freed memory may already hold another task's.
+  vtimers_->AddAt(wake_at, [this, pid = cur->pid()] {
+    if (Task* t = FindTask(pid)) {
+      sched_.WakeTask(t);
+    }
+  });
   sched_.Sleep(cur, cur);
 }
 

@@ -1,6 +1,6 @@
 // The VOS kernel: a monolithic kernel in the xv6 mold (§3), assembled per
 // prototype stage. Owns the scheduler, memory management, filesystems,
-// drivers, tracing/debugging, and the 30-syscall interface; implements
+// drivers, tracing/debugging, and the syscall interface; implements
 // MachineClient so the machine loop can ask it for scheduling decisions and
 // hand it interrupts.
 #ifndef VOS_SRC_KERNEL_KERNEL_H_
@@ -47,38 +47,46 @@ namespace vos {
 
 class WindowManager;
 
-// Syscalls, once: X(enumerator, number, lowercase name). The paper's 30
+// Syscalls, once: X(enumerator, number, lowercase name, need). The paper's 30
 // syscalls across task management, filesystem, threading/synchronization, and
 // durability (§3), the four futex-IPC calls the "Scheduling & IPC" refactor
 // adds, and the socket calls. Sys, SysName and kNumSyscalls are generated from
 // this list. The numbers are ABI: trace records carry them, and the names
-// become metric paths ("syscall.<name>.latency").
+// become metric paths ("syscall.<name>.latency"). `need` is the call's
+// prototype gate, the only one: what the booted kernel must have (SysNeed
+// below) for the syscall path to run the call instead of returning kErrNoSys.
 #define VOS_SYSCALLS(X)                                                                            \
-  X(kFork, 1, "fork") X(kExit, 2, "exit") X(kWait, 3, "wait")                                      \
-  X(kPipe, 4, "pipe") X(kRead, 5, "read") X(kKill, 6, "kill")                                      \
-  X(kExec, 7, "exec") X(kFstat, 8, "fstat") X(kChdir, 9, "chdir")                                  \
-  X(kDup, 10, "dup") X(kGetPid, 11, "getpid") X(kSbrk, 12, "sbrk")                                 \
-  X(kSleep, 13, "sleep") X(kUptime, 14, "uptime") X(kOpen, 15, "open")                             \
-  X(kWrite, 16, "write") X(kMknod, 17, "mknod") X(kUnlink, 18, "unlink")                           \
-  X(kLink, 19, "link") X(kMkdir, 20, "mkdir") X(kClose, 21, "close")                               \
-  X(kLseek, 22, "lseek") X(kMmap, 23, "mmap") X(kCacheFlush, 24, "cacheflush")                     \
-  X(kClone, 25, "clone") X(kSemCreate, 26, "semcreate") X(kSemWait, 27, "semwait")                 \
-  X(kSemPost, 28, "sempost") X(kSync, 29, "sync") X(kFsync, 30, "fsync")                           \
-  X(kIpcCreate, 31, "ipccreate") X(kIpcWait, 32, "ipcwait") X(kIpcWake, 33, "ipcwake")             \
-  X(kIpcMap, 34, "ipcmap")                                                                         \
-  X(kSocket, 35, "socket") X(kBind, 36, "bind") X(kListen, 37, "listen")                           \
-  X(kAccept, 38, "accept") X(kConnect, 39, "connect") X(kSend, 40, "send")                         \
-  X(kRecv, 41, "recv") X(kShutdown, 42, "shutdown")
+  X(kFork, 1, "fork", kVm) X(kExit, 2, "exit", kNothing) X(kWait, 3, "wait", kVm)                  \
+  X(kPipe, 4, "pipe", kFiles) X(kRead, 5, "read", kFiles) X(kKill, 6, "kill", kVm)                 \
+  X(kExec, 7, "exec", kVm) X(kFstat, 8, "fstat", kFiles) X(kChdir, 9, "chdir", kFiles)             \
+  X(kDup, 10, "dup", kFiles) X(kGetPid, 11, "getpid", kNothing) X(kSbrk, 12, "sbrk", kVm)          \
+  X(kSleep, 13, "sleep", kNothing) X(kUptime, 14, "uptime", kNothing)                              \
+  X(kOpen, 15, "open", kFiles) X(kWrite, 16, "write", kNothing) X(kMknod, 17, "mknod", kFiles)     \
+  X(kUnlink, 18, "unlink", kFiles) X(kLink, 19, "link", kFiles) X(kMkdir, 20, "mkdir", kFiles)     \
+  X(kClose, 21, "close", kFiles) X(kLseek, 22, "lseek", kFiles) X(kMmap, 23, "mmap", kVm)          \
+  X(kCacheFlush, 24, "cacheflush", kNothing) X(kClone, 25, "clone", kThreads)                      \
+  X(kSemCreate, 26, "semcreate", kThreads) X(kSemWait, 27, "semwait", kThreads)                    \
+  X(kSemPost, 28, "sempost", kThreads) X(kSync, 29, "sync", kFiles)                                \
+  X(kFsync, 30, "fsync", kFiles) X(kIpcCreate, 31, "ipccreate", kThreads)                          \
+  X(kIpcWait, 32, "ipcwait", kThreads) X(kIpcWake, 33, "ipcwake", kThreads)                        \
+  X(kIpcMap, 34, "ipcmap", kThreads) X(kSocket, 35, "socket", kNet) X(kBind, 36, "bind", kNet)     \
+  X(kListen, 37, "listen", kNet) X(kAccept, 38, "accept", kNet) X(kConnect, 39, "connect", kNet)   \
+  X(kSend, 40, "send", kNet) X(kRecv, 41, "recv", kNet) X(kShutdown, 42, "shutdown", kNet)
+
+// What a syscall needs from the booted kernel (Table 1): VM arrives with
+// Prototype 3, files with 4, threads with 5. The network stack boots with 5
+// when net_enabled is set and the board has a NIC.
+enum class SysNeed : std::uint8_t { kNothing, kVm, kFiles, kThreads, kNet };
 
 enum class Sys : int {
-#define VOS_SYS_ENUM(e, num, name) e = num,
+#define VOS_SYS_ENUM(e, num, name, need) e = num,
   VOS_SYSCALLS(VOS_SYS_ENUM)
 #undef VOS_SYS_ENUM
 };
 
 // Numbers run 1..kNumSyscalls without gaps.
 constexpr int kNumSyscalls = 0
-#define VOS_SYS_COUNT(e, num, name) +1
+#define VOS_SYS_COUNT(e, num, name, need) +1
     VOS_SYSCALLS(VOS_SYS_COUNT)
 #undef VOS_SYS_COUNT
     ;
@@ -179,8 +187,9 @@ class Kernel final : public MachineClient {
   void Printk(const char* fmt, ...) __attribute__((format(printf, 2, 3)));
 
   // --- The syscall interface (implemented in syscall.cc). Typed entry
-  // points; each charges entry/exit cost, checks the prototype stage, and
-  // traces. Called from ulib on the current task's fiber. ---
+  // points, all on one path (Syscall() below) that charges entry/exit cost,
+  // applies the VOS_SYSCALLS gate, and traces. Called from ulib on the
+  // current task's fiber. ---
   std::int64_t SysFork(std::function<int()> child_body);
   [[noreturn]] void SysExit(int code);
   std::int64_t SysWait(int* status);
@@ -234,16 +243,13 @@ class Kernel final : public MachineClient {
   std::int64_t SysSync();
   std::int64_t SysFsync(int fd);
   std::int64_t SysYield();
-  // Directory listing helper for the shell (not one of the 30; reads of
-  // directory files also work for xv6fs, as in xv6's ls).
+  // Directory listing helper for the shell (no number of its own: accounted
+  // as open; reads of directory files also work for xv6fs, as in xv6's ls).
   std::int64_t SysReadDir(const std::string& path, std::vector<DirEntryInfo>* out);
 
-  // Numeric dispatch used by the microbenchmarks to measure the raw
-  // trap/dispatch path (only no-pointer syscalls are reachable this way).
-  std::int64_t SyscallRaw(Sys num, std::uint64_t a0, std::uint64_t a1);
-
   // --- In-kernel helpers (no syscall costs; used by kernel tasks & boot) ---
-  void KSleepMs(std::uint64_t ms);       // current (kernel) task sleeps
+  // The current task sleeps `ms` of virtual time (also sleep()'s body).
+  void KSleepMs(std::uint64_t ms);
   void ChargeCurrent(Cycles c);          // burn on the current context
   std::int64_t LoadVelf(const std::string& path, std::vector<std::uint8_t>* out, Cycles* burn);
 
@@ -262,9 +268,20 @@ class Kernel final : public MachineClient {
   [[noreturn]] void DoExit(Task* cur, int code);
   void ReapTask(Pid pid);
   std::int64_t InstallFd(Task* cur, FilePtr f);
-  FilePtr GetFd(Task* cur, int fd);
-  // GetFd plus a kind check; on nullptr *err holds kErrBadFd or kErrInval.
-  FilePtr GetSockFd(Task* cur, int fd, std::int64_t* err);
+  // The one syscall path (syscall.cc). Syscall() enters, returns kErrNoSys
+  // when the kernel lacks what `num`'s VOS_SYSCALLS row needs, runs
+  // body(cur, burn), charges the cycles the body added to `burn`, and exits
+  // with the body's result. A body whose cost must land before later work (a
+  // new fd, a runnable child, a wakeup) burns on the fiber itself.
+  template <typename Body>
+  std::int64_t Syscall(Sys num, Body&& body);
+  // Syscall() plus the lookup the fd-taking calls share: body(cur, file,
+  // burn) runs only on an open fd (kErrBadFd otherwise), and for a kNet call
+  // only on a socket (kErrInval otherwise).
+  template <typename Body>
+  std::int64_t SyscallFd(Sys num, int fd, Body&& body);
+  // Whether the booted kernel has what a syscall needs.
+  bool Has(SysNeed need) const;
   // Syscall prologue: returns the current task, charging entry costs; kills
   // the task if a kill is pending.
   Task* SyscallEnter(Sys num);
@@ -282,8 +299,6 @@ class Kernel final : public MachineClient {
   // may be null (stalled core with no known last task).
   void WatchdogBark(Task* offender, unsigned core, Cycles stalled, const char* what);
   void TickHandler(unsigned core, Cycles now);
-  [[noreturn]] void RunExecImage(Task* cur, const VelfImage& img,
-                                 const std::vector<std::string>& argv);
   std::unique_ptr<AddressSpace> BuildAddressSpace(const VelfImage& img,
                                                   const std::vector<std::string>& argv,
                                                   Cycles* cost);

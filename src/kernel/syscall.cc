@@ -1,10 +1,10 @@
-// The 30-syscall interface (§3): task management, filesystem, and
-// threading/synchronization, plus the mmap/cacheflush pair Prototype 3 needs
-// for direct rendering and the sync/fsync pair the write-back buffer cache
-// needs for durability. Each entry charges the trap cost, enforces the
-// prototype stage (earlier prototypes return ENOSYS, as their kernels simply
-// lack the code), and emits trace records Fig 11's breakdowns are built from.
-#include <cstring>
+// The syscall interface (§3): the VOS_SYSCALLS list in kernel.h — task
+// management, filesystem, threading/synchronization, the mmap/cacheflush pair
+// Prototype 3 needs for direct rendering, the sync/fsync pair the write-back
+// buffer cache needs for durability, futex IPC and sockets. Every entry point
+// runs through Syscall(): it charges the trap cost, applies the list's gate
+// (earlier prototypes return ENOSYS, as their kernels simply lack the code),
+// and emits the trace records Fig 11's breakdowns are built from.
 #include <exception>
 
 #include "src/apps/app_registry.h"
@@ -12,6 +12,18 @@
 #include "src/kernel/kernel.h"
 
 namespace vos {
+
+namespace {
+// The `need` column of VOS_SYSCALLS.
+SysNeed SysNeedOf(Sys num) {
+  switch (num) {
+#define VOS_SYS_NEED(e, n, name, need) case Sys::e: return SysNeed::need;
+    VOS_SYSCALLS(VOS_SYS_NEED)
+#undef VOS_SYS_NEED
+  }
+  return SysNeed::kNothing;
+}
+}  // namespace
 
 Task* Kernel::SyscallEnter(Sys num) {
   Task* cur = CurrentTask();
@@ -42,10 +54,7 @@ std::int64_t Kernel::SyscallExit(Sys num, std::int64_t ret) {
   // distributions, now as histograms instead of raw event pairs).
   Cycles lat = now > cur->syscall_enter_ts ? now - cur->syscall_enter_ts : 0;
   syscall_lat_all_->Record(lat);
-  int n = static_cast<int>(num);
-  if (n >= 1 && n <= kNumSyscalls) {
-    syscall_lat_[n]->Record(lat);
-  }
+  syscall_lat_[static_cast<int>(num)]->Record(lat);
   trace_.Emit(now, cur->core, TraceEvent::kSyscallExit, cur->pid(),
               static_cast<std::uint64_t>(num), static_cast<std::uint64_t>(ret));
   if (!cur->call_stack.empty()) {
@@ -53,6 +62,35 @@ std::int64_t Kernel::SyscallExit(Sys num, std::int64_t ret) {
   }
   cur->domain = cur->saved_domain;
   return ret;
+}
+
+template <typename Body>
+std::int64_t Kernel::Syscall(Sys num, Body&& body) {
+  Task* cur = SyscallEnter(num);
+  if (!Has(SysNeedOf(num))) {
+    return SyscallExit(num, kErrNoSys);
+  }
+  Cycles burn = 0;
+  std::int64_t ret = body(cur, burn);
+  cur->fiber().Burn(burn);
+  return SyscallExit(num, ret);
+}
+
+template <typename Body>
+std::int64_t Kernel::SyscallFd(Sys num, int fd, Body&& body) {
+  return Syscall(num, [&](Task* cur, Cycles& burn) -> std::int64_t {
+    FilePtr f;
+    if (fd >= 0 && static_cast<std::size_t>(fd) < cur->fds.size()) {
+      f = cur->fds[static_cast<std::size_t>(fd)];
+    }
+    if (f == nullptr) {
+      return kErrBadFd;
+    }
+    if (SysNeedOf(num) == SysNeed::kNet && f->kind != FileKind::kSocket) {
+      return kErrInval;
+    }
+    return body(cur, f, burn);
+  });
 }
 
 std::int64_t Kernel::InstallFd(Task* cur, FilePtr f) {
@@ -69,122 +107,104 @@ std::int64_t Kernel::InstallFd(Task* cur, FilePtr f) {
   return static_cast<std::int64_t>(cur->fds.size()) - 1;
 }
 
-FilePtr Kernel::GetFd(Task* cur, int fd) {
-  if (fd < 0 || static_cast<std::size_t>(fd) >= cur->fds.size()) {
-    return nullptr;
-  }
-  return cur->fds[static_cast<std::size_t>(fd)];
-}
-
 // --- Task management ----------------------------------------------------------
 
 std::int64_t Kernel::SysFork(std::function<int()> child_body) {
-  Task* cur = SyscallEnter(Sys::kFork);
-  if (!cfg_.HasTaskSyscalls()) {
-    return SyscallExit(Sys::kFork, kErrNoSys);
-  }
-  Task* child = NewTask(cur->name(), cur->kernel_task());
-  child->parent = cur;
-  child->cwd = cur->cwd;
-  child->fds = cur->fds;  // shared open-file descriptions
-  if (cur->mm != nullptr) {
-    child->mm = cur->mm->Clone(cfg_.cow_fork);
-    cur->fiber().Burn(cur->mm->TakeCost());
-  } else {
-    cur->fiber().Burn(cfg_.cost.fork_base);
-  }
-  AttachUserEntry(child, std::move(child_body));
-  sched_.AddNew(child, static_cast<int>(cur->core));
-  return SyscallExit(Sys::kFork, child->pid());
+  return Syscall(Sys::kFork, [&](Task* cur, Cycles&) {
+    Task* child = NewTask(cur->name(), cur->kernel_task());
+    child->parent = cur;
+    child->cwd = cur->cwd;
+    child->fds = cur->fds;  // shared open-file descriptions
+    if (cur->mm != nullptr) {
+      child->mm = cur->mm->Clone(cfg_.cow_fork);
+      cur->fiber().Burn(cur->mm->TakeCost());
+    } else {
+      cur->fiber().Burn(cfg_.cost.fork_base);
+    }
+    AttachUserEntry(child, std::move(child_body));
+    sched_.AddNew(child, static_cast<int>(cur->core));
+    return child->pid();
+  });
 }
 
-void Kernel::SysExit(int code) {
-  Task* cur = SyscallEnter(Sys::kExit);
-  DoExit(cur, code);
-}
+void Kernel::SysExit(int code) { DoExit(SyscallEnter(Sys::kExit), code); }
 
 std::int64_t Kernel::SysWait(int* status) {
-  Task* cur = SyscallEnter(Sys::kWait);
-  if (!cfg_.HasTaskSyscalls()) {
-    return SyscallExit(Sys::kWait, kErrNoSys);
-  }
-  for (;;) {
-    bool have_children = false;
-    Pid zombie = 0;
-    for (auto& [pid, t] : tasks_) {
-      if (t->parent != cur) {
-        continue;
+  return Syscall(Sys::kWait, [&](Task* cur, Cycles&) -> std::int64_t {
+    for (;;) {
+      bool have_children = false;
+      Pid zombie = 0;
+      for (auto& [pid, t] : tasks_) {
+        if (t->parent != cur) {
+          continue;
+        }
+        have_children = true;
+        if (t->state == TaskState::kZombie) {
+          zombie = pid;
+          break;
+        }
       }
-      have_children = true;
-      if (t->state == TaskState::kZombie) {
-        zombie = pid;
-        break;
+      if (zombie != 0) {
+        if (status != nullptr) {
+          *status = FindTask(zombie)->exit_code;
+        }
+        ReapTask(zombie);
+        return zombie;
       }
-    }
-    if (zombie != 0) {
-      if (status != nullptr) {
-        *status = FindTask(zombie)->exit_code;
+      if (!have_children) {
+        return kErrChild;
       }
-      ReapTask(zombie);
-      return SyscallExit(Sys::kWait, zombie);
+      if (cur->killed) {
+        return kErrPerm;
+      }
+      sched_.Sleep(cur, cur);
     }
-    if (!have_children) {
-      return SyscallExit(Sys::kWait, kErrChild);
-    }
-    if (cur->killed) {
-      return SyscallExit(Sys::kWait, kErrPerm);
-    }
-    sched_.Sleep(cur, cur);
-  }
+  });
 }
 
 std::int64_t Kernel::SysKill(Pid pid) {
-  Task* cur = SyscallEnter(Sys::kKill);
-  (void)cur;
-  if (!cfg_.HasTaskSyscalls()) {
-    return SyscallExit(Sys::kKill, kErrNoSys);
-  }
-  Task* t = FindTask(pid);
-  if (t == nullptr || t->state == TaskState::kZombie) {
-    return SyscallExit(Sys::kKill, kErrNoEnt);
-  }
-  t->killed = true;
-  if (t->state == TaskState::kSleeping) {
-    sched_.WakeTask(t);  // let it notice the kill at its next trap
-  }
-  return SyscallExit(Sys::kKill, 0);
+  return Syscall(Sys::kKill, [&](Task*, Cycles&) -> std::int64_t {
+    Task* t = FindTask(pid);
+    if (t == nullptr || t->state == TaskState::kZombie) {
+      return kErrNoEnt;
+    }
+    t->killed = true;
+    if (t->state == TaskState::kSleeping) {
+      sched_.WakeTask(t);  // let it notice the kill at its next trap
+    }
+    return 0;
+  });
 }
 
 std::int64_t Kernel::SysGetPid() {
-  Task* cur = SyscallEnter(Sys::kGetPid);
-  return SyscallExit(Sys::kGetPid, cur->pid());
+  return Syscall(Sys::kGetPid, [](Task* cur, Cycles&) { return cur->pid(); });
 }
 
 std::int64_t Kernel::SysSbrk(std::int64_t delta) {
-  Task* cur = SyscallEnter(Sys::kSbrk);
-  if (!cfg_.HasVm() || cur->mm == nullptr) {
-    return SyscallExit(Sys::kSbrk, kErrNoSys);
-  }
-  std::int64_t old = cur->mm->Sbrk(delta);
-  cur->fiber().Burn(cur->mm->TakeCost());
-  return SyscallExit(Sys::kSbrk, old < 0 ? kErrNoMem : old);
+  return Syscall(Sys::kSbrk, [&](Task* cur, Cycles& burn) -> std::int64_t {
+    if (cur->mm == nullptr) {
+      return kErrNoSys;  // kernel tasks have no heap to grow
+    }
+    std::int64_t old = cur->mm->Sbrk(delta);
+    burn = cur->mm->TakeCost();
+    return old < 0 ? kErrNoMem : old;
+  });
 }
 
 std::int64_t Kernel::SysSleep(std::uint64_t ms) {
-  Task* cur = SyscallEnter(Sys::kSleep);
-  Cycles wake_at = Now() + Ms(ms);
-  vtimers_->AddAt(wake_at, [this, cur] { sched_.WakeTask(cur); });
-  trace_.Emit(Now(), cur->core, TraceEvent::kSleep, cur->pid(), ms);
-  sched_.Sleep(cur, cur);
-  if (cur->killed && std::uncaught_exceptions() == 0) {
-    DoExit(cur, -1);
-  }
-  return SyscallExit(Sys::kSleep, 0);
+  return Syscall(Sys::kSleep, [&](Task* cur, Cycles&) {
+    trace_.Emit(Now(), cur->core, TraceEvent::kSleep, cur->pid(), ms);
+    KSleepMs(ms);
+    if (cur->killed && std::uncaught_exceptions() == 0) {
+      DoExit(cur, -1);
+    }
+    return 0;
+  });
 }
 
 std::int64_t Kernel::SysUptime() {
-  SyscallEnter(Sys::kUptime);
-  return SyscallExit(Sys::kUptime, static_cast<std::int64_t>(ToMs(Now())));
+  return Syscall(Sys::kUptime,
+                 [&](Task*, Cycles&) { return static_cast<std::int64_t>(ToMs(Now())); });
 }
 
 std::unique_ptr<AddressSpace> Kernel::BuildAddressSpace(const VelfImage& img,
@@ -236,56 +256,58 @@ std::unique_ptr<AddressSpace> Kernel::BuildAddressSpace(const VelfImage& img,
 }
 
 std::int64_t Kernel::SysExec(const std::string& path, const std::vector<std::string>& argv) {
-  Task* cur = SyscallEnter(Sys::kExec);
-  if (!cfg_.HasVm()) {
-    return SyscallExit(Sys::kExec, kErrNoSys);
-  }
-  if (cur->is_thread) {
-    return SyscallExit(Sys::kExec, kErrInval);
-  }
-  std::vector<std::uint8_t> bytes;
-  Cycles burn = 0;
-  std::int64_t r = LoadVelf(path, &bytes, &burn);
-  cur->fiber().Burn(burn);
-  if (r < 0) {
-    return SyscallExit(Sys::kExec, r);
-  }
-  auto img = ParseVelf(bytes.data(), bytes.size());
-  if (!img) {
-    return SyscallExit(Sys::kExec, kErrInval);
-  }
-  const AppMain* entry = AppRegistry::Instance().Find(img->entry);
-  if (entry == nullptr) {
-    return SyscallExit(Sys::kExec, kErrNoEnt);
-  }
-  Cycles cost = 0;
-  auto mm = BuildAddressSpace(*img, argv, &cost);
-  cur->fiber().Burn(cost);
-  if (mm == nullptr) {
-    return SyscallExit(Sys::kExec, kErrNoMem);
-  }
-  cur->mm = std::move(mm);
-  cur->set_name(img->entry);
-  // A process exec'd with no inherited descriptors gets the console as
-  // stdin/stdout/stderr — what init sets up in xv6 before running the shell.
-  if (cfg_.HasFiles() && cur->fds.empty()) {
-    for (int i = 0; i < 3; ++i) {
-      FilePtr f;
-      Cycles b = 0;
-      if (vfs_->Open(cur, "/dev/console", i == 0 ? kORdonly : kOWronly, &f, &b) == 0) {
-        InstallFd(cur, std::move(f));
+  const AppMain* entry = nullptr;
+  std::int64_t r = Syscall(Sys::kExec, [&](Task* cur, Cycles&) -> std::int64_t {
+    if (cur->is_thread) {
+      return kErrInval;
+    }
+    std::vector<std::uint8_t> bytes;
+    Cycles load = 0;
+    std::int64_t lr = LoadVelf(path, &bytes, &load);
+    cur->fiber().Burn(load);
+    if (lr < 0) {
+      return lr;
+    }
+    auto img = ParseVelf(bytes.data(), bytes.size());
+    if (!img) {
+      return kErrInval;
+    }
+    entry = AppRegistry::Instance().Find(img->entry);
+    if (entry == nullptr) {
+      return kErrNoEnt;
+    }
+    Cycles cost = 0;
+    auto mm = BuildAddressSpace(*img, argv, &cost);
+    cur->fiber().Burn(cost);
+    if (mm == nullptr) {
+      return kErrNoMem;
+    }
+    cur->mm = std::move(mm);
+    cur->set_name(img->entry);
+    // A process exec'd with no inherited descriptors gets the console as
+    // stdin/stdout/stderr — what init sets up in xv6 before running the shell.
+    if (Has(SysNeed::kFiles) && cur->fds.empty()) {
+      for (int i = 0; i < 3; ++i) {
+        FilePtr f;
+        Cycles b = 0;
+        if (vfs_->Open(cur, "/dev/console", i == 0 ? kORdonly : kOWronly, &f, &b) == 0) {
+          InstallFd(cur, std::move(f));
+        }
       }
     }
+    return 0;
+  });
+  if (r < 0) {
+    return r;
   }
-  SyscallExit(Sys::kExec, 0);
 
   // Jump to the new image: run the app's main on this task, then exit with
   // its return code. Never returns.
   AppEnv env;
   env.kernel = this;
-  env.task = cur;
+  env.task = CurrentTask();
   env.argv = argv;
-  cur->domain = TimeDomain::kUser;
+  env.task->domain = TimeDomain::kUser;
   int rc = (*entry)(env);
   SysExit(rc);
 }
@@ -293,579 +315,341 @@ std::int64_t Kernel::SysExec(const std::string& path, const std::vector<std::str
 // --- Files ---------------------------------------------------------------------
 
 std::int64_t Kernel::SysOpen(const std::string& path, std::uint32_t flags) {
-  Task* cur = SyscallEnter(Sys::kOpen);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kOpen, kErrNoSys);
-  }
-  FilePtr f;
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Open(cur, path, flags, &f, &burn);
-  cur->fiber().Burn(burn);
-  if (r < 0) {
-    return SyscallExit(Sys::kOpen, r);
-  }
-  return SyscallExit(Sys::kOpen, InstallFd(cur, std::move(f)));
+  return Syscall(Sys::kOpen, [&](Task* cur, Cycles&) {
+    FilePtr f;
+    Cycles burn = 0;
+    std::int64_t r = vfs_->Open(cur, path, flags, &f, &burn);
+    cur->fiber().Burn(burn);
+    return r < 0 ? r : InstallFd(cur, std::move(f));
+  });
 }
 
 std::int64_t Kernel::SysClose(int fd) {
-  Task* cur = SyscallEnter(Sys::kClose);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kClose, kErrNoSys);
-  }
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kClose, kErrBadFd);
-  }
-  cur->fds[static_cast<std::size_t>(fd)] = nullptr;
-  vfs_->Close(cur, f);
-  return SyscallExit(Sys::kClose, 0);
+  return SyscallFd(Sys::kClose, fd, [&](Task* cur, const FilePtr& f, Cycles&) {
+    cur->fds[static_cast<std::size_t>(fd)] = nullptr;
+    vfs_->Close(cur, f);
+    return 0;
+  });
 }
 
 std::int64_t Kernel::SysRead(int fd, void* buf, std::uint32_t n) {
-  Task* cur = SyscallEnter(Sys::kRead);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kRead, kErrNoSys);
-  }
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kRead, kErrBadFd);
-  }
-  Cycles burn = 0;
-  std::int64_t r;
-  if (f->kind == FileKind::kSocket) {
-    r = net_->Recv(cur, *f->sock, static_cast<std::uint8_t*>(buf), n, f->nonblock, &burn);
-  } else if (f->kind == FileKind::kPipe) {
-    r = f->pipe->Read(cur, static_cast<std::uint8_t*>(buf), n, f->nonblock);
-    burn += cfg_.cost.pipe_op + Cycles((r > 0 ? r : 0) * cfg_.cost.pipe_per_byte);
-  } else {
-    r = vfs_->Read(cur, *f, static_cast<std::uint8_t*>(buf), n, &burn);
+  auto* dst = static_cast<std::uint8_t*>(buf);
+  return SyscallFd(Sys::kRead, fd, [&](Task* cur, const FilePtr& f, Cycles& burn) {
+    if (f->kind == FileKind::kSocket) {
+      return net_->Recv(cur, *f->sock, dst, n, f->nonblock, &burn);
+    }
+    if (f->kind == FileKind::kPipe) {
+      std::int64_t r = f->pipe->Read(cur, dst, n, f->nonblock);
+      burn += cfg_.cost.pipe_op + Cycles((r > 0 ? r : 0) * cfg_.cost.pipe_per_byte);
+      return r;
+    }
+    std::int64_t r = vfs_->Read(cur, *f, dst, n, &burn);
     if (r > 0) {
       burn += Cycles(r * cfg_.cost.memcpy_per_byte);  // copyout to user
     }
-  }
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kRead, r);
+    return r;
+  });
 }
 
 std::int64_t Kernel::SysWrite(int fd, const void* buf, std::uint32_t n) {
-  Task* cur = SyscallEnter(Sys::kWrite);
-  if (!cfg_.HasFiles()) {
+  if (!Has(SysNeed::kFiles)) {
     // Prototype 3: write() is hardwired to the UART for debugging (§4.3).
-    Cycles c = klog_.Puts(Now(), std::string(static_cast<const char*>(buf), n));
-    cur->fiber().Burn(c);
-    return SyscallExit(Sys::kWrite, n);
+    return Syscall(Sys::kWrite, [&](Task*, Cycles& burn) {
+      burn = klog_.Puts(Now(), std::string(static_cast<const char*>(buf), n));
+      return static_cast<std::int64_t>(n);
+    });
   }
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kWrite, kErrBadFd);
-  }
-  Cycles burn = 0;
-  std::int64_t r;
-  if (f->kind == FileKind::kSocket) {
-    r = net_->Send(cur, *f->sock, static_cast<const std::uint8_t*>(buf), n, f->nonblock, &burn);
-  } else if (f->kind == FileKind::kPipe) {
-    r = f->pipe->Write(cur, static_cast<const std::uint8_t*>(buf), n, f->nonblock);
-    burn += cfg_.cost.pipe_op + Cycles((r > 0 ? r : 0) * cfg_.cost.pipe_per_byte);
-  } else {
-    r = vfs_->Write(cur, *f, static_cast<const std::uint8_t*>(buf), n, &burn);
-  }
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kWrite, r);
+  auto* src = static_cast<const std::uint8_t*>(buf);
+  return SyscallFd(Sys::kWrite, fd, [&](Task* cur, const FilePtr& f, Cycles& burn) {
+    if (f->kind == FileKind::kSocket) {
+      return net_->Send(cur, *f->sock, src, n, f->nonblock, &burn);
+    }
+    if (f->kind == FileKind::kPipe) {
+      std::int64_t r = f->pipe->Write(cur, src, n, f->nonblock);
+      burn += cfg_.cost.pipe_op + Cycles((r > 0 ? r : 0) * cfg_.cost.pipe_per_byte);
+      return r;
+    }
+    return vfs_->Write(cur, *f, src, n, &burn);
+  });
 }
 
 std::int64_t Kernel::SysLseek(int fd, std::int64_t off, int whence) {
-  Task* cur = SyscallEnter(Sys::kLseek);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kLseek, kErrNoSys);
-  }
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kLseek, kErrBadFd);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Lseek(*f, off, whence, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kLseek, r);
+  return SyscallFd(Sys::kLseek, fd, [&](Task*, const FilePtr& f, Cycles& burn) {
+    return vfs_->Lseek(*f, off, whence, &burn);
+  });
 }
 
 std::int64_t Kernel::SysDup(int fd) {
-  Task* cur = SyscallEnter(Sys::kDup);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kDup, kErrNoSys);
-  }
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kDup, kErrBadFd);
-  }
-  return SyscallExit(Sys::kDup, InstallFd(cur, f));
+  return SyscallFd(Sys::kDup, fd,
+                   [&](Task* cur, const FilePtr& f, Cycles&) { return InstallFd(cur, f); });
 }
 
 std::int64_t Kernel::SysPipe(int fds[2]) {
-  Task* cur = SyscallEnter(Sys::kPipe);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kPipe, kErrNoSys);
-  }
-  auto pipe = std::make_shared<Pipe>(sched_);
-  pipe->SetBytesPerWakeupHist(metrics_.Hist("pipe.bytes_per_wakeup"));
-  auto rf = std::make_shared<File>();
-  rf->kind = FileKind::kPipe;
-  rf->readable = true;
-  rf->pipe = pipe;
-  rf->pipe_write_end = false;
-  auto wf = std::make_shared<File>();
-  wf->kind = FileKind::kPipe;
-  wf->writable = true;
-  wf->pipe = pipe;
-  wf->pipe_write_end = true;
-  std::int64_t r0 = InstallFd(cur, rf);
-  std::int64_t r1 = InstallFd(cur, wf);
-  if (r0 < 0 || r1 < 0) {
-    return SyscallExit(Sys::kPipe, kErrMFile);
-  }
-  fds[0] = static_cast<int>(r0);
-  fds[1] = static_cast<int>(r1);
-  cur->fiber().Burn(cfg_.cost.pipe_op);
-  return SyscallExit(Sys::kPipe, 0);
+  return Syscall(Sys::kPipe, [&](Task* cur, Cycles& burn) -> std::int64_t {
+    auto pipe = std::make_shared<Pipe>(sched_);
+    pipe->SetBytesPerWakeupHist(metrics_.Hist("pipe.bytes_per_wakeup"));
+    auto rf = std::make_shared<File>();
+    rf->kind = FileKind::kPipe;
+    rf->readable = true;
+    rf->pipe = pipe;
+    rf->pipe_write_end = false;
+    auto wf = std::make_shared<File>();
+    wf->kind = FileKind::kPipe;
+    wf->writable = true;
+    wf->pipe = pipe;
+    wf->pipe_write_end = true;
+    std::int64_t r0 = InstallFd(cur, rf);
+    std::int64_t r1 = InstallFd(cur, wf);
+    if (r0 < 0 || r1 < 0) {
+      return kErrMFile;
+    }
+    fds[0] = static_cast<int>(r0);
+    fds[1] = static_cast<int>(r1);
+    burn = cfg_.cost.pipe_op;
+    return 0;
+  });
 }
 
 std::int64_t Kernel::SysFstat(int fd, Stat* st) {
-  Task* cur = SyscallEnter(Sys::kFstat);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kFstat, kErrNoSys);
-  }
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kFstat, kErrBadFd);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->FStat(*f, st, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kFstat, r);
+  return SyscallFd(Sys::kFstat, fd, [&](Task*, const FilePtr& f, Cycles& burn) {
+    return vfs_->FStat(*f, st, &burn);
+  });
 }
 
 std::int64_t Kernel::SysChdir(const std::string& path) {
-  Task* cur = SyscallEnter(Sys::kChdir);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kChdir, kErrNoSys);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Chdir(cur, path, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kChdir, r);
+  return Syscall(Sys::kChdir,
+                 [&](Task* cur, Cycles& burn) { return vfs_->Chdir(cur, path, &burn); });
 }
 
 std::int64_t Kernel::SysMkdir(const std::string& path) {
-  Task* cur = SyscallEnter(Sys::kMkdir);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kMkdir, kErrNoSys);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Mkdir(cur, path, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kMkdir, r);
+  return Syscall(Sys::kMkdir,
+                 [&](Task* cur, Cycles& burn) { return vfs_->Mkdir(cur, path, &burn); });
 }
 
 std::int64_t Kernel::SysUnlink(const std::string& path) {
-  Task* cur = SyscallEnter(Sys::kUnlink);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kUnlink, kErrNoSys);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Unlink(cur, path, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kUnlink, r);
+  return Syscall(Sys::kUnlink,
+                 [&](Task* cur, Cycles& burn) { return vfs_->Unlink(cur, path, &burn); });
 }
 
 std::int64_t Kernel::SysLink(const std::string& oldp, const std::string& newp) {
-  Task* cur = SyscallEnter(Sys::kLink);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kLink, kErrNoSys);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Link(cur, oldp, newp, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kLink, r);
+  return Syscall(Sys::kLink,
+                 [&](Task* cur, Cycles& burn) { return vfs_->Link(cur, oldp, newp, &burn); });
 }
 
 std::int64_t Kernel::SysMknod(const std::string& path, std::int16_t major, std::int16_t minor) {
-  Task* cur = SyscallEnter(Sys::kMknod);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kMknod, kErrNoSys);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Mknod(cur, path, major, minor, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kMknod, r);
+  return Syscall(Sys::kMknod, [&](Task* cur, Cycles& burn) {
+    return vfs_->Mknod(cur, path, major, minor, &burn);
+  });
 }
 
 std::int64_t Kernel::SysSync() {
-  Task* cur = SyscallEnter(Sys::kSync);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kSync, kErrNoSys);
-  }
   // Vfs::Sync drains the journal (commit + checkpoint everything) before the
   // cache-wide flush; any flush that exhausted its retries latched kErrIo on
   // the device, and sync is the durability point where the caller learns
   // about it (errseq-style, consumed exactly once).
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Sync(&burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kSync, r);
+  return Syscall(Sys::kSync, [&](Task*, Cycles& burn) { return vfs_->Sync(&burn); });
 }
 
 std::int64_t Kernel::SysFsync(int fd) {
-  Task* cur = SyscallEnter(Sys::kFsync);
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kFsync, kErrNoSys);
-  }
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kFsync, kErrBadFd);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->Fsync(*f, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kFsync, r);
+  return SyscallFd(Sys::kFsync, fd,
+                   [&](Task*, const FilePtr& f, Cycles& burn) { return vfs_->Fsync(*f, &burn); });
 }
 
 std::int64_t Kernel::SysReadDir(const std::string& path, std::vector<DirEntryInfo>* out) {
-  Task* cur = SyscallEnter(Sys::kOpen);  // accounted as an open-class call
-  if (!cfg_.HasFiles()) {
-    return SyscallExit(Sys::kOpen, kErrNoSys);
-  }
-  Cycles burn = 0;
-  std::int64_t r = vfs_->ReadDir(cur, path, out, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kOpen, r);
+  // Accounted as an open-class call.
+  return Syscall(Sys::kOpen,
+                 [&](Task* cur, Cycles& burn) { return vfs_->ReadDir(cur, path, out, &burn); });
 }
 
 // --- Memory / devices ------------------------------------------------------------
 
 std::int64_t Kernel::SysMmapFb(std::uint32_t** pixels, std::uint32_t* w, std::uint32_t* h) {
-  Task* cur = SyscallEnter(Sys::kMmap);
-  if (!cfg_.HasVm()) {
-    return SyscallExit(Sys::kMmap, kErrNoSys);
-  }
-  if (!fb_driver_->ready()) {
-    return SyscallExit(Sys::kMmap, kErrIo);
-  }
-  if (cur->mm != nullptr) {
-    if (!cur->mm->MapFramebuffer(board_.fb().size_bytes())) {
-      return SyscallExit(Sys::kMmap, kErrNoMem);
+  return Syscall(Sys::kMmap, [&](Task* cur, Cycles&) -> std::int64_t {
+    if (!fb_driver_->ready()) {
+      return kErrIo;
     }
-    cur->fiber().Burn(cur->mm->TakeCost());
-  }
-  *pixels = fb_driver_->pixels();
-  *w = fb_driver_->width();
-  *h = fb_driver_->height();
-  return SyscallExit(Sys::kMmap, 0);
+    if (cur->mm != nullptr) {
+      if (!cur->mm->MapFramebuffer(board_.fb().size_bytes())) {
+        return kErrNoMem;
+      }
+      cur->fiber().Burn(cur->mm->TakeCost());
+    }
+    *pixels = fb_driver_->pixels();
+    *w = fb_driver_->width();
+    *h = fb_driver_->height();
+    return 0;
+  });
 }
 
 std::int64_t Kernel::SysCacheFlush(std::uint64_t off, std::uint64_t len) {
-  Task* cur = SyscallEnter(Sys::kCacheFlush);
-  // EL0 cannot flush the cache itself (§4.3); this is the kernel service.
-  cur->fiber().Burn(fb_driver_->Flush(off, len));
-  return SyscallExit(Sys::kCacheFlush, 0);
+  return Syscall(Sys::kCacheFlush, [&](Task*, Cycles& burn) {
+    // EL0 cannot flush the cache itself (§4.3); this is the kernel service.
+    burn = fb_driver_->Flush(off, len);
+    return 0;
+  });
 }
 
 // --- Threads / synchronization ----------------------------------------------------
 
 std::int64_t Kernel::SysClone(std::function<int()> thread_body) {
-  Task* cur = SyscallEnter(Sys::kClone);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kClone, kErrNoSys);
-  }
-  Task* child = NewTask(cur->name() + "-thr", cur->kernel_task());
-  child->parent = cur;
-  child->cwd = cur->cwd;
-  child->fds = cur->fds;
-  child->mm = cur->mm;  // CLONE_VM: share the mm struct (§4.5)
-  child->is_thread = true;
-  AttachUserEntry(child, std::move(thread_body));
-  sched_.AddNew(child);
-  cur->fiber().Burn(cfg_.cost.fork_base / 3);  // no address-space copy
-  return SyscallExit(Sys::kClone, child->pid());
+  return Syscall(Sys::kClone, [&](Task* cur, Cycles& burn) {
+    Task* child = NewTask(cur->name() + "-thr", cur->kernel_task());
+    child->parent = cur;
+    child->cwd = cur->cwd;
+    child->fds = cur->fds;
+    child->mm = cur->mm;  // CLONE_VM: share the mm struct (§4.5)
+    child->is_thread = true;
+    AttachUserEntry(child, std::move(thread_body));
+    sched_.AddNew(child);
+    burn = cfg_.cost.fork_base / 3;  // no address-space copy
+    return child->pid();
+  });
 }
 
 std::int64_t Kernel::SysSemCreate(int initial) {
-  Task* cur = SyscallEnter(Sys::kSemCreate);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kSemCreate, kErrNoSys);
-  }
-  (void)cur;
-  return SyscallExit(Sys::kSemCreate, sems_->Create(initial));
+  return Syscall(Sys::kSemCreate, [&](Task*, Cycles&) { return sems_->Create(initial); });
 }
 
 std::int64_t Kernel::SysSemWait(int id) {
-  Task* cur = SyscallEnter(Sys::kSemWait);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kSemWait, kErrNoSys);
-  }
-  return SyscallExit(Sys::kSemWait, sems_->Wait(cur, id));
+  return Syscall(Sys::kSemWait, [&](Task* cur, Cycles&) { return sems_->Wait(cur, id); });
 }
 
 std::int64_t Kernel::SysSemPost(int id) {
-  Task* cur = SyscallEnter(Sys::kSemPost);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kSemPost, kErrNoSys);
-  }
-  (void)cur;
-  return SyscallExit(Sys::kSemPost, sems_->Post(id));
+  return Syscall(Sys::kSemPost, [&](Task*, Cycles&) { return sems_->Post(id); });
 }
 
 // --- Futex IPC --------------------------------------------------------------------
 
 std::int64_t Kernel::SysIpcCreate(std::uint64_t bytes) {
-  Task* cur = SyscallEnter(Sys::kIpcCreate);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kIpcCreate, kErrNoSys);
-  }
-  cur->fiber().Burn(cfg_.cost.ipc_create);
-  return SyscallExit(Sys::kIpcCreate, ipcs_->Create(static_cast<std::size_t>(bytes)));
+  return Syscall(Sys::kIpcCreate, [&](Task* cur, Cycles&) {
+    cur->fiber().Burn(cfg_.cost.ipc_create);
+    return ipcs_->Create(static_cast<std::size_t>(bytes));
+  });
 }
 
 std::int64_t Kernel::SysIpcMap(int id, IpcRing** out) {
-  Task* cur = SyscallEnter(Sys::kIpcMap);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kIpcMap, kErrNoSys);
-  }
-  IpcRing* r = ipcs_->Ring(id);
-  if (r == nullptr) {
-    return SyscallExit(Sys::kIpcMap, kErrInval);
-  }
-  // Maps the ring into the caller (page-table work); afterwards the task
-  // pushes/pops the shared memory directly, without kernel entries.
-  cur->fiber().Burn(cfg_.cost.ipc_map);
-  *out = r;
-  return SyscallExit(Sys::kIpcMap, 0);
+  return Syscall(Sys::kIpcMap, [&](Task* cur, Cycles&) -> std::int64_t {
+    IpcRing* r = ipcs_->Ring(id);
+    if (r == nullptr) {
+      return kErrInval;
+    }
+    // Maps the ring into the caller (page-table work); afterwards the task
+    // pushes/pops the shared memory directly, without kernel entries.
+    cur->fiber().Burn(cfg_.cost.ipc_map);
+    *out = r;
+    return 0;
+  });
 }
 
 std::int64_t Kernel::SysIpcWait(int id, int side, std::uint64_t expected) {
-  Task* cur = SyscallEnter(Sys::kIpcWait);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kIpcWait, kErrNoSys);
-  }
-  if (side != 0 && side != 1) {
-    return SyscallExit(Sys::kIpcWait, kErrInval);
-  }
-  return SyscallExit(Sys::kIpcWait,
-                     ipcs_->Wait(cur, id, static_cast<IpcSide>(side), expected));
+  return Syscall(Sys::kIpcWait, [&](Task* cur, Cycles&) -> std::int64_t {
+    if (side != 0 && side != 1) {
+      return kErrInval;
+    }
+    return ipcs_->Wait(cur, id, static_cast<IpcSide>(side), expected);
+  });
 }
 
 std::int64_t Kernel::SysIpcWake(int id, int side) {
-  Task* cur = SyscallEnter(Sys::kIpcWake);
-  if (!cfg_.HasThreads()) {
-    return SyscallExit(Sys::kIpcWake, kErrNoSys);
-  }
-  if (side != 0 && side != 1) {
-    return SyscallExit(Sys::kIpcWake, kErrInval);
-  }
-  cur->fiber().Burn(cfg_.cost.wakeup);
-  return SyscallExit(Sys::kIpcWake, ipcs_->Wake(id, static_cast<IpcSide>(side)));
+  return Syscall(Sys::kIpcWake, [&](Task* cur, Cycles&) -> std::int64_t {
+    if (side != 0 && side != 1) {
+      return kErrInval;
+    }
+    cur->fiber().Burn(cfg_.cost.wakeup);
+    return ipcs_->Wake(id, static_cast<IpcSide>(side));
+  });
 }
 
 std::int64_t Kernel::SysYield() {
-  Task* cur = SyscallEnter(Sys::kSleep);
-  sched_.Yield(cur);
-  return SyscallExit(Sys::kSleep, 0);
+  // Accounted as a sleep.
+  return Syscall(Sys::kSleep, [&](Task* cur, Cycles&) {
+    sched_.Yield(cur);
+    return 0;
+  });
 }
 
-// --- Socket syscalls (Prototype 5 networking). Every entry point is gated on
-// HasNet(): pre-proto5 stages and nic-less boards report kErrNoSys, exactly
-// like the other staged feature families.
+// --- Socket syscalls (Prototype 5 networking): their VOS_SYSCALLS rows need
+// the network stack, so pre-proto5 stages and nic-less boards report kErrNoSys,
+// and their fd lookup (SyscallFd) also insists on a socket.
 
 std::int64_t Kernel::SysSocket(int type, std::uint32_t flags) {
-  Task* cur = SyscallEnter(Sys::kSocket);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kSocket, kErrNoSys);
-  }
-  if (type != 0 && type != 1) {
-    return SyscallExit(Sys::kSocket, kErrInval);
-  }
-  auto f = std::make_shared<File>();
-  f->kind = FileKind::kSocket;
-  f->readable = true;
-  f->writable = true;
-  f->nonblock = (flags & 1u) != 0;
-  f->sock = net_->CreateSocket(type == 0 ? Socket::Type::kTcp : Socket::Type::kUdp);
-  cur->fiber().Burn(cfg_.cost.sock_op);
-  std::int64_t fd = InstallFd(cur, std::move(f));
-  return SyscallExit(Sys::kSocket, fd < 0 ? kErrMFile : fd);
-}
-
-FilePtr Kernel::GetSockFd(Task* cur, int fd, std::int64_t* err) {
-  FilePtr f = GetFd(cur, fd);
-  if (f == nullptr) {
-    *err = kErrBadFd;
-    return nullptr;
-  }
-  if (f->kind != FileKind::kSocket) {
-    *err = kErrInval;
-    return nullptr;
-  }
-  return f;
+  return Syscall(Sys::kSocket, [&](Task* cur, Cycles&) -> std::int64_t {
+    if (type != 0 && type != 1) {
+      return kErrInval;
+    }
+    auto f = std::make_shared<File>();
+    f->kind = FileKind::kSocket;
+    f->readable = true;
+    f->writable = true;
+    f->nonblock = (flags & 1u) != 0;
+    f->sock = net_->CreateSocket(type == 0 ? Socket::Type::kTcp : Socket::Type::kUdp);
+    cur->fiber().Burn(cfg_.cost.sock_op);
+    return InstallFd(cur, std::move(f));
+  });
 }
 
 std::int64_t Kernel::SysBind(int fd, std::uint16_t port) {
-  Task* cur = SyscallEnter(Sys::kBind);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kBind, kErrNoSys);
-  }
-  std::int64_t err = 0;
-  FilePtr f = GetSockFd(cur, fd, &err);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kBind, err);
-  }
-  cur->fiber().Burn(cfg_.cost.sock_op);
-  return SyscallExit(Sys::kBind, net_->Bind(*f->sock, port));
+  return SyscallFd(Sys::kBind, fd, [&](Task* cur, const FilePtr& f, Cycles&) {
+    cur->fiber().Burn(cfg_.cost.sock_op);
+    return net_->Bind(*f->sock, port);
+  });
 }
 
 std::int64_t Kernel::SysListen(int fd, std::uint32_t backlog) {
-  Task* cur = SyscallEnter(Sys::kListen);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kListen, kErrNoSys);
-  }
-  std::int64_t err = 0;
-  FilePtr f = GetSockFd(cur, fd, &err);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kListen, err);
-  }
-  cur->fiber().Burn(cfg_.cost.sock_op);
-  return SyscallExit(Sys::kListen, net_->Listen(*f->sock, backlog));
+  return SyscallFd(Sys::kListen, fd, [&](Task* cur, const FilePtr& f, Cycles&) {
+    cur->fiber().Burn(cfg_.cost.sock_op);
+    return net_->Listen(*f->sock, backlog);
+  });
 }
 
 std::int64_t Kernel::SysAccept(int fd, std::uint32_t* peer_ip, std::uint16_t* peer_port,
                                std::uint32_t flags) {
-  Task* cur = SyscallEnter(Sys::kAccept);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kAccept, kErrNoSys);
-  }
-  std::int64_t err = 0;
-  FilePtr f = GetSockFd(cur, fd, &err);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kAccept, err);
-  }
-  std::shared_ptr<Socket> conn;
-  Cycles burn = 0;
-  std::int64_t r = net_->Accept(cur, *f->sock, f->nonblock, &conn, peer_ip, peer_port, &burn);
-  cur->fiber().Burn(burn);
-  if (r < 0) {
-    return SyscallExit(Sys::kAccept, r);
-  }
-  auto nf = std::make_shared<File>();
-  nf->kind = FileKind::kSocket;
-  nf->readable = true;
-  nf->writable = true;
-  nf->nonblock = (flags & 1u) != 0;
-  nf->sock = std::move(conn);
-  std::int64_t nfd = InstallFd(cur, nf);
-  if (nfd < 0) {
-    vfs_->Close(cur, nf);  // tear the accepted connection down
-    return SyscallExit(Sys::kAccept, kErrMFile);
-  }
-  return SyscallExit(Sys::kAccept, nfd);
+  return SyscallFd(Sys::kAccept, fd, [&](Task* cur, const FilePtr& f, Cycles&) -> std::int64_t {
+    std::shared_ptr<Socket> conn;
+    Cycles burn = 0;
+    std::int64_t r = net_->Accept(cur, *f->sock, f->nonblock, &conn, peer_ip, peer_port, &burn);
+    cur->fiber().Burn(burn);
+    if (r < 0) {
+      return r;
+    }
+    auto nf = std::make_shared<File>();
+    nf->kind = FileKind::kSocket;
+    nf->readable = true;
+    nf->writable = true;
+    nf->nonblock = (flags & 1u) != 0;
+    nf->sock = std::move(conn);
+    std::int64_t nfd = InstallFd(cur, nf);
+    if (nfd < 0) {
+      vfs_->Close(cur, nf);  // tear the accepted connection down
+    }
+    return nfd;
+  });
 }
 
 std::int64_t Kernel::SysConnect(int fd, std::uint32_t ip, std::uint16_t port) {
-  Task* cur = SyscallEnter(Sys::kConnect);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kConnect, kErrNoSys);
-  }
-  std::int64_t err = 0;
-  FilePtr f = GetSockFd(cur, fd, &err);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kConnect, err);
-  }
-  Cycles burn = 0;
-  std::int64_t r = net_->Connect(cur, *f->sock, ip, port, f->nonblock, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kConnect, r);
+  return SyscallFd(Sys::kConnect, fd, [&](Task* cur, const FilePtr& f, Cycles& burn) {
+    return net_->Connect(cur, *f->sock, ip, port, f->nonblock, &burn);
+  });
 }
 
 std::int64_t Kernel::SysSend(int fd, const void* buf, std::uint32_t n) {
-  Task* cur = SyscallEnter(Sys::kSend);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kSend, kErrNoSys);
-  }
-  std::int64_t err = 0;
-  FilePtr f = GetSockFd(cur, fd, &err);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kSend, err);
-  }
-  Cycles burn = 0;
-  std::int64_t r =
-      net_->Send(cur, *f->sock, static_cast<const std::uint8_t*>(buf), n, f->nonblock, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kSend, r);
+  auto* src = static_cast<const std::uint8_t*>(buf);
+  return SyscallFd(Sys::kSend, fd, [&](Task* cur, const FilePtr& f, Cycles& burn) {
+    return net_->Send(cur, *f->sock, src, n, f->nonblock, &burn);
+  });
 }
 
 std::int64_t Kernel::SysRecv(int fd, void* buf, std::uint32_t n) {
-  Task* cur = SyscallEnter(Sys::kRecv);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kRecv, kErrNoSys);
-  }
-  std::int64_t err = 0;
-  FilePtr f = GetSockFd(cur, fd, &err);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kRecv, err);
-  }
-  Cycles burn = 0;
-  std::int64_t r = net_->Recv(cur, *f->sock, static_cast<std::uint8_t*>(buf), n, f->nonblock, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kRecv, r);
+  auto* dst = static_cast<std::uint8_t*>(buf);
+  return SyscallFd(Sys::kRecv, fd, [&](Task* cur, const FilePtr& f, Cycles& burn) {
+    return net_->Recv(cur, *f->sock, dst, n, f->nonblock, &burn);
+  });
 }
 
 std::int64_t Kernel::SysShutdown(int fd, int how) {
-  Task* cur = SyscallEnter(Sys::kShutdown);
-  if (!cfg_.HasNet() || net_ == nullptr) {
-    return SyscallExit(Sys::kShutdown, kErrNoSys);
-  }
-  std::int64_t err = 0;
-  FilePtr f = GetSockFd(cur, fd, &err);
-  if (f == nullptr) {
-    return SyscallExit(Sys::kShutdown, err);
-  }
-  Cycles burn = 0;
-  std::int64_t r = net_->Shutdown(cur, *f->sock, how, &burn);
-  cur->fiber().Burn(burn);
-  return SyscallExit(Sys::kShutdown, r);
-}
-
-std::int64_t Kernel::SyscallRaw(Sys num, std::uint64_t a0, std::uint64_t a1) {
-  switch (num) {
-    case Sys::kGetPid:
-      return SysGetPid();
-    case Sys::kUptime:
-      return SysUptime();
-    case Sys::kSleep:
-      return SysSleep(a0);
-    case Sys::kSbrk:
-      return SysSbrk(static_cast<std::int64_t>(a0));
-    case Sys::kClose:
-      return SysClose(static_cast<int>(a0));
-    case Sys::kDup:
-      return SysDup(static_cast<int>(a0));
-    case Sys::kKill:
-      return SysKill(static_cast<Pid>(a0));
-    case Sys::kSemCreate:
-      return SysSemCreate(static_cast<int>(a0));
-    case Sys::kSemWait:
-      return SysSemWait(static_cast<int>(a0));
-    case Sys::kSemPost:
-      return SysSemPost(static_cast<int>(a0));
-    case Sys::kIpcCreate:
-      return SysIpcCreate(a0);
-    case Sys::kIpcWake:
-      return SysIpcWake(static_cast<int>(a0), static_cast<int>(a1));
-    case Sys::kCacheFlush:
-      return SysCacheFlush(a0, a1);
-    case Sys::kSync:
-      return SysSync();
-    case Sys::kFsync:
-      return SysFsync(static_cast<int>(a0));
-    default:
-      return kErrNoSys;  // pointer-carrying syscalls need the typed interface
-  }
+  return SyscallFd(Sys::kShutdown, fd, [&](Task* cur, const FilePtr& f, Cycles& burn) {
+    return net_->Shutdown(cur, *f->sock, how, &burn);
+  });
 }
 
 }  // namespace vos

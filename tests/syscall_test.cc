@@ -166,6 +166,32 @@ TEST_F(Proto5Test, KillTerminatesSleepingTask) {
   EXPECT_EQ(rc, 0);
 }
 
+TEST_F(Proto5Test, ReapedSleepersTimerWakesNoOtherTask) {
+  Kernel* k = &sys_.kernel();
+  int rc = RunInOs(sys_, "sleepreuse", [k](AppEnv& env) -> int {
+    std::int64_t a = ufork(env, [k]() -> int {
+      AppEnv me = ChildEnv(k);
+      usleep_ms(me, 50);
+      return 0;
+    });
+    usleep_ms(env, 5);
+    int status = 0;
+    if (ukill(env, static_cast<int>(a)) < 0 || uwait(env, &status) != a) {
+      return 1;
+    }
+    // B's Task tends to take A's freed block, and A's 50 ms deadline falls
+    // inside B's sleep: A's timer must not cut it short.
+    std::int64_t b = ufork(env, [k]() -> int {
+      AppEnv me = ChildEnv(k);
+      std::int64_t t0 = uuptime_ms(me);
+      usleep_ms(me, 200);
+      return uuptime_ms(me) - t0 >= 200 ? 0 : 1;
+    });
+    return uwait(env, &status) == b && status == 0 ? 0 : 2;
+  });
+  EXPECT_EQ(rc, 0);
+}
+
 TEST_F(Proto5Test, CloneSharesAddressSpace) {
   Kernel* k = &sys_.kernel();
   int rc = RunInOs(sys_, "threads", [k](AppEnv& env) -> int {
@@ -341,20 +367,6 @@ TEST_F(Proto5Test, MmapFbAndCacheFlushPath) {
   EXPECT_EQ(sys_.Screenshot().pixels[0], 0xffd00d00u);
 }
 
-TEST_F(Proto5Test, RawSyscallDispatch) {
-  int rc = RunInOs(sys_, "rawcall", [](AppEnv& env) -> int {
-    std::int64_t pid = env.kernel->SyscallRaw(Sys::kGetPid, 0, 0);
-    if (pid <= 0) {
-      return 1;
-    }
-    if (env.kernel->SyscallRaw(Sys::kExec, 0, 0) != kErrNoSys) {
-      return 2;  // pointer syscalls are not reachable via the raw path
-    }
-    return 0;
-  });
-  EXPECT_EQ(rc, 0);
-}
-
 TEST(StageGating, Proto3HasNoFileSyscalls) {
   System sys(OptionsForStage(Stage::kProto3));
   AppRegistry::Instance().Register("probe3", [](AppEnv& env) -> int {
@@ -395,6 +407,134 @@ TEST(StageGating, Proto4HasFilesButNoThreads) {
   }, 1024, 1 << 20);
   sys.kernel().AddBootBlob("probe4", BuildVelf("probe4", 1024, {}, 1 << 20));
   EXPECT_EQ(sys.RunProgram("probe4"), 0);
+}
+
+// One row per syscall entry point, called with arguments that do no harm: a
+// bad fd, a missing path, an unknown id. `since` is the prototype that brings
+// the call (Table 1); the socket calls also need a network stack.
+struct GateProbe {
+  const char* name;
+  Stage since;
+  bool net;
+  std::function<std::int64_t(Kernel&)> call;
+};
+
+std::vector<GateProbe> GateProbes() {
+  constexpr int kBadFd = -1;
+  constexpr int kNoId = 9999;
+  static char buf[8];
+  return {
+      {"fork", Stage::kProto3, false, [](Kernel& k) { return k.SysFork([] { return 0; }); }},
+      {"wait", Stage::kProto3, false, [](Kernel& k) { int st = 0; return k.SysWait(&st); }},
+      {"kill", Stage::kProto3, false, [](Kernel& k) { return k.SysKill(kNoId); }},
+      {"exec", Stage::kProto3, false, [](Kernel& k) { return k.SysExec("/no/such", {"such"}); }},
+      {"sbrk", Stage::kProto3, false, [](Kernel& k) { return k.SysSbrk(0); }},
+      {"mmap", Stage::kProto3, false,
+       [](Kernel& k) {
+         std::uint32_t* px = nullptr;
+         std::uint32_t w = 0, h = 0;
+         return k.SysMmapFb(&px, &w, &h);
+       }},
+      {"getpid", Stage::kProto2, false, [](Kernel& k) { return k.SysGetPid(); }},
+      {"sleep", Stage::kProto2, false, [](Kernel& k) { return k.SysSleep(0); }},
+      {"uptime", Stage::kProto2, false, [](Kernel& k) { return k.SysUptime(); }},
+      {"cacheflush", Stage::kProto2, false, [](Kernel& k) { return k.SysCacheFlush(0, 0); }},
+      {"yield", Stage::kProto2, false, [](Kernel& k) { return k.SysYield(); }},
+      // Below Prototype 4 write() goes to the UART whatever the fd.
+      {"write", Stage::kProto2, false, [](Kernel& k) { return k.SysWrite(kBadFd, buf, 0); }},
+      {"open", Stage::kProto4, false, [](Kernel& k) { return k.SysOpen("/no/such", kORdonly); }},
+      {"close", Stage::kProto4, false, [](Kernel& k) { return k.SysClose(kBadFd); }},
+      {"read", Stage::kProto4, false, [](Kernel& k) { return k.SysRead(kBadFd, buf, 1); }},
+      {"lseek", Stage::kProto4, false, [](Kernel& k) { return k.SysLseek(kBadFd, 0, 0); }},
+      {"dup", Stage::kProto4, false, [](Kernel& k) { return k.SysDup(kBadFd); }},
+      {"pipe", Stage::kProto4, false, [](Kernel& k) { int fds[2]; return k.SysPipe(fds); }},
+      {"fstat", Stage::kProto4, false, [](Kernel& k) { Stat st; return k.SysFstat(kBadFd, &st); }},
+      {"chdir", Stage::kProto4, false, [](Kernel& k) { return k.SysChdir("/no/such"); }},
+      {"mkdir", Stage::kProto4, false, [](Kernel& k) { return k.SysMkdir("/no/such/dir"); }},
+      {"unlink", Stage::kProto4, false, [](Kernel& k) { return k.SysUnlink("/no/such"); }},
+      {"link", Stage::kProto4, false, [](Kernel& k) { return k.SysLink("/no/such", "/no/so"); }},
+      {"mknod", Stage::kProto4, false, [](Kernel& k) { return k.SysMknod("/no/such/n", 1, 1); }},
+      {"sync", Stage::kProto4, false, [](Kernel& k) { return k.SysSync(); }},
+      {"fsync", Stage::kProto4, false, [](Kernel& k) { return k.SysFsync(kBadFd); }},
+      {"readdir", Stage::kProto4, false,
+       [](Kernel& k) {
+         std::vector<DirEntryInfo> out;
+         return k.SysReadDir("/no/such", &out);
+       }},
+      {"clone", Stage::kProto5, false, [](Kernel& k) { return k.SysClone([] { return 0; }); }},
+      {"semcreate", Stage::kProto5, false, [](Kernel& k) { return k.SysSemCreate(0); }},
+      {"semwait", Stage::kProto5, false, [](Kernel& k) { return k.SysSemWait(kNoId); }},
+      {"sempost", Stage::kProto5, false, [](Kernel& k) { return k.SysSemPost(kNoId); }},
+      {"ipccreate", Stage::kProto5, false, [](Kernel& k) { return k.SysIpcCreate(0); }},
+      {"ipcmap", Stage::kProto5, false,
+       [](Kernel& k) {
+         IpcRing* ring = nullptr;
+         return k.SysIpcMap(kNoId, &ring);
+       }},
+      {"ipcwait", Stage::kProto5, false, [](Kernel& k) { return k.SysIpcWait(kNoId, 0, 0); }},
+      {"ipcwake", Stage::kProto5, false, [](Kernel& k) { return k.SysIpcWake(kNoId, 0); }},
+      {"socket", Stage::kProto5, true, [](Kernel& k) { return k.SysSocket(/*type=*/7, 0); }},
+      {"bind", Stage::kProto5, true, [](Kernel& k) { return k.SysBind(kBadFd, 80); }},
+      {"listen", Stage::kProto5, true, [](Kernel& k) { return k.SysListen(kBadFd, 1); }},
+      {"accept", Stage::kProto5, true,
+       [](Kernel& k) {
+         std::uint32_t ip = 0;
+         std::uint16_t port = 0;
+         return k.SysAccept(kBadFd, &ip, &port, 0);
+       }},
+      {"connect", Stage::kProto5, true, [](Kernel& k) { return k.SysConnect(kBadFd, 0, 80); }},
+      {"send", Stage::kProto5, true, [](Kernel& k) { return k.SysSend(kBadFd, buf, 0); }},
+      {"recv", Stage::kProto5, true, [](Kernel& k) { return k.SysRecv(kBadFd, buf, 1); }},
+      {"shutdown", Stage::kProto5, true, [](Kernel& k) { return k.SysShutdown(kBadFd, 0); }},
+  };
+}
+
+// Calls every probe on one stage, then reaps what fork and clone started and
+// exits (exit needs nothing). Prototype 2 has no user programs, so there the
+// probe is a kernel task.
+void ExpectGates(const SystemOptions& opt, bool net) {
+  System sys(opt);
+  Kernel& k = sys.kernel();
+  std::vector<GateProbe> probes = GateProbes();
+  std::vector<std::int64_t> got;
+  auto probe_all = [&] {
+    for (const GateProbe& p : probes) {
+      got.push_back(p.call(k));
+    }
+    int status = 0;
+    while (k.SysWait(&status) > 0) {
+    }
+    k.SysExit(0);
+  };
+  // Registered names land in every later image's /bin: keep them short.
+  std::string name = "gates" + std::to_string(static_cast<int>(opt.stage)) + (net ? "" : "n");
+  if (opt.stage == Stage::kProto2) {
+    Task* t = k.CreateKernelTask(name, probe_all);
+    sys.Run(Ms(200));
+    EXPECT_EQ(t->state, TaskState::kZombie);
+  } else {
+    AppRegistry::Instance().Register(name, [&](AppEnv&) -> int {
+      probe_all();
+      return 1;
+    }, 1024, 1 << 20);
+    k.AddBootBlob(name, BuildVelf(name, 1024, {}, 1 << 20));
+    EXPECT_EQ(sys.WaitProgram(k.StartUserProgram(name, {name})), 0);
+  }
+  ASSERT_EQ(got.size(), probes.size()) << name;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    bool lacks = opt.stage < probes[i].since || (probes[i].net && !net);
+    EXPECT_EQ(got[i] == kErrNoSys, lacks)
+        << name << ": " << probes[i].name << " returned " << ErrName(got[i]);
+  }
+}
+
+TEST(StageGating, EveryCallReturnsNoSysExactlyWhereItsStageLacksWhatItNeeds) {
+  for (Stage s : {Stage::kProto2, Stage::kProto3, Stage::kProto4, Stage::kProto5}) {
+    ExpectGates(OptionsForStage(s), /*net=*/s == Stage::kProto5);
+  }
+  SystemOptions no_net = OptionsForStage(Stage::kProto5);
+  no_net.config_hook = [](KernelConfig& kc) { kc.net_enabled = false; };
+  ExpectGates(no_net, /*net=*/false);
 }
 
 TEST_F(Proto5Test, CoreutilsEndToEnd) {
