@@ -13,8 +13,6 @@
 namespace vos {
 
 namespace {
-thread_local Task* g_current_task = nullptr;
-
 // Kernel image region: the first 8 MB of DRAM are reserved for the kernel
 // text/data, the (embedded) ramdisk dump, and boot allocations; the page
 // allocator manages the rest.
@@ -61,7 +59,7 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
   // Violations report through the tasks' shadow call stacks; off a fiber
   // (boot, IRQ dispatch on the machine thread) a synthetic frame marks it.
   Lockdep::Instance().SetBacktraceProvider([]() -> std::vector<const char*> {
-    if (Task* t = g_current_task) {
+    if (Task* t = Ctx().task) {
       return t->call_stack;
     }
     return {"<machine-loop>"};
@@ -70,7 +68,7 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
   // the running task, and a lockset-empty detection emits a trace event next
   // to the report text /proc/racedet serves.
   Racedet::Instance().SetContextNameFn([]() -> std::string {
-    if (Task* t = g_current_task) {
+    if (Task* t = Ctx().task) {
       return t->name();
     }
     return "<machine-loop>";
@@ -150,8 +148,6 @@ void Kernel::SetRamdiskImage(std::vector<std::uint8_t> image) {
 void Kernel::AddBootBlob(const std::string& name, std::vector<std::uint8_t> velf) {
   boot_blobs_[name] = std::move(velf);
 }
-
-Task* Kernel::CurrentTask() const { return g_current_task; }
 
 void Kernel::DebugSharedInc(bool locked) {
   if (locked) {
@@ -668,7 +664,7 @@ Task* Kernel::CreateKernelTask(const std::string& name, std::function<void()> bo
                                int core_hint) {
   Task* t = NewTask(name, /*kernel_task=*/true);
   t->AttachFiber(std::make_unique<TaskFiber>([this, t, body = std::move(body)] {
-    g_current_task = t;
+    Ctx().task = t;
     // Root frame for the profiler: every kernel-thread sample symbolizes at
     // least to here.
     StackFrame root(t, "kthread_main");
@@ -688,7 +684,7 @@ Task* Kernel::CreateKernelTask(const std::string& name, std::function<void()> bo
 
 void Kernel::AttachUserEntry(Task* t, std::function<int()> body) {
   t->AttachFiber(std::make_unique<TaskFiber>([this, t, body = std::move(body)] {
-    g_current_task = t;
+    Ctx().task = t;
     // Root frame for the profiler (see CreateKernelTask).
     StackFrame root(t, "user_main");
     try {
@@ -759,7 +755,7 @@ void Kernel::ReapTask(Pid pid) {
   auto it = tasks_.find(pid);
   VOS_CHECK(it != tasks_.end());
   VOS_CHECK(it->second->state == TaskState::kZombie);
-  tasks_.erase(it);  // destroys the Task and joins its fiber thread
+  tasks_.erase(it);  // destroys the Task and its finished fiber
 }
 
 void Kernel::KillFromHost(Pid pid) {

@@ -173,7 +173,8 @@ class Kernel final : public MachineClient {
                          int core_hint = -1);
   // Creates a user task that execs `path` with `argv` when first scheduled.
   Task* StartUserProgram(const std::string& path, const std::vector<std::string>& argv);
-  Task* CurrentTask() const;
+  // The task whose fiber is running on this host thread (nullptr outside).
+  Task* CurrentTask() const { return Ctx().task; }
   // Host-side reaping of an orphan zombie (tests/benches waiting on programs
   // they started directly). Returns the exit code, or kErrNoEnt.
   std::int64_t ReapZombie(Pid pid);

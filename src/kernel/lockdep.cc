@@ -5,22 +5,26 @@
 #include <sstream>
 
 #include "src/base/assert.h"
+#include "src/kernel/exec_context.h"
 
 namespace vos {
 
 namespace {
-// Held stacks are per host context: the machine thread and each task fiber
-// own their thread. Execution is token-serialized, so global class/graph
-// state never sees concurrent mutation; the stacks are thread_local purely
-// because "what do I hold" is a per-context question.
-struct HeldEntry {
-  const void* lock;
-  int cls;
-  std::vector<const char*> bt;
-};
-thread_local std::vector<HeldEntry> g_held;
-thread_local std::uint64_t g_held_generation = 0;
-thread_local bool g_in_irq = false;
+// Held stacks are per execution context (exec_context.h): the machine loop
+// and each task fiber keep their own, since "what do I hold" is a per-context
+// question. Only one context runs at a time, so the global class/graph state
+// never sees concurrent mutation.
+//
+// The current context's held stack, emptied first if a Reset since it was
+// last used made it stale.
+std::vector<HeldLock>& Held(std::uint64_t generation) {
+  ExecContext& ctx = Ctx();
+  if (ctx.held_generation != generation) {
+    ctx.held.clear();
+    ctx.held_generation = generation;
+  }
+  return ctx.held;
+}
 }  // namespace
 
 Lockdep& Lockdep::Instance() {
@@ -32,9 +36,8 @@ void Lockdep::Reset() {
   ids_.clear();
   classes_.clear();
   ++generation_;  // invalidates every context's held stack lazily
-  g_held.clear();
-  g_held_generation = generation_;
-  g_in_irq = false;
+  Held(generation_);  // and empties this context's at once
+  Ctx().in_irq = false;
 }
 
 int Lockdep::RegisterClass(const std::string& name) {
@@ -147,17 +150,15 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
   if (!enabled_) {
     return;
   }
-  if (g_held_generation != generation_) {
-    g_held.clear();
-    g_held_generation = generation_;
-  }
+  std::vector<HeldLock>& held = Held(generation_);
+  bool in_irq = Ctx().in_irq;
   int cls = RegisterClass(class_name);
   Class& c = classes_[static_cast<std::size_t>(cls)];
   std::vector<const char*> bt = Backtrace();
 
   // IRQ-safety, direction 1: first acquisition from IRQ context of a class
   // previously seen held with IRQs enabled is the same deadlock window.
-  if (g_in_irq && !c.irq_used && c.held_irqs_on) {
+  if (in_irq && !c.irq_used && c.held_irqs_on) {
     Violation("irq-unsafe lock",
               "  class '" + c.name +
                   "' was held with IRQs enabled, and is now taken in IRQ "
@@ -168,7 +169,7 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
   // Order check: for every lock already held, acquiring `cls` adds the edge
   // held -> cls. If the graph already proves cls ->* held, this nesting
   // closes a cycle — the classic A->B observed after B->A inversion.
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : held) {
     if (h.cls == cls && h.lock != static_cast<const void*>(lock)) {
       Violation("same-class nesting",
                 "  acquiring a second '" + c.name +
@@ -203,7 +204,7 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
 
   // Record edges from every held lock (not just the innermost): transitive
   // closure then catches inversions across intermediate hops sooner.
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : held) {
     Class& hc = classes_[static_cast<std::size_t>(h.cls)];
     Edge& e = hc.out[cls];
     if (e.count == 0) {
@@ -214,23 +215,24 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
   }
 
   ++c.acquisitions;
-  if (g_in_irq && !c.irq_used) {
+  if (in_irq && !c.irq_used) {
     c.irq_used = true;
     c.irq_bt = bt;
   }
-  g_held.push_back(HeldEntry{lock, cls, std::move(bt)});
-  c.max_hold_depth = std::max(c.max_hold_depth, static_cast<int>(g_held.size()));
+  held.push_back(HeldLock{lock, cls, std::move(bt)});
+  c.max_hold_depth = std::max(c.max_hold_depth, static_cast<int>(held.size()));
 }
 
 void Lockdep::OnRelease(const SpinLock* lock) {
-  if (!enabled_ || g_held_generation != generation_) {
+  if (!enabled_) {
     return;
   }
   // Locks release in LIFO order in practice, but tolerate out-of-order
   // (SleepOn releases the condition lock below the sched bookkeeping).
-  for (auto it = g_held.rbegin(); it != g_held.rend(); ++it) {
+  std::vector<HeldLock>& held = Held(generation_);
+  for (auto it = held.rbegin(); it != held.rend(); ++it) {
     if (it->lock == static_cast<const void*>(lock)) {
-      g_held.erase(std::next(it).base());
+      held.erase(std::next(it).base());
       return;
     }
   }
@@ -238,17 +240,21 @@ void Lockdep::OnRelease(const SpinLock* lock) {
 }
 
 void Lockdep::OnSleep(const void* chan) {
-  if (!enabled_ || g_held_generation != generation_ || g_held.empty()) {
+  if (!enabled_) {
+    return;
+  }
+  const std::vector<HeldLock>& stack = Held(generation_);
+  if (stack.empty()) {
     return;
   }
   std::ostringstream held;
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : stack) {
     held << "  still holding '" << classes_[static_cast<std::size_t>(h.cls)].name
          << "' acquired at:\n"
          << FormatFrames(h.bt);
   }
   std::ostringstream os;
-  os << "  task is about to sleep on channel " << chan << " with " << g_held.size()
+  os << "  task is about to sleep on channel " << chan << " with " << stack.size()
      << " spinlock(s) held\n"
      << held.str() << "  sleep site:\n"
      << FormatFrames(Backtrace());
@@ -256,13 +262,13 @@ void Lockdep::OnSleep(const void* chan) {
 }
 
 void Lockdep::OnIrqEnable() {
-  if (!enabled_ || g_held_generation != generation_ || g_held.empty()) {
+  if (!enabled_) {
     return;
   }
   // Interrupts just became deliverable while this context still holds locks.
   // Mark every held class; if one is also taken from IRQ context, the IRQ
   // handler could spin on a lock its own core holds.
-  for (HeldEntry& h : g_held) {
+  for (HeldLock& h : Held(generation_)) {
     Class& c = classes_[static_cast<std::size_t>(h.cls)];
     c.held_irqs_on = true;
     if (c.irq_used) {
@@ -278,21 +284,22 @@ void Lockdep::OnIrqEnable() {
 
 std::vector<const SpinLock*> Lockdep::HeldLockPtrs() const {
   std::vector<const SpinLock*> out;
-  if (!enabled_ || g_held_generation != generation_) {
+  if (!enabled_) {
     return out;
   }
-  out.reserve(g_held.size());
-  for (const HeldEntry& h : g_held) {
+  const std::vector<HeldLock>& held = Held(generation_);
+  out.reserve(held.size());
+  for (const HeldLock& h : held) {
     out.push_back(static_cast<const SpinLock*>(h.lock));
   }
   return out;
 }
 
 bool Lockdep::IsHeldByCurrent(const SpinLock* lock) const {
-  if (!enabled_ || g_held_generation != generation_) {
+  if (!enabled_) {
     return false;
   }
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : Held(generation_)) {
     if (h.lock == static_cast<const void*>(lock)) {
       return true;
     }
@@ -300,9 +307,9 @@ bool Lockdep::IsHeldByCurrent(const SpinLock* lock) const {
   return false;
 }
 
-void Lockdep::SetIrqContext(bool in_irq) { g_in_irq = in_irq; }
+void Lockdep::SetIrqContext(bool in_irq) { Ctx().in_irq = in_irq; }
 
-bool Lockdep::InIrqContext() const { return g_in_irq; }
+bool Lockdep::InIrqContext() const { return Ctx().in_irq; }
 
 std::vector<LockClassInfo> Lockdep::Classes() const {
   std::vector<LockClassInfo> out;
@@ -338,10 +345,7 @@ bool Lockdep::HasPath(const std::string& from, const std::string& to) const {
 
 std::vector<std::string> Lockdep::HeldNames() const {
   std::vector<std::string> out;
-  if (g_held_generation != generation_) {
-    return out;
-  }
-  for (const HeldEntry& h : g_held) {
+  for (const HeldLock& h : Held(generation_)) {
     out.push_back(classes_[static_cast<std::size_t>(h.cls)].name);
   }
   return out;

@@ -9,9 +9,8 @@
 // Model:
 //  - Lock *classes* are keyed by the SpinLock's name (two pipes share the
 //    "pipe" class), registered at SpinLock construction.
-//  - Each host context (the machine thread, or one task fiber — execution is
-//    token-serialized, so each holds its own thread_local stack) records the
-//    locks it currently holds, innermost last.
+//  - Each execution context (the machine loop, or one task fiber; see
+//    exec_context.h) records the locks it currently holds, innermost last.
 //  - A global acquisition-order graph accumulates an edge A->B whenever B is
 //    acquired while A is held. At acquire time a transitive reachability
 //    check detects inversions: acquiring B while holding A after the graph
@@ -128,12 +127,6 @@ class Lockdep {
     std::vector<const char*> irq_bt;  // first IRQ-context acquisition site
     std::map<int, Edge> out;          // class id -> dependency edge
   };
-  struct Held {
-    const SpinLock* lock;
-    int cls;
-    std::vector<const char*> bt;
-  };
-
   std::vector<const char*> Backtrace() const;
   // DFS over the order graph: is `to` reachable from `from`?
   bool Reachable(int from, int to) const;

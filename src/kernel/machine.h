@@ -41,8 +41,8 @@ class Machine {
   void Stop() { stop_ = true; }
   bool stopped() const { return stop_; }
 
-  // Virtual "now": on a fiber thread this includes the fiber's progress into
-  // its current activation; on the machine thread it is the global clock.
+  // Virtual "now": on a fiber this includes the fiber's progress into its
+  // current activation; in the machine loop it is the global clock.
   Cycles Now() const;
 
   // IRQ handlers cost CPU: the charged cycles delay the interrupted core's

@@ -1,9 +1,17 @@
+// Context identity for the lockset algorithm is the execution context
+// (exec_context.h): the machine loop and each task fiber are distinct
+// contexts though they share one host thread, and ids are handed out lazily
+// and invalidated by Reset's generation bump, exactly like lockdep's held
+// stacks. Kernel code never runs on two host threads at once, so a host race
+// detector (TSan) cannot see a kernel race: this checker is the kernel's race
+// oracle.
 #include "src/kernel/racedet.h"
 
 #include <algorithm>
 #include <sstream>
 
 #include "src/base/assert.h"
+#include "src/kernel/exec_context.h"
 #include "src/kernel/lockdep.h"
 #include "src/kernel/spinlock.h"
 
@@ -13,13 +21,6 @@ namespace {
 constexpr std::size_t kProbeMax = 32;    // open-addressing probe cap
 constexpr std::size_t kMaxReports = 32;  // full reports retained; the rest only count
 constexpr std::size_t kMaxHistory = 8;   // lockset shrink entries per cell
-
-// Context identity is the host thread: execution is token-serialized, and
-// each logical context (the machine loop, or one task fiber) owns its own
-// thread. Ids are handed out lazily and invalidated by Reset's generation
-// bump, exactly like lockdep's held stacks.
-thread_local std::uint64_t g_ctx_id = 0;
-thread_local std::uint64_t g_ctx_generation = 0;
 }  // namespace
 
 const char* RdStateName(RdState s) {
@@ -43,13 +44,6 @@ Racedet& Racedet::Instance() {
   return *det;
 }
 
-std::uint64_t& Racedet::ExcludeDepth() {
-  thread_local std::uint64_t depth = 0;
-  return depth;
-}
-
-bool Racedet::Excluded() const { return ExcludeDepth() > 0; }
-
 void Racedet::Reset(std::size_t cells) {
   std::size_t cap = 64;
   while (cap < cells) {
@@ -64,15 +58,16 @@ void Racedet::Reset(std::size_t cells) {
   shrinks_ = 0;
   dropped_ = 0;
   next_ctx_ = 1;
-  ++generation_;  // invalidates every thread's cached context id lazily
+  ++generation_;  // invalidates every context's cached id lazily
 }
 
 std::uint64_t Racedet::CurrentCtx() {
-  if (g_ctx_generation != generation_ || g_ctx_id == 0) {
-    g_ctx_generation = generation_;
-    g_ctx_id = next_ctx_++;
+  ExecContext& ctx = Ctx();
+  if (ctx.rd_ctx_generation != generation_ || ctx.rd_ctx_id == 0) {
+    ctx.rd_ctx_generation = generation_;
+    ctx.rd_ctx_id = next_ctx_++;
   }
-  return g_ctx_id;
+  return ctx.rd_ctx_id;
 }
 
 std::string Racedet::CurrentCtxName(std::uint64_t id) const {

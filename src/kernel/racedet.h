@@ -50,6 +50,8 @@
 #include <string>
 #include <vector>
 
+#include "src/kernel/exec_context.h"
+
 namespace vos {
 
 class SpinLock;
@@ -106,9 +108,9 @@ class Racedet {
   void ForgetRange(const void* addr, std::size_t size);
 
   // Scoped suppression bookkeeping (use RD_EXCLUDE_SCOPE, not these).
-  void PushExclude() { ++ExcludeDepth(); }
-  void PopExclude() { --ExcludeDepth(); }
-  bool Excluded() const;
+  void PushExclude() { ++Ctx().rd_exclude_depth; }
+  void PopExclude() { --Ctx().rd_exclude_depth; }
+  bool Excluded() const { return Ctx().rd_exclude_depth > 0; }
 
   // kRaceReport trace hook: (cell address, report index).
   using TraceHook = std::function<void(std::uintptr_t, std::size_t)>;
@@ -159,7 +161,6 @@ class Racedet {
     std::uint64_t writes = 0;
   };
 
-  static std::uint64_t& ExcludeDepth();
   Cell* Lookup(std::uintptr_t addr, bool create, const char* name, const char* file, int line);
   const Cell* Find(std::uintptr_t addr) const;
   std::uint64_t CurrentCtx();

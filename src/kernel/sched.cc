@@ -169,7 +169,17 @@ void Sched::OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r) {
       // the queue another way); nothing to do.
       break;
     case TaskFiber::StopReason::kExited:
-      // Zombie; the exit path handled bookkeeping.
+      // Zombie; the exit path handled bookkeeping. But a task can exit and
+      // then park for budget while its unwind runs destructors (a syscall in
+      // one burns past the slice): the kBudget case requeued it as runnable
+      // so it could finish. It is a zombie only now, so mark it again and
+      // let its parent look again.
+      if (t->state != TaskState::kZombie) {
+        t->state = TaskState::kZombie;
+        if (t->parent != nullptr) {
+          Wakeup(t->parent);
+        }
+      }
       break;
   }
 }

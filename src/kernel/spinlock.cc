@@ -1,43 +1,41 @@
+// The state behind a spinlock's checks lives in the running execution
+// context (exec_context.h): the IRQ-off depth is per context, and a lock's
+// owner is the context that took it, so the machine loop and every task
+// fiber sharing the host thread stay distinct owners.
 #include "src/kernel/spinlock.h"
 
 #include "src/base/assert.h"
+#include "src/kernel/exec_context.h"
 #include "src/kernel/lockdep.h"
 
 namespace vos {
 
-namespace {
-thread_local int g_irq_off_depth = 0;
-const void* ContextId() {
-  static thread_local char marker;
-  return &marker;
-}
-}  // namespace
-
-void PushOff() { ++g_irq_off_depth; }
+void PushOff() { ++Ctx().irq_off_depth; }
 
 void PopOff() {
-  VOS_CHECK_MSG(g_irq_off_depth > 0, "PopOff without matching PushOff");
-  --g_irq_off_depth;
-  if (g_irq_off_depth == 0) {
+  int& depth = Ctx().irq_off_depth;
+  VOS_CHECK_MSG(depth > 0, "PopOff without matching PushOff");
+  --depth;
+  if (depth == 0) {
     // Interrupts are deliverable again; lockdep verifies nothing irq-used is
     // still held by this context (the deadlock window on real hardware).
     Lockdep::Instance().OnIrqEnable();
   }
 }
 
-int IrqOffDepth() { return g_irq_off_depth; }
+int IrqOffDepth() { return Ctx().irq_off_depth; }
 
 SpinLock::SpinLock(std::string name) : name_(std::move(name)) {
   Lockdep::Instance().RegisterClass(name_);
 }
 
 void SpinLock::Acquire() {  // lockdep: naked-ok (implementation)
-  // Token-serialized execution makes it safe to examine the lock before
+  // One context runs at a time, which makes it safe to examine the lock before
   // PushOff (no preemption window as on real hardware) — and it keeps the
   // IRQ-off depth balanced when a discipline check throws.
-  VOS_CHECK_MSG(!(held_ && owner_ == ContextId()),
+  VOS_CHECK_MSG(!(held_ && owner_ == &Ctx()),
                 ("spinlock double-acquire: '" + name_ + "'").c_str());
-  // Host execution is token-serialized, so the lock is always free here; a
+  // Only one context runs at a time, so the lock is always free here; a
   // held lock from another context would be a machine-loop invariant bug.
   VOS_CHECK_MSG(!held_, "spinlock contended: serialization invariant broken");
   PushOff();
@@ -47,17 +45,17 @@ void SpinLock::Acquire() {  // lockdep: naked-ok (implementation)
     // balanced so tests can continue past the report.
     Lockdep::Instance().OnAcquire(this, name_);
   } catch (...) {
-    --g_irq_off_depth;  // raw undo: OnIrqEnable must not re-fire mid-throw
+    --Ctx().irq_off_depth;  // raw undo: OnIrqEnable must not re-fire mid-throw
     throw;
   }
   held_ = true;
-  owner_ = ContextId();
+  owner_ = &Ctx();
   ++acquisitions_;
 }
 
 void SpinLock::Release() {  // lockdep: naked-ok (implementation)
   VOS_CHECK_MSG(held_, "releasing a spinlock that is not held");
-  VOS_CHECK_MSG(owner_ == ContextId(), "spinlock released by non-owner");
+  VOS_CHECK_MSG(owner_ == &Ctx(), "spinlock released by non-owner");
   // Ordering matters: the lock must read as fully released (owner/held
   // cleared, lockdep bookkeeping popped) *before* PopOff can re-enable
   // interrupt delivery. An IRQ arriving at the PopOff boundary must never

@@ -39,7 +39,7 @@ class SpinLock {
  private:
   std::string name_;
   bool held_ = false;
-  const void* owner_ = nullptr;  // Task* or the machine-thread marker
+  const void* owner_ = nullptr;  // the holder's ExecContext
   std::uint64_t acquisitions_ = 0;
 };
 

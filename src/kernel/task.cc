@@ -1,55 +1,79 @@
 #include "src/kernel/task.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <exception>
 
 #include "src/base/assert.h"
 
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace vos {
 
 namespace {
-thread_local TaskFiber* g_current_fiber = nullptr;
+// The default host thread stack size, so a task has the room code running on
+// a thread expects. MAP_NORESERVE: only touched pages cost memory.
+constexpr std::size_t kStackBytes = std::size_t{8} << 20;
+
+std::size_t GuardBytes() {
+  static const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  return page;
 }
+}  // namespace
 
-void Gate::Signal() {
-  {
-    std::lock_guard<std::mutex> l(mu_);
-    go_ = true;
-  }
-  cv_.notify_one();
-}
-
-void Gate::Wait() {
-  std::unique_lock<std::mutex> l(mu_);
-  cv_.wait(l, [this] { return go_; });
-  go_ = false;
-}
-
-TaskFiber* TaskFiber::Current() { return g_current_fiber; }
-
-TaskFiber::TaskFiber(std::function<void()> entry) {
-  thread_ = std::thread([this, entry = std::move(entry)] {
-    g_current_fiber = this;
-    resume_gate_.Wait();  // park until first schedule
-    if (!kill_requested_) {
-      entry();  // must swallow TaskExitUnwind/TaskKilledUnwind itself
-    }
-    finished_ = true;
-    reason_ = StopReason::kExited;
-    done_gate_.Signal();
-  });
+TaskFiber::TaskFiber(std::function<void()> entry) : entry_(std::move(entry)) {
+  stack_ = mmap(nullptr, GuardBytes() + kStackBytes, PROT_READ | PROT_WRITE,
+                MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  VOS_CHECK_MSG(stack_ != MAP_FAILED, "fiber stack mmap failed");
+  VOS_CHECK(mprotect(stack_, GuardBytes(), PROT_NONE) == 0);  // overflow faults
+  char* bottom = static_cast<char*>(stack_) + GuardBytes();
+  ctx_.fiber = this;
+  ctx_.stack_bottom = bottom;
+  ctx_.stack_size = kStackBytes;
+  VOS_CHECK(getcontext(&ctx_.uc) == 0);
+  ctx_.uc.uc_stack.ss_sp = bottom;
+  ctx_.uc.uc_stack.ss_size = kStackBytes;
+  ctx_.uc.uc_link = nullptr;  // Main never returns
+  makecontext(&ctx_.uc, &TaskFiber::Main, 0);
+#if defined(__SANITIZE_THREAD__)
+  ctx_.tsan_fiber = __tsan_create_fiber(0);
+#endif
 }
 
 TaskFiber::~TaskFiber() {
-  if (thread_.joinable()) {
-    if (!finished_) {
-      // Force the fiber to unwind. It is parked (machine holds the token).
-      kill_requested_ = true;
-      resume_gate_.Signal();
-      done_gate_.Wait();
-      VOS_CHECK_MSG(finished_, "fiber failed to unwind on kill");
-    }
-    thread_.join();
+  if (!finished_) {
+    // Force the fiber to unwind (or, never started, to skip its entry). It
+    // is parked; it switches back here, even when "here" is another fiber.
+    kill_requested_ = true;
+    Resume();
+    VOS_CHECK_MSG(finished_, "fiber failed to unwind on kill");
   }
+#if defined(__SANITIZE_THREAD__)
+  __tsan_destroy_fiber(ctx_.tsan_fiber);
+#endif
+  munmap(stack_, GuardBytes() + kStackBytes);
+}
+
+void TaskFiber::Main() noexcept {
+  ExecContext& ctx = Ctx();
+  FinishSwitch(ctx, nullptr);
+  TaskFiber* self = ctx.fiber;
+  if (!self->kill_requested_) {
+    self->entry_();  // must swallow TaskExitUnwind/TaskKilledUnwind itself
+  }
+  self->entry_ = nullptr;  // its captures die on the fiber, as the task's
+  self->finished_ = true;
+  self->reason_ = StopReason::kExited;
+  SwitchContext(ctx, *ctx.resumer, /*from_finished=*/true);
+}
+
+void TaskFiber::Resume() {
+  ExecContext& from = Ctx();
+  ctx_.resumer = &from;
+  SwitchContext(from, ctx_);
 }
 
 TaskFiber::RunResult TaskFiber::Run(Cycles budget, Cycles start) {
@@ -58,22 +82,21 @@ TaskFiber::RunResult TaskFiber::Run(Cycles budget, Cycles start) {
   budget_ = budget;
   start_time_ = start;
   consumed_ = 0;
-  started_ = true;
-  resume_gate_.Signal();
-  done_gate_.Wait();
+  Resume();
   return RunResult{reason_, consumed_};
 }
 
+bool TaskFiber::Dying() const { return kill_requested_ && std::uncaught_exceptions() > 0; }
+
 void TaskFiber::SwitchOut(StopReason r) {
-  if (kill_requested_ && std::uncaught_exceptions() > 0) {
+  if (Dying()) {
     // The fiber is unwinding for its death: destructors must not park again
-    // (the machine side is already waiting for the thread to finish). Return
-    // immediately; blocking loops bail out via their killed checks.
+    // (the resumer is waiting for the fiber to finish). Return immediately;
+    // blocking loops bail out via their killed checks.
     return;
   }
   reason_ = r;
-  done_gate_.Signal();
-  resume_gate_.Wait();
+  SwitchContext(ctx_, *ctx_.resumer);
   CheckKilled();
 }
 
@@ -88,6 +111,12 @@ void TaskFiber::Burn(Cycles c) {
     CheckKilled();
     Cycles avail = budget_ > consumed_ ? budget_ - consumed_ : 0;
     if (avail == 0) {
+      if (Dying()) {
+        // Parking is over for this fiber, so the budget cannot be renewed:
+        // charge the rest to its last activation.
+        consumed_ += c;
+        return;
+      }
       SwitchOut(StopReason::kBudget);
       continue;
     }

@@ -1,26 +1,26 @@
 // Task control block and its execution context.
 //
-// Execution model (see DESIGN.md §5): each task owns a host thread ("fiber")
-// that is strictly token-serialized with the machine loop — exactly one of
-// {machine loop, some fiber} executes at any host instant, so kernel state
-// needs no host synchronization beyond the handoff gates. Virtual CPU time is
-// charged explicitly via Burn(); the machine loop interleaves fibers on the
-// simulated cores between device events. This replaces the ARMv8 register
-// context switch while keeping the scheduler, runqueues, sleep channels and
-// preemption behaviour real.
+// Execution model (see DESIGN.md §5): each task runs on a fiber, a stack of
+// its own that the machine loop switches into with ucontext on the one host
+// thread, so exactly one of {machine loop, some fiber} executes at any
+// instant and kernel state needs no host synchronization. A switch saves one
+// context's registers and loads another's, the job the ARMv8 context switch
+// does on the Pi; everything else that is per-context (current task, held
+// locks, IRQ-off depth, exception state) travels in its ExecContext. Virtual
+// CPU time is charged explicitly via Burn(); the machine loop interleaves
+// fibers on the simulated cores between device events, so the scheduler,
+// runqueues, sleep channels and preemption behaviour stay real.
 #ifndef VOS_SRC_KERNEL_TASK_H_
 #define VOS_SRC_KERNEL_TASK_H_
 
-#include <condition_variable>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/base/intrusive_list.h"
 #include "src/base/units.h"
+#include "src/kernel/exec_context.h"
 
 namespace vos {
 
@@ -33,18 +33,6 @@ class Task;
 struct TaskExitUnwind {};
 struct TaskKilledUnwind {};
 
-// One-shot handoff gate between the machine thread and a fiber thread.
-class Gate {
- public:
-  void Signal();
-  void Wait();
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool go_ = false;
-};
-
 class TaskFiber {
  public:
   enum class StopReason { kBudget, kBlocked, kExited };
@@ -53,23 +41,24 @@ class TaskFiber {
     Cycles consumed;
   };
 
-  // `entry` runs on the fiber thread the first time the task is scheduled.
-  // It must handle TaskExitUnwind/TaskKilledUnwind itself (the kernel's
-  // trampoline does) — nothing may escape.
+  // `entry` runs on the fiber the first time it is resumed. It must handle
+  // TaskExitUnwind/TaskKilledUnwind itself (the kernel's trampoline does) —
+  // nothing may escape.
   explicit TaskFiber(std::function<void()> entry);
+  // An unfinished fiber is force-unwound first: resumed with a kill pending,
+  // it throws TaskKilledUnwind and switches back here once its entry returns.
   ~TaskFiber();
+  TaskFiber(const TaskFiber&) = delete;
+  TaskFiber& operator=(const TaskFiber&) = delete;
 
-  // --- Machine side ---
+  // --- Resumer side (the machine loop, or whoever destroys the fiber) ---
   // Resumes the fiber with a fresh budget starting at virtual time `start`.
-  // Blocks until the fiber stops (budget exhausted / blocked / exited).
+  // Returns when the fiber stops (budget exhausted / blocked / exited).
   RunResult Run(Cycles budget, Cycles start);
-  // Requests the fiber unwind with TaskKilledUnwind at its next resume or
-  // burn check. Only call while the fiber is parked.
-  void RequestKill() { kill_requested_ = true; }
   bool finished() const { return finished_; }
 
   // --- Fiber side ---
-  // Charges `c` cycles of CPU, switching back to the machine (and later
+  // Charges `c` cycles of CPU, switching back to the resumer (and later
   // resuming) whenever the activation budget runs out.
   void Burn(Cycles c);
   // Parks the fiber as blocked; returns when rescheduled.
@@ -79,25 +68,26 @@ class TaskFiber {
   void YieldToMachine();
   // Virtual time as seen by code running on this fiber right now.
   Cycles Now() const { return start_time_ + consumed_; }
-  bool kill_requested() const { return kill_requested_; }
 
-  // The fiber currently executing on this host thread (nullptr on the
-  // machine thread).
-  static TaskFiber* Current();
+  // The fiber currently executing on this host thread (nullptr outside any).
+  static TaskFiber* Current() { return Ctx().fiber; }
 
  private:
+  static void Main() noexcept;   // the fiber's first frame
+  void Resume();                 // resumer side: run until the fiber stops
   void SwitchOut(StopReason r);  // fiber side
   void CheckKilled();            // fiber side; throws TaskKilledUnwind
+  // Fiber side: being force-unwound, so it must never park again.
+  bool Dying() const;
 
-  std::thread thread_;
-  Gate resume_gate_;  // machine -> fiber
-  Gate done_gate_;    // fiber -> machine
+  std::function<void()> entry_;
+  void* stack_ = nullptr;  // mmap'd: a guard page, then the stack
+  ExecContext ctx_;
   Cycles budget_ = 0;
   Cycles consumed_ = 0;
   Cycles start_time_ = 0;
   StopReason reason_ = StopReason::kExited;
   bool kill_requested_ = false;
-  bool started_ = false;
   bool finished_ = false;
 };
 

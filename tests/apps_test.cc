@@ -159,6 +159,16 @@ TEST_F(AppsTest, SysmonShowsUtilization) {
   EXPECT_GT(sys().kernel().wm()->stats().compositions, 0u);
 }
 
+TEST_F(AppsTest, HostKilledSysmonIsReaped) {
+  // The kill wakes sysmon from its sleep and it exits there; on the way out a
+  // destructor's syscall can run past the slice and park the exiting task for
+  // budget. It must still end a zombie that its waiter reaps.
+  Task* t = sys().Start("sysmon", {"170"});
+  sys().Run(Ms(300));
+  sys().kernel().KillFromHost(t->pid());
+  EXPECT_EQ(sys().WaitProgram(t, Sec(10)), -1);
+}
+
 TEST_F(AppsTest, LauncherStartsAppsViaMenu) {
   Task* t = sys().Start("launcher", {"--frames", "90"});
   sys().Run(Ms(400));

@@ -185,7 +185,8 @@ TEST(SpinLockTest, FailedAcquireLeavesIrqDepthBalanced) {
 TEST(SpinLockTest, NonOwnerReleaseCaught) {
   SpinLock l("ownercheck");
   l.Acquire();
-  // Another host context (its own ContextId) must not be able to release.
+  // Another context (a second host thread has its own ExecContext) must not
+  // be able to release.
   bool threw = false;
   std::thread other([&] {
     try {

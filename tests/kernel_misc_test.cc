@@ -1,7 +1,12 @@
 // Unit tests for kernel subsystems not covered at the syscall level: the
-// buffer cache, virtual timers, klog wire timing, the semaphore table, and
-// pipe edge cases.
+// buffer cache, virtual timers, klog wire timing, the semaphore table, pipe
+// edge cases, and task fibers (budget slicing, exception state, unwinding).
 #include <gtest/gtest.h>
+
+#include <exception>
+#include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "src/base/status.h"
 #include "src/fs/bcache.h"
@@ -210,6 +215,110 @@ TEST(TaskFiberUnit, BudgetSlicingAcrossActivations) {
   EXPECT_EQ(consumed, Us(100));
   EXPECT_GE(activations, 4);  // 30+30+30+10
   EXPECT_EQ(total, Us(100));
+}
+
+TEST(TaskFiberUnit, DeletingAFiberParkedMidBurnChargesItsDyingBurns) {
+  // Deleting a fiber parked mid-Burn force-unwinds it. A destructor that
+  // burns more than the leftover budget cannot park (nothing will resume the
+  // fiber again), so the burn is charged in place and the delete returns.
+  struct BurnOnDestroy {
+    ~BurnOnDestroy() { TaskFiber::Current()->Burn(Ms(1)); }
+  };
+  bool unwound = false;
+  auto fiber = std::make_unique<TaskFiber>([&] {
+    try {
+      BurnOnDestroy d;
+      TaskFiber::Current()->Burn(Us(100));
+    } catch (const TaskKilledUnwind&) {
+      unwound = true;
+    }
+  });
+  EXPECT_EQ(fiber->Run(Us(30), 0).reason, TaskFiber::StopReason::kBudget);
+  fiber.reset();
+  EXPECT_TRUE(unwound);
+}
+
+TEST(TaskFiberUnit, EachFiberRethrowsItsOwnException) {
+  // Both fibers park inside their catch handlers, then `throw;`. The C++
+  // runtime keeps the caught-exception chain per host thread, so a switch
+  // must carry it or one fiber rethrows the other's exception.
+  auto body = [](std::string what, std::string* rethrown) {
+    return [what, rethrown] {
+      try {
+        try {
+          throw std::runtime_error(what);
+        } catch (const std::runtime_error&) {
+          TaskFiber::Current()->YieldToMachine();
+          throw;
+        }
+      } catch (const std::runtime_error& e) {
+        *rethrown = e.what();
+      }
+    };
+  };
+  std::string a_got;
+  std::string b_got;
+  TaskFiber a(body("a", &a_got));
+  TaskFiber b(body("b", &b_got));
+  EXPECT_EQ(a.Run(Us(10), 0).reason, TaskFiber::StopReason::kBudget);
+  EXPECT_EQ(b.Run(Us(10), 0).reason, TaskFiber::StopReason::kBudget);
+  EXPECT_EQ(a.Run(Us(10), 0).reason, TaskFiber::StopReason::kExited);
+  EXPECT_EQ(b.Run(Us(10), 0).reason, TaskFiber::StopReason::kExited);
+  EXPECT_EQ(a_got, "a");
+  EXPECT_EQ(b_got, "b");
+}
+
+TEST(TaskFiberUnit, UncaughtExceptionCountStaysWithTheFiber) {
+  // A fiber that parks mid-unwind (exit paths do: a destructor's syscall can
+  // run out of budget) keeps its in-flight exception to itself; the syscall
+  // path and the dying-fiber check both branch on std::uncaught_exceptions().
+  struct ParkOnDestroy {
+    int* seen;
+    ~ParkOnDestroy() {
+      TaskFiber::Current()->YieldToMachine();
+      *seen = std::uncaught_exceptions();
+    }
+  };
+  int in_fiber = -1;
+  TaskFiber fiber([&] {
+    try {
+      ParkOnDestroy p{&in_fiber};
+      throw std::runtime_error("unwinding");
+    } catch (const std::runtime_error&) {
+    }
+  });
+  EXPECT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kBudget);
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+  EXPECT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kExited);
+  EXPECT_EQ(in_fiber, 1);
+}
+
+TEST(TaskFiberUnit, DeletingAParkedFiberFromAnotherFiberReturnsThere) {
+  // A fiber switches back to whoever resumed it. For the inner fiber that is
+  // the outer one both times: when it parks, and when its destructor (run by
+  // the outer fiber) force-unwinds it.
+  bool inner_unwound = false;
+  bool back_in_outer = false;
+  TaskFiber outer([&] {
+    TaskFiber* self = TaskFiber::Current();
+    {
+      TaskFiber inner([&] {
+        try {
+          TaskFiber::Current()->Burn(Ms(1));
+        } catch (const TaskKilledUnwind&) {
+          inner_unwound = true;
+        }
+      });
+      EXPECT_EQ(inner.Run(Us(10), 0).reason, TaskFiber::StopReason::kBudget);
+    }  // ~TaskFiber force-unwinds the parked inner fiber
+    back_in_outer = TaskFiber::Current() == self;
+    self->Burn(Us(5));
+  });
+  TaskFiber::RunResult rr = outer.Run(Us(100), 0);
+  EXPECT_EQ(rr.reason, TaskFiber::StopReason::kExited);
+  EXPECT_EQ(rr.consumed, Us(5));
+  EXPECT_TRUE(inner_unwound);
+  EXPECT_TRUE(back_in_outer);
 }
 
 }  // namespace

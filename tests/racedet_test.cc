@@ -49,9 +49,11 @@ class RacedetTest : public ::testing::Test {
     Lockdep::Instance().Reset();
   }
 
-  // Context identity is the host thread (thread_local ctx id), so a second
-  // context is simply a second thread. The lambda runs to completion before
-  // this returns — accesses stay serialized, like the simulator's token.
+  // Context identity is the ExecContext, and a host thread gets its own the
+  // first time it runs kernel code, so a second thread is a second context,
+  // as a second task fiber would be. The lambda runs to completion before
+  // this returns, so accesses stay serialized as on the simulator's one host
+  // thread.
   static void InOtherCtx(const std::function<void()>& fn) {
     std::thread t(fn);
     t.join();

@@ -2,6 +2,10 @@
 // Prototype-5 system (and earlier stages for the ENOSYS gating).
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
+#include <thread>
+
 #include "src/base/status.h"
 #include "src/ulib/umalloc.h"
 #include "src/ulib/ustdio.h"
@@ -190,6 +194,73 @@ TEST_F(Proto5Test, ReapedSleepersTimerWakesNoOtherTask) {
     return uwait(env, &status) == b && status == 0 ? 0 : 2;
   });
   EXPECT_EQ(rc, 0);
+}
+
+// Host threads in this process: /proc/self/task has one entry per thread.
+std::size_t HostThreadCount() {
+  std::size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator("/proc/self/task")) {
+    n += entry.is_directory() ? 1 : 0;
+  }
+  return n;
+}
+
+TEST_F(Proto5Test, TasksAreFibersOnTheCallersHostThread) {
+  // kvserver with two clients plus a fork/exec/wait: every task runs on this
+  // test's host thread, and none of them starts another.
+  const std::size_t threads_before = HostThreadCount();
+  const std::thread::id host = std::this_thread::get_id();
+  int off_host = 0;
+  auto note_thread = [&] { off_host += std::this_thread::get_id() != host ? 1 : 0; };
+  Kernel* k = &sys_.kernel();
+  Task* server = sys_.Start("kvserver", {"8081", "2", "4"});
+  ASSERT_NE(server, nullptr);
+  std::size_t threads_during = 0;
+  int rc = RunInOs(sys_, "onehost", [&, k](AppEnv& env) -> int {
+    note_thread();
+    std::uint32_t ip = k->config().net_ip;
+    for (int c = 0; c < 2; ++c) {
+      ufork(env, [&, k, ip, c]() -> int {
+        note_thread();
+        AppEnv me = ChildEnv(k);
+        for (int r = 0; r < 2; ++r) {
+          std::int64_t fd = usocket(me, 0);
+          if (fd < 0 || uconnect(me, static_cast<int>(fd), ip, 8081) < 0) {
+            return 1;
+          }
+          std::string req = "PUT /k" + std::to_string(c) + " v\r\n";
+          if (usend_all(me, static_cast<int>(fd), req.data(),
+                        static_cast<std::uint32_t>(req.size())) !=
+              static_cast<std::int64_t>(req.size())) {
+            return 2;
+          }
+          char buf[128];
+          std::int64_t n = 0;
+          while ((n = urecv(me, static_cast<int>(fd), buf, sizeof(buf))) > 0 || n == kErrIntr) {
+          }
+          uclose(me, static_cast<int>(fd));
+        }
+        return 0;
+      });
+    }
+    ufork(env, [&, k]() -> int {
+      note_thread();
+      AppEnv me = ChildEnv(k);
+      return static_cast<int>(uexec(me, "/bin/hello", {"hello"}));
+    });
+    threads_during = HostThreadCount();  // 3 children and 2 workers are alive
+    int failed = 0;
+    for (int i = 0; i < 3; ++i) {
+      int status = -1;
+      failed += uwait(env, &status) < 0 || status != 0 ? 1 : 0;
+    }
+    return failed;
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(sys_.WaitProgram(server), 0);
+  EXPECT_EQ(off_host, 0);
+  EXPECT_EQ(threads_during, threads_before);
+  EXPECT_EQ(HostThreadCount(), threads_before);
 }
 
 TEST_F(Proto5Test, CloneSharesAddressSpace) {

@@ -28,10 +28,16 @@ Rules, all mechanical (marker language lives in lint_markers.py):
 4. The allowlist itself must stay alphabetically sorted (checked here), so
    additions stay one-line diffs.
 
+5. No `thread_local` in src/kernel/ except the one ExecContext pointer in
+   exec_context.{h,cc}. Tasks are fibers sharing one host thread, so a
+   thread_local there would be shared by every task: per-context state
+   belongs in ExecContext, which each switch swaps.
+
 Exit status 0 = clean, 1 = findings (printed one per line, grep-style).
 """
 
 import pathlib
+import re
 import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
@@ -46,11 +52,29 @@ NAKED_OK_FILES = {
     "src/kernel/spinlock.h",
 }
 
+# Rule 5: the ExecContext definition, the one place kernel code may declare
+# host-thread storage, and the only thing it may declare there.
+EXEC_CONTEXT_FILES = {
+    "src/kernel/exec_context.cc",
+    "src/kernel/exec_context.h",
+}
+THREAD_LOCAL = re.compile(r"\bthread_local\b")
+EXEC_CONTEXT_PTR = re.compile(r"\bconstinit\s+thread_local\s+ExecContext\s*\*\s*tls_exec_context\b")
+
 
 def lint_file(path: pathlib.Path) -> list[str]:
     findings = []
     rel = path.relative_to(m.REPO)
+    in_kernel = rel.parts[:2] == ("src", "kernel")
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        code = m.strip_comment(line)
+        if in_kernel and THREAD_LOCAL.search(code):
+            if str(rel) not in EXEC_CONTEXT_FILES or not EXEC_CONTEXT_PTR.search(code):
+                findings.append(
+                    f"{rel}:{lineno}: thread_local in the kernel — tasks share one "
+                    f"host thread, so per-context state goes in ExecContext "
+                    f"(src/kernel/exec_context.h)"
+                )
         if m.NAKED_CALL.search(line):
             if not m.NAKED_OK.search(line):
                 findings.append(
