@@ -848,7 +848,13 @@ std::uint32_t FatVolume::FreeClusters(Cycles* burn) {
 
 std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
                                           std::uint32_t sectors_per_cluster) {
-  std::uint64_t total_sectors = total_bytes / kBlockSize;
+  std::vector<std::uint8_t> img(total_bytes / kBlockSize * kBlockSize);
+  Mkfs(img, sectors_per_cluster);
+  return img;
+}
+
+void FatVolume::Mkfs(std::span<std::uint8_t> image, std::uint32_t sectors_per_cluster) {
+  std::uint64_t total_sectors = image.size() / kBlockSize;
   std::uint32_t reserved = 32;
   std::uint32_t nfats = 2;
   // Iterate to a consistent FAT size: each FAT sector covers 128 clusters.
@@ -862,8 +868,12 @@ std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
     }
     fat_sectors = need;
   }
-  std::vector<std::uint8_t> img(total_sectors * kBlockSize, 0);
-  std::uint8_t* bpb = img.data();
+  // Reserved sectors, both FATs and the root directory's cluster.
+  std::uint64_t layout_sectors =
+      reserved + std::uint64_t(nfats) * fat_sectors + sectors_per_cluster;
+  VOS_CHECK_MSG(layout_sectors <= total_sectors, "mkfs: FAT volume too small");
+  std::memset(image.data(), 0, layout_sectors * kBlockSize);
+  std::uint8_t* bpb = image.data();
   bpb[0] = 0xeb;
   bpb[1] = 0x58;
   bpb[2] = 0x90;
@@ -881,7 +891,7 @@ std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
   bpb[510] = 0x55;
   bpb[511] = 0xaa;
   // FSInfo.
-  std::uint8_t* fsi = img.data() + kBlockSize;
+  std::uint8_t* fsi = image.data() + kBlockSize;
   Wr32(fsi, 0x41615252);
   Wr32(fsi + 484, 0x61417272);
   Wr32(fsi + 488, 0xffffffff);  // free count unknown
@@ -890,13 +900,12 @@ std::vector<std::uint8_t> FatVolume::Mkfs(std::uint64_t total_bytes,
   fsi[511] = 0xaa;
   // FATs: entries 0,1 reserved; root cluster 2 = EOC.
   for (std::uint32_t fat = 0; fat < nfats; ++fat) {
-    std::uint8_t* f = img.data() + (std::size_t(reserved) + std::size_t(fat) * fat_sectors) *
+    std::uint8_t* f = image.data() + (std::size_t(reserved) + std::size_t(fat) * fat_sectors) *
                       kBlockSize;
     Wr32(f, 0x0ffffff8);
     Wr32(f + 4, 0x0fffffff);
     Wr32(f + 8, 0x0fffffff);  // root dir chain: single cluster
   }
-  return img;
 }
 
 }  // namespace vos

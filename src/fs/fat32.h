@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,8 +80,12 @@ class FatVolume {
   Bcache& bcache() { return bc_; }
   int dev() const { return dev_; }
 
-  // Formats a FAT32 volume image of `total_bytes` (must fit >= 65525 clusters
+  // Formats `image` as a FAT32 volume in place (must fit >= 65525 clusters
   // per spec; we relax this for small test volumes but keep the layout).
+  // Writes every byte of the layout, zeros included, so `image` may hold
+  // anything beforehand; data clusters are zeroed when allocated.
+  static void Mkfs(std::span<std::uint8_t> image, std::uint32_t sectors_per_cluster = 8);
+  // Same, into a fresh image of `total_bytes`.
   static std::vector<std::uint8_t> Mkfs(std::uint64_t total_bytes,
                                         std::uint32_t sectors_per_cluster = 8);
 

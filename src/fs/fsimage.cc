@@ -5,6 +5,7 @@
 #include "src/apps/app_registry.h"
 #include "src/base/assert.h"
 #include "src/fs/bcache.h"
+#include "src/fs/block_dev.h"
 #include "src/fs/fat32.h"
 #include "src/fs/xv6fs.h"
 #include "src/kernel/velf.h"
@@ -12,6 +13,32 @@
 namespace vos {
 
 namespace {
+
+// The image tools' disk: image bytes wherever they live (a vector, the SD
+// card, the USB stick), read and written in place. It is not the card, so
+// building an image moves none of the card's statistics.
+class ImageDisk : public BlockDevice {
+ public:
+  explicit ImageDisk(std::span<std::uint8_t> bytes) : bytes_(bytes) {}
+
+  std::uint64_t block_count() const override { return bytes_.size() / kBlockSize; }
+  BlockResult Read(std::uint64_t lba, std::uint32_t count, std::uint8_t* out) override {
+    std::memcpy(out, Block(lba, count), std::size_t(count) * kBlockSize);
+    return {};
+  }
+  BlockResult Write(std::uint64_t lba, std::uint32_t count, const std::uint8_t* in) override {
+    std::memcpy(Block(lba, count), in, std::size_t(count) * kBlockSize);
+    return {};
+  }
+
+ private:
+  std::uint8_t* Block(std::uint64_t lba, std::uint32_t count) {
+    VOS_CHECK_MSG(lba + count <= block_count(), "mkfs: image access out of range");
+    return bytes_.data() + lba * kBlockSize;
+  }
+
+  std::span<std::uint8_t> bytes_;
+};
 
 // Creates every parent directory of `path` on the xv6 volume.
 void Xv6MkdirParents(Xv6Fs& fs, const std::string& path, Cycles* burn) {
@@ -44,7 +71,7 @@ void FatMkdirParents(FatVolume& fat, const std::string& path, Cycles* burn) {
 std::vector<std::uint8_t> BuildRootImage(const FsSpec& extra, std::uint32_t fsblocks,
                                          std::uint32_t ninodes) {
   std::vector<std::uint8_t> image = Xv6Fs::Mkfs(fsblocks, ninodes);
-  RamDisk disk(image);
+  ImageDisk disk(image);
   KernelConfig cfg;  // cost model irrelevant at build time
   Bcache bc(cfg);
   int dev = bc.AddDevice(&disk);
@@ -83,12 +110,12 @@ std::vector<std::uint8_t> BuildRootImage(const FsSpec& extra, std::uint32_t fsbl
     VOS_CHECK_MSG(w == static_cast<std::int64_t>(e.data.size()), "mkfs: file write failed");
   }
   bc.FlushAll();  // write-back cache: push dirty blocks into the image
-  return disk.data();
+  return image;
 }
 
-std::vector<std::uint8_t> BuildFatImage(std::uint64_t bytes, const FsSpec& spec) {
-  std::vector<std::uint8_t> image = FatVolume::Mkfs(bytes);
-  RamDisk disk(image);
+void FormatFatVolume(std::span<std::uint8_t> volume, const FsSpec& spec) {
+  FatVolume::Mkfs(volume);
+  ImageDisk disk(volume);
   KernelConfig cfg;
   Bcache bc(cfg);
   int dev = bc.AddDevice(&disk);
@@ -110,12 +137,17 @@ std::vector<std::uint8_t> BuildFatImage(std::uint64_t bytes, const FsSpec& spec)
         fat.Write(node, e.data.data(), 0, static_cast<std::uint32_t>(e.data.size()), &burn);
     VOS_CHECK_MSG(w == static_cast<std::int64_t>(e.data.size()), "mkfs: FAT write failed");
   }
-  bc.FlushAll();  // write-back cache: push dirty blocks into the image
-  return disk.data();
+  bc.FlushAll();  // write-back cache: push dirty blocks into the volume
+}
+
+std::vector<std::uint8_t> BuildFatImage(std::uint64_t bytes, const FsSpec& spec) {
+  std::vector<std::uint8_t> image(bytes / kBlockSize * kBlockSize);
+  FormatFatVolume(image, spec);
+  return image;
 }
 
 void ProvisionSdCard(SdCard& sd, const FsSpec& fat_files) {
-  std::vector<std::uint8_t>& disk = sd.disk();
+  std::span<std::uint8_t> disk = sd.disk();
   VOS_CHECK_MSG(disk.size() >= MiB(8), "SD card too small to partition");
 
   constexpr std::uint64_t kPart1First = 64;      // kernel image region
@@ -139,8 +171,8 @@ void ProvisionSdCard(SdCard& sd, const FsSpec& fat_files) {
   mbr[510] = 0x55;
   mbr[511] = 0xaa;
 
-  std::vector<std::uint8_t> fat = BuildFatImage(part2_count * kSdBlockSize, fat_files);
-  std::memcpy(disk.data() + part2_first * kSdBlockSize, fat.data(), fat.size());
+  FormatFatVolume(disk.subspan(part2_first * kSdBlockSize, part2_count * kSdBlockSize),
+                  fat_files);
 }
 
 }  // namespace vos

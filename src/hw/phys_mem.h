@@ -1,14 +1,16 @@
 // Simulated DRAM. The kernel's physical page allocator hands out frames from
 // here; user heaps, ramdisk images, DMA buffers and page tables all live in
-// this array, addressed by physical address.
+// this array, addressed by physical address. It is demand-zero host memory:
+// it reads as zero, like an emulator's DRAM, until the board scrambles it or
+// the machine writes it, and only written pages cost the host anything.
 #ifndef VOS_SRC_HW_PHYS_MEM_H_
 #define VOS_SRC_HW_PHYS_MEM_H_
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
 
 #include "src/base/assert.h"
+#include "src/base/demand_zero_buffer.h"
 #include "src/base/units.h"
 
 namespace vos {
@@ -17,7 +19,7 @@ using PhysAddr = std::uint64_t;
 
 class PhysMem {
  public:
-  explicit PhysMem(std::uint64_t size) : mem_(size, 0) {}
+  explicit PhysMem(std::uint64_t size) : mem_(size) {}
 
   std::uint64_t size() const { return mem_.size(); }
 
@@ -60,7 +62,7 @@ class PhysMem {
   void Scramble(std::uint64_t seed);
 
  private:
-  std::vector<std::uint8_t> mem_;
+  DemandZeroBuffer mem_;
 };
 
 }  // namespace vos

@@ -7,7 +7,7 @@
 namespace vos {
 
 SdCard::SdCard(std::uint64_t capacity_bytes, SdTimings timings)
-    : t_(timings), disk_(capacity_bytes, 0) {
+    : t_(timings), disk_(capacity_bytes) {
   VOS_CHECK_MSG(capacity_bytes % kSdBlockSize == 0, "SD capacity must be block aligned");
 }
 

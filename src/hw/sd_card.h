@@ -13,8 +13,9 @@
 #define VOS_SRC_HW_SD_CARD_H_
 
 #include <cstdint>
-#include <vector>
+#include <span>
 
+#include "src/base/demand_zero_buffer.h"
 #include "src/base/units.h"
 
 namespace vos {
@@ -55,9 +56,11 @@ class SdCard {
 
   std::uint64_t capacity_blocks() const { return disk_.size() / kSdBlockSize; }
 
-  // Host-side image access (formatting, asset provisioning).
-  std::vector<std::uint8_t>& disk() { return disk_; }
-  const std::vector<std::uint8_t>& disk() const { return disk_; }
+  // Host-side image access (formatting, asset provisioning). The card's
+  // bytes are demand-zero host memory: blocks nothing has written read as
+  // zero and cost the host nothing.
+  std::span<std::uint8_t> disk() { return {disk_.data(), disk_.size()}; }
+  std::span<const std::uint8_t> disk() const { return {disk_.data(), disk_.size()}; }
 
   // Stats for benches and the power model.
   std::uint64_t blocks_read() const { return blocks_read_; }
@@ -72,7 +75,7 @@ class SdCard {
   State state_ = State::kIdle;
   int acmd41_polls_ = 0;
   std::uint16_t rca_ = 0;
-  std::vector<std::uint8_t> disk_;
+  DemandZeroBuffer disk_;
   std::uint64_t blocks_read_ = 0;
   std::uint64_t blocks_written_ = 0;
   std::uint64_t commands_ = 0;

@@ -7,7 +7,7 @@
 
 namespace vos {
 
-UsbMassStorage::UsbMassStorage(std::uint64_t capacity_bytes) : disk_(capacity_bytes, 0) {
+UsbMassStorage::UsbMassStorage(std::uint64_t capacity_bytes) : disk_(capacity_bytes) {
   VOS_CHECK_MSG(capacity_bytes % 512 == 0, "MSC capacity must be 512-byte aligned");
 }
 

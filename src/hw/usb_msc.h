@@ -8,8 +8,10 @@
 #define VOS_SRC_HW_USB_MSC_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "src/base/demand_zero_buffer.h"
 #include "src/base/units.h"
 
 namespace vos {
@@ -57,12 +59,13 @@ class UsbMassStorage {
   // the CSW; `duration` receives the bus+media time of the transaction.
   Csw Transaction(const Cbw& cbw, std::vector<std::uint8_t>& data, Cycles* duration);
 
-  std::vector<std::uint8_t>& disk() { return disk_; }
+  // The stick's bytes, demand-zero host memory like the SD card's.
+  std::span<std::uint8_t> disk() { return {disk_.data(), disk_.size()}; }
   std::uint64_t capacity_blocks() const { return disk_.size() / 512; }
   std::uint64_t transactions() const { return transactions_; }
 
  private:
-  std::vector<std::uint8_t> disk_;
+  DemandZeroBuffer disk_;
   std::uint64_t transactions_ = 0;
 };
 

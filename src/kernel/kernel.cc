@@ -270,7 +270,7 @@ Kernel::BootReport Kernel::Boot() {
   };
   if (cfg_.HasFiles()) {
     VOS_CHECK_MSG(!ramdisk_image_.empty(), "proto4+ boot requires a ramdisk image");
-    ramdisk_ = std::make_unique<RamDisk>(ramdisk_image_);
+    ramdisk_ = std::make_unique<RamDisk>(std::move(ramdisk_image_));
     bcache_ = std::make_unique<Bcache>(cfg_);
     bcache_->SetNowFn([this] { return Now(); });
     bcache_->SetTraceHook(TaskTraceHook());

@@ -7,6 +7,9 @@
 
 #include "src/base/assert.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
 #if defined(__SANITIZE_THREAD__)
 #include <sanitizer/tsan_interface.h>
 #endif
@@ -53,6 +56,12 @@ TaskFiber::~TaskFiber() {
   }
 #if defined(__SANITIZE_THREAD__)
   __tsan_destroy_fiber(ctx_.tsan_fiber);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  // The frames still on this stack left redzones in ASan's shadow, and
+  // munmap does not clear them: memory the host maps here next would read
+  // as a stack underflow.
+  __asan_unpoison_memory_region(stack_, GuardBytes() + kStackBytes);
 #endif
   munmap(stack_, GuardBytes() + kStackBytes);
 }

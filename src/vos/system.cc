@@ -1,7 +1,5 @@
 #include "src/vos/system.h"
 
-#include <cstring>
-
 #include "src/apps/mario.h"
 #include "src/base/assert.h"
 #include "src/base/status.h"
@@ -110,9 +108,7 @@ System::System(SystemOptions opt) : opt_(std::move(opt)) {
   if (opt_.usb_storage) {
     // Superfloppy format: the FAT volume starts at LBA 0, as thumb drives
     // commonly ship.
-    std::vector<std::uint8_t> img =
-        BuildFatImage(opt_.usb_storage_capacity, opt_.usb_stick);
-    std::memcpy(board_->usb_storage()->disk().data(), img.data(), img.size());
+    FormatFatVolume(board_->usb_storage()->disk(), opt_.usb_stick);
   }
   if (kc.HasSd()) {
     FsSpec fat = opt_.extra_fat;

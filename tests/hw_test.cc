@@ -1,9 +1,28 @@
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <span>
+
+#include "src/base/random.h"
 #include "src/hw/board.h"
+#include "src/vos/prototypes.h"
+#include "src/vos/system.h"
 
 namespace vos {
 namespace {
+
+// Host pages under `bytes` that are backed by memory, counted with mincore(2).
+std::size_t ResidentPages(std::span<std::uint8_t> bytes) {
+  const auto page = static_cast<std::uintptr_t>(sysconf(_SC_PAGESIZE));
+  const std::uintptr_t first = reinterpret_cast<std::uintptr_t>(bytes.data()) & ~(page - 1);
+  const std::uintptr_t end = reinterpret_cast<std::uintptr_t>(bytes.data() + bytes.size());
+  std::vector<unsigned char> vec((end - first + page - 1) / page);
+  EXPECT_EQ(mincore(reinterpret_cast<void*>(first), end - first, vec.data()), 0);
+  return static_cast<std::size_t>(
+      std::count_if(vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; }));
+}
 
 TEST(EventQueue, RunsInTimeThenSeqOrder) {
   EventQueue eq;
@@ -71,7 +90,8 @@ TEST(Intc, FiqRoundRobin) {
 }
 
 TEST(PhysMem, ScrambleLeavesJunk) {
-  PhysMem mem(MiB(1));
+  constexpr std::uint64_t kTail = 3;  // bytes past the last full word
+  PhysMem mem(MiB(1) + kTail);
   mem.Scramble(1234);
   // Real hardware: not all zeros.
   std::uint64_t nonzero = 0;
@@ -79,6 +99,22 @@ TEST(PhysMem, ScrambleLeavesJunk) {
     nonzero += mem.Ptr(i, 1)[0] != 0;
   }
   EXPECT_GT(nonzero, 3000u);
+  // The junk is pinned: every full word is the seed's next number, in order,
+  // and the tail is never written.
+  Rng rng(1234);
+  std::uint64_t mismatched = 0;
+  for (PhysAddr pa = 0; pa + 8 <= mem.size(); pa += 8) {
+    mismatched += mem.Load<std::uint64_t>(pa) != rng.Next();
+  }
+  EXPECT_EQ(mismatched, 0u);
+  for (PhysAddr pa = MiB(1); pa < mem.size(); ++pa) {
+    EXPECT_EQ(mem.Load<std::uint8_t>(pa), 0u);
+  }
+
+  // Unscrambled DRAM (the emulator) reads zero throughout.
+  PhysMem zeroed(MiB(1) + kTail);
+  const std::uint8_t* z = zeroed.Ptr(0, zeroed.size());
+  EXPECT_TRUE(std::all_of(z, z + zeroed.size(), [](std::uint8_t b) { return b == 0; }));
 }
 
 TEST(PhysMem, TypedAccess) {
@@ -246,6 +282,20 @@ TEST(SdCard, RangeTransfersAmortizeCommandOverhead) {
   // DMA mode (production profile) is faster still.
   Cycles dma = sd.ReadBlocks(0, 64, buf.data(), true);
   EXPECT_LT(dma, ranged);
+}
+
+// Storage nothing has written costs the host no memory: provisioning and
+// boot fault in only the card pages they write (or read).
+TEST(SdCard, UnwrittenStorageStaysUnbacked) {
+  SdCard fresh(MiB(32));
+  EXPECT_EQ(ResidentPages(fresh.disk()), 0u);
+
+  System sys(OptionsForStage(Stage::kProto5));
+  std::span<std::uint8_t> card = sys.board().sd().disk();
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  // Relative, so a host that backs every touched region with a huge page
+  // (transparent huge pages "always") passes too.
+  EXPECT_LT(ResidentPages(card), card.size() / page / 2);
 }
 
 TEST(SdCard, DataIntegrity) {

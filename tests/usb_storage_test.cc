@@ -3,6 +3,8 @@
 // future work (§4.4).
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/hw/usb_msc.h"
 #include "src/kernel/drivers.h"
 #include "src/kernel/velf.h"
@@ -96,6 +98,11 @@ TEST(UsbStorageE2E, ThumbDriveMountsAtSlashU) {
   opt.usb_stick.files.push_back(
       FsEntry{"/notes/readme.txt", std::vector<std::uint8_t>(note.begin(), note.end())});
   System sys(opt);
+  // Formatted in place at construction, the stick holds byte for byte the
+  // volume BuildFatImage makes on its own.
+  std::span<std::uint8_t> fresh = sys.board().usb_storage()->disk();
+  EXPECT_TRUE(std::vector<std::uint8_t>(fresh.begin(), fresh.end()) ==
+              BuildFatImage(opt.usb_storage_capacity, opt.usb_stick));
 
   static int counter = 0;
   std::string name = "usbprobe" + std::to_string(counter++);
@@ -138,7 +145,7 @@ TEST(UsbStorageE2E, ThumbDriveMountsAtSlashU) {
   // Host side: the write is really on the stick (readable by "another PC").
   UsbMassStorage* stick = sys.board().usb_storage();
   ASSERT_NE(stick, nullptr);
-  RamDisk image(stick->disk());
+  RamDisk image(std::vector<std::uint8_t>(stick->disk().begin(), stick->disk().end()));
   KernelConfig cfg;
   Bcache bc(cfg);
   FatVolume fat(bc, bc.AddDevice(&image), cfg);

@@ -246,7 +246,13 @@ TEST(FsImage, RootImageContainsAllApps) {
 TEST(FsImage, SdProvisioningPartitionsAndFat) {
   SdCard sd(MiB(16));
   FsSpec spec;
+  spec.dirs.push_back("/media/clips");
   spec.files.push_back(FsEntry{"/hello.txt", {'h', 'i'}});
+  std::vector<std::uint8_t> big(5 * 4096 + 100);  // spans six 4 KiB clusters
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  spec.files.push_back(FsEntry{"/media/clips/big.bin", big});
   ProvisionSdCard(sd, spec);
   // MBR magic present and partition 2 sane.
   EXPECT_EQ(sd.disk()[510], 0x55);
@@ -257,6 +263,9 @@ TEST(FsImage, SdProvisioningPartitionsAndFat) {
   std::uint32_t count = std::uint32_t(e[12]) | (e[13] << 8) | (e[14] << 16) | (e[15] << 24);
   std::vector<std::uint8_t> part(sd.disk().begin() + first * 512,
                                  sd.disk().begin() + (first + count) * 512);
+  // Formatted in place on the card, the partition is byte for byte the
+  // volume BuildFatImage makes on its own.
+  EXPECT_TRUE(part == BuildFatImage(part.size(), spec));
   RamDisk disk(part);
   KernelConfig cfg;
   Bcache bc(cfg);
@@ -266,6 +275,11 @@ TEST(FsImage, SdProvisioningPartitionsAndFat) {
   auto node = fat.Lookup("/hello.txt", &burn);
   ASSERT_TRUE(node.has_value());
   EXPECT_EQ(node->size, 2u);
+  node = fat.Lookup("/media/clips/big.bin", &burn);
+  ASSERT_TRUE(node.has_value());
+  std::vector<std::uint8_t> back(node->size);
+  fat.Read(*node, back.data(), 0, node->size, &burn);
+  EXPECT_TRUE(back == big);
 }
 
 // Property: every spelling of the same path — "." segments, "seg/../seg"
