@@ -539,6 +539,7 @@ const BlockDevStats& Bcache::stats(int dev) {
   st.io_retries = q.io_retries();
   st.io_errors = q.io_errors();
   st.io_timeouts = q.io_timeouts();
+  st.dirty = DirtyCount(dev);  // racedet: ok (BlockDevStats::dirty, not Buf::dirty)
   return st;
 }
 

@@ -53,23 +53,6 @@ struct Buf {
   std::array<std::uint8_t, kBlockSize> data{};
 };
 
-// Per-device counters surfaced through /proc/blkstat.
-struct BlockDevStats {
-  std::string name;
-  std::uint64_t reads = 0;           // device read requests serviced
-  std::uint64_t writes = 0;          // device write requests serviced
-  std::uint64_t blocks_read = 0;     // blocks moved device -> host
-  std::uint64_t blocks_written = 0;  // blocks moved host -> device
-  std::uint64_t hits = 0;            // cache hits
-  std::uint64_t misses = 0;          // cache misses
-  std::uint64_t writebacks = 0;      // dirty buffers flushed to the device
-  std::uint64_t merged = 0;          // requests absorbed into a neighbor burst
-  std::uint32_t queue_depth_hw = 0;  // request queue high-water mark
-  std::uint64_t io_retries = 0;      // retried device commands
-  std::uint64_t io_errors = 0;       // requests failed after retries
-  std::uint64_t io_timeouts = 0;     // subset of io_errors: budget exhausted
-};
-
 class Bcache {
  public:
   explicit Bcache(const KernelConfig& cfg) : cfg_(cfg) {}
@@ -154,8 +137,8 @@ class Bcache {
 
   std::uint64_t hits() const;    // aggregate over devices
   std::uint64_t misses() const;  // aggregate over devices
-  // Snapshot of a device's counters (merged/queue depth pulled from its
-  // request queue at call time).
+  // Snapshot of a device's counters (merged, queue depth and io_* pulled
+  // from its request queue, dirty counted, at call time).
   const BlockDevStats& stats(int dev);
 
  private:

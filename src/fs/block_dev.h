@@ -12,11 +12,15 @@
 // burst before the device is touched. On the SD card, where per-command
 // overhead dominates single-block transfers, merging is where write-back
 // batching pays off.
+//
+// VOS_BLOCK_DEV_STATS lists the per-device counters the buffer cache and
+// request queue keep (Bcache::stats) and /proc/blkstat shows.
 #ifndef VOS_SRC_FS_BLOCK_DEV_H_
 #define VOS_SRC_FS_BLOCK_DEV_H_
 
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "src/base/units.h"
@@ -179,6 +183,33 @@ class BlockRequestQueue {
   std::uint64_t errors_ = 0;
   std::uint64_t timeouts_ = 0;
   CompletionHook on_complete_;
+};
+
+// Every per-device block counter, once: X(field, /proc/blkstat column). The
+// BlockDevStats fields, the block.<dev>.<field> gauges, /proc/blkstat's
+// header and rows, and ParseBlkStat are all expanded from this list, so a
+// counter added here shows up in each of them.
+#define VOS_BLOCK_DEV_STATS(X)                                                                     \
+  X(reads, "READS")           /* device read requests serviced */                                  \
+  X(writes, "WRITES")         /* device write requests serviced */                                 \
+  X(blocks_read, "BLK_RD")    /* blocks moved device -> host */                                    \
+  X(blocks_written, "BLK_WR") /* blocks moved host -> device */                                    \
+  X(hits, "HITS")             /* cache hits */                                                     \
+  X(misses, "MISSES")         /* cache misses */                                                   \
+  X(writebacks, "WBACKS")     /* dirty buffers flushed to the device */                            \
+  X(merged, "MERGED")         /* requests absorbed into a neighbor burst */                        \
+  X(queue_depth_hw, "QHW")    /* request queue high-water mark */                                  \
+  X(dirty, "DIRTY")           /* buffers awaiting write-back now (Bcache::DirtyCount) */           \
+  X(io_retries, "RETRIES")    /* retried device commands */                                        \
+  X(io_errors, "ERRS")        /* requests failed after retries */                                  \
+  X(io_timeouts, "TMOUTS")    /* subset of io_errors: budget exhausted */
+
+// One device's VOS_BLOCK_DEV_STATS counters, under its /proc/blkstat name.
+struct BlockDevStats {
+  std::string name;
+#define VOS_BLOCK_DEV_STAT_FIELD(field, column) std::uint64_t field = 0;
+  VOS_BLOCK_DEV_STATS(VOS_BLOCK_DEV_STAT_FIELD)
+#undef VOS_BLOCK_DEV_STAT_FIELD
 };
 
 }  // namespace vos

@@ -43,15 +43,19 @@ std::string FormatTasks(const std::vector<ProcTaskLine>& tasks) {
   return os.str();
 }
 
-std::string FormatBlkStat(const std::vector<ProcBlkLine>& devs) {
+std::string FormatBlkStat(const std::vector<BlockDevStats>& devs) {
   std::ostringstream os;
-  os << "DEV\tREADS\tWRITES\tBLK_RD\tBLK_WR\tHITS\tMISSES\tWBACKS\tMERGED\tQHW\tDIRTY"
-        "\tRETRIES\tERRS\tTMOUTS\n";
-  for (const ProcBlkLine& d : devs) {
-    os << d.name << "\t" << d.reads << "\t" << d.writes << "\t" << d.blocks_read << "\t"
-       << d.blocks_written << "\t" << d.hits << "\t" << d.misses << "\t" << d.writebacks << "\t"
-       << d.merged << "\t" << d.queue_depth_hw << "\t" << d.dirty << "\t" << d.io_retries << "\t"
-       << d.io_errors << "\t" << d.io_timeouts << "\n";
+  os << "DEV";
+#define VOS_BLKSTAT_HEADER(field, column) os << "\t" column;
+  VOS_BLOCK_DEV_STATS(VOS_BLKSTAT_HEADER)
+#undef VOS_BLKSTAT_HEADER
+  os << "\n";
+  for (const BlockDevStats& d : devs) {
+    os << d.name;
+#define VOS_BLKSTAT_CELL(field, column) os << "\t" << d.field;
+    VOS_BLOCK_DEV_STATS(VOS_BLKSTAT_CELL)
+#undef VOS_BLKSTAT_CELL
+    os << "\n";
   }
   return os.str();
 }
@@ -64,17 +68,11 @@ std::string FormatMemStat(const ProcMemStat& ms) {
   os << "PmmLargestBlock: " << ms.largest_block_pages << " pages\n";
   std::snprintf(buf, sizeof(buf), "PmmFragmentation: %.1f %%\n", ms.frag_pct);
   os << buf;
-  std::snprintf(buf, sizeof(buf),
-                "PmmOps: alloc %llu free %llu range_alloc %llu range_free %llu "
-                "split %llu merge %llu oom %llu\n",
-                static_cast<unsigned long long>(ms.page_allocs),
-                static_cast<unsigned long long>(ms.page_frees),
-                static_cast<unsigned long long>(ms.range_allocs),
-                static_cast<unsigned long long>(ms.range_frees),
-                static_cast<unsigned long long>(ms.splits),
-                static_cast<unsigned long long>(ms.merges),
-                static_cast<unsigned long long>(ms.oom_events));
-  os << buf;
+  os << "PmmOps:";
+#define VOS_PMM_OPS_CELL(field, label) os << " " label " " << ms.ops.field;
+  VOS_PMM_STATS(VOS_PMM_OPS_CELL)
+#undef VOS_PMM_OPS_CELL
+  os << "\n";
   os << "FreeByOrder:";
   for (std::size_t o = 0; o < ms.free_blocks_by_order.size(); ++o) {
     os << " " << o << ":" << ms.free_blocks_by_order[o];
@@ -84,7 +82,7 @@ std::string FormatMemStat(const ProcMemStat& ms) {
     return os.str();
   }
   os << "SLAB\tPAGES\tSLABS\tOBJS\tLIVE\tUTIL%\tREFILLS\n";
-  for (const ProcMemClassLine& c : ms.classes) {
+  for (const Kmalloc::ClassStats& c : ms.classes) {
     double util = c.total_objs == 0
                       ? 0.0
                       : 100.0 * static_cast<double>(c.live_objs) / static_cast<double>(c.total_objs);
@@ -142,32 +140,20 @@ bool ParseMemFree(const std::string& meminfo, std::uint64_t* total_kb, std::uint
   return got_total && got_free;
 }
 
-bool ParseBlkStat(const std::string& blkstat, std::vector<ProcBlkLine>* out) {
+bool ParseBlkStat(const std::string& blkstat, std::vector<BlockDevStats>* out) {
   out->clear();
   std::istringstream is(blkstat);
   std::string line;
   while (std::getline(is, line)) {
-    char name[64];
-    unsigned long long v[13];
-    if (std::sscanf(line.c_str(),
-                    "%63s %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu %llu", name,
-                    &v[0], &v[1], &v[2], &v[3], &v[4], &v[5], &v[6], &v[7], &v[8], &v[9], &v[10],
-                    &v[11], &v[12]) == 14) {
-      ProcBlkLine d;
-      d.name = name;
-      d.reads = v[0];
-      d.writes = v[1];
-      d.blocks_read = v[2];
-      d.blocks_written = v[3];
-      d.hits = v[4];
-      d.misses = v[5];
-      d.writebacks = v[6];
-      d.merged = v[7];
-      d.queue_depth_hw = v[8];
-      d.dirty = v[9];
-      d.io_retries = v[10];
-      d.io_errors = v[11];
-      d.io_timeouts = v[12];
+    // A row is a name and one number per column; the header's second word
+    // is not a number, so it fails and is skipped.
+    std::istringstream cells(line);
+    BlockDevStats d;
+    cells >> d.name;
+#define VOS_BLKSTAT_PARSE(field, column) cells >> d.field;
+    VOS_BLOCK_DEV_STATS(VOS_BLKSTAT_PARSE)
+#undef VOS_BLKSTAT_PARSE
+    if (cells) {
       out->push_back(std::move(d));
     }
   }

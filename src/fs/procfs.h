@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "src/base/units.h"
+#include "src/fs/block_dev.h"
+#include "src/kernel/kmalloc.h"
 
 namespace vos {
 
@@ -34,37 +36,9 @@ struct ProcTaskLine {
   std::uint64_t blocked_ms = 0;
 };
 
-// One /proc/blkstat row: per-device block-layer counters plus the current
-// dirty buffer count for that device.
-struct ProcBlkLine {
-  std::string name;
-  std::uint64_t reads = 0;
-  std::uint64_t writes = 0;
-  std::uint64_t blocks_read = 0;
-  std::uint64_t blocks_written = 0;
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-  std::uint64_t writebacks = 0;
-  std::uint64_t merged = 0;
-  std::uint64_t queue_depth_hw = 0;
-  std::uint64_t dirty = 0;
-  std::uint64_t io_retries = 0;
-  std::uint64_t io_errors = 0;
-  std::uint64_t io_timeouts = 0;
-};
-
 // /proc/memstat: the memory path end to end — buddy PMM state (free blocks
 // by order, fragmentation, op counters) plus slab kmalloc state (per-class
 // slab utilization, per-core cache hit rates).
-struct ProcMemClassLine {
-  std::uint32_t obj_size = 0;
-  std::uint32_t slab_pages = 0;
-  std::uint64_t slabs = 0;
-  std::uint64_t total_objs = 0;
-  std::uint64_t live_objs = 0;
-  std::uint64_t refills = 0;
-};
-
 struct ProcMemCoreLine {
   unsigned core = 0;
   std::uint64_t hits = 0;
@@ -78,16 +52,10 @@ struct ProcMemStat {
   std::uint64_t free_pages = 0;
   std::uint64_t largest_block_pages = 0;
   double frag_pct = 0;
-  std::uint64_t page_allocs = 0;
-  std::uint64_t page_frees = 0;
-  std::uint64_t range_allocs = 0;
-  std::uint64_t range_frees = 0;
-  std::uint64_t splits = 0;
-  std::uint64_t merges = 0;
-  std::uint64_t oom_events = 0;
+  Pmm::Stats ops;  // the PmmOps line
   std::vector<std::uint64_t> free_blocks_by_order;
   bool has_kmalloc = false;
-  std::vector<ProcMemClassLine> classes;
+  std::vector<Kmalloc::ClassStats> classes;
   std::vector<ProcMemCoreLine> cores;
   std::uint64_t large_live = 0;
   std::uint64_t large_allocs = 0;
@@ -111,7 +79,7 @@ std::string FormatMemInfo(std::uint64_t total_pages, std::uint64_t free_pages,
                           std::uint64_t kernel_reserved_bytes);
 std::string FormatUptime(std::uint64_t uptime_ms);
 std::string FormatTasks(const std::vector<ProcTaskLine>& tasks);
-std::string FormatBlkStat(const std::vector<ProcBlkLine>& devs);
+std::string FormatBlkStat(const std::vector<BlockDevStats>& devs);
 std::string FormatMemStat(const ProcMemStat& ms);
 std::string FormatSchedStat(const std::vector<ProcSchedLine>& cores,
                             const std::vector<ProcTaskLine>& tasks);
@@ -142,7 +110,7 @@ std::int64_t RunProcCommands(const std::string& text,
 // Parsers used by sysmon (the other direction of the same format).
 bool ParseCpuUtilization(const std::string& cpuinfo, std::vector<double>* out);
 bool ParseMemFree(const std::string& meminfo, std::uint64_t* total_kb, std::uint64_t* free_kb);
-bool ParseBlkStat(const std::string& blkstat, std::vector<ProcBlkLine>* out);
+bool ParseBlkStat(const std::string& blkstat, std::vector<BlockDevStats>* out);
 bool ParseSchedStat(const std::string& schedstat, std::vector<ProcSchedLine>* out);
 // The per-task rows of the same file (sysmon's TOP-style table).
 bool ParseSchedTasks(const std::string& schedstat, std::vector<ProcTaskLine>* out);

@@ -43,19 +43,20 @@ std::string Vfs::Resolve(Task* t, const std::string& path) const {
   return out.empty() ? "/" : out;
 }
 
-Vfs::Realm Vfs::RealmOf(const std::string& path, std::string* rest) const {
-  auto has_prefix = [&](const char* p) {
-    std::size_t n = std::strlen(p);
+Vfs::Realm Vfs::RealmOf(const std::string& path, std::string* rest, FatVolume** fat) const {
+  auto has_prefix = [&](const std::string& p) {
+    std::size_t n = p.size();
     return path.size() >= n && path.compare(0, n, p) == 0 &&
            (path.size() == n || path[n] == '/');
   };
-  if (has_prefix("/d") && fat_ != nullptr) {
-    *rest = path.size() > 2 ? path.substr(2) : "/";
-    return Realm::kFat;
-  }
-  if (has_prefix("/u") && usb_fat_ != nullptr) {
-    *rest = path.size() > 2 ? path.substr(2) : "/";
-    return Realm::kUsbFat;
+  for (const FatMount& m : fat_mounts_) {
+    if (has_prefix(m.at)) {
+      *rest = path.size() > m.at.size() ? path.substr(m.at.size()) : "/";
+      if (fat != nullptr) {
+        *fat = m.vol;
+      }
+      return Realm::kFat;
+    }
   }
   if (has_prefix("/dev")) {
     *rest = path.size() > 4 ? path.substr(5) : "";
@@ -73,7 +74,8 @@ std::int64_t Vfs::Open(Task* t, const std::string& upath, std::uint32_t flags, F
                        Cycles* burn) {
   std::string path = Resolve(t, upath);
   std::string rest;
-  Realm realm = RealmOf(path, &rest);
+  FatVolume* vol = nullptr;
+  Realm realm = RealmOf(path, &rest, &vol);
   auto f = std::make_shared<File>();
   f->path = path;
   f->readable = (flags & kOWronly) == 0;
@@ -104,9 +106,7 @@ std::int64_t Vfs::Open(Task* t, const std::string& upath, std::uint32_t flags, F
       f->proc_snapshot = it->second();  // snapshot semantics
       break;
     }
-    case Realm::kFat:
-    case Realm::kUsbFat: {
-      FatVolume* vol = realm == Realm::kFat ? fat_ : usb_fat_;
+    case Realm::kFat: {
       auto node = vol->Lookup(rest, burn);
       if (!node) {
         if (!(flags & kOCreate)) {
@@ -224,8 +224,7 @@ std::int64_t Vfs::Read(Task* t, File& f, std::uint8_t* dst, std::uint32_t n, Cyc
       return r;
     }
     case FileKind::kFat: {
-      FatVolume* vol = f.fat_vol != nullptr ? f.fat_vol : fat_;
-      std::int64_t r = vol->Read(f.fat, dst, static_cast<std::uint32_t>(f.off), n, burn);
+      std::int64_t r = f.fat_vol->Read(f.fat, dst, static_cast<std::uint32_t>(f.off), n, burn);
       if (r > 0) {
         f.off += static_cast<std::uint64_t>(r);
       }
@@ -279,8 +278,7 @@ std::int64_t Vfs::Write(Task* t, File& f, const std::uint8_t* src, std::uint32_t
       if (f.append) {
         f.off = f.fat.size;
       }
-      FatVolume* vol = f.fat_vol != nullptr ? f.fat_vol : fat_;
-      std::int64_t r = vol->Write(f.fat, src, static_cast<std::uint32_t>(f.off), n, burn);
+      std::int64_t r = f.fat_vol->Write(f.fat, src, static_cast<std::uint32_t>(f.off), n, burn);
       if (r > 0) {
         f.off += static_cast<std::uint64_t>(r);
       }
@@ -389,15 +387,14 @@ std::int64_t Vfs::FStat(File& f, Stat* st, Cycles* burn) {
 std::int64_t Vfs::Mkdir(Task* t, const std::string& upath, Cycles* burn) {
   std::string path = Resolve(t, upath);
   std::string rest;
-  switch (RealmOf(path, &rest)) {
+  FatVolume* vol = nullptr;
+  switch (RealmOf(path, &rest, &vol)) {
     case Realm::kRoot: {
       std::int64_t err = 0;
       return root_.Create(rest, kXv6TDir, 0, 0, &err, burn) != nullptr ? 0 : err;
     }
     case Realm::kFat:
-      return fat_->Create(rest, /*is_dir=*/true, nullptr, burn);
-    case Realm::kUsbFat:
-      return usb_fat_->Create(rest, /*is_dir=*/true, nullptr, burn);
+      return vol->Create(rest, /*is_dir=*/true, nullptr, burn);
     default:
       return kErrPerm;
   }
@@ -406,13 +403,12 @@ std::int64_t Vfs::Mkdir(Task* t, const std::string& upath, Cycles* burn) {
 std::int64_t Vfs::Unlink(Task* t, const std::string& upath, Cycles* burn) {
   std::string path = Resolve(t, upath);
   std::string rest;
-  switch (RealmOf(path, &rest)) {
+  FatVolume* vol = nullptr;
+  switch (RealmOf(path, &rest, &vol)) {
     case Realm::kRoot:
       return root_.Unlink(rest, burn);
     case Realm::kFat:
-      return fat_->Unlink(rest, burn);
-    case Realm::kUsbFat:
-      return usb_fat_->Unlink(rest, burn);
+      return vol->Unlink(rest, burn);
     default:
       return kErrPerm;
   }
@@ -444,7 +440,8 @@ std::int64_t Vfs::Mknod(Task* t, const std::string& upath, std::int16_t major, s
 std::int64_t Vfs::Chdir(Task* t, const std::string& upath, Cycles* burn) {
   std::string path = Resolve(t, upath);
   std::string rest;
-  switch (RealmOf(path, &rest)) {
+  FatVolume* vol = nullptr;
+  switch (RealmOf(path, &rest, &vol)) {
     case Realm::kRoot: {
       Xv6InodePtr ip = root_.NameI(rest, burn);
       if (ip == nullptr) {
@@ -455,9 +452,7 @@ std::int64_t Vfs::Chdir(Task* t, const std::string& upath, Cycles* burn) {
       }
       break;
     }
-    case Realm::kFat:
-    case Realm::kUsbFat: {
-      FatVolume* vol = RealmOf(path, &rest) == Realm::kFat ? fat_ : usb_fat_;
+    case Realm::kFat: {
       auto node = vol->Lookup(rest, burn);
       if (!node) {
         return kErrNoEnt;
@@ -506,11 +501,8 @@ std::int64_t Vfs::Fsync(File& f, Cycles* burn) {
       return jerr < 0 ? jerr : ferr;
     }
     case FileKind::kFat:
-      if (f.fat_vol != nullptr) {
-        *burn += f.fat_vol->bcache().FlushDev(f.fat_vol->dev());
-        return f.fat_vol->bcache().TakeError(f.fat_vol->dev());
-      }
-      return 0;
+      *burn += f.fat_vol->bcache().FlushDev(f.fat_vol->dev());
+      return f.fat_vol->bcache().TakeError(f.fat_vol->dev());
     case FileKind::kDevice:
     case FileKind::kPipe:
     case FileKind::kProc:
@@ -526,8 +518,9 @@ std::int64_t Vfs::ReadDir(Task* t, const std::string& upath, std::vector<DirEntr
                           Cycles* burn) {
   std::string path = Resolve(t, upath);
   std::string rest;
+  FatVolume* vol = nullptr;
   out->clear();
-  switch (RealmOf(path, &rest)) {
+  switch (RealmOf(path, &rest, &vol)) {
     case Realm::kRoot: {
       Xv6InodePtr ip = root_.NameI(rest, burn);
       if (ip == nullptr) {
@@ -541,9 +534,7 @@ std::int64_t Vfs::ReadDir(Task* t, const std::string& upath, std::vector<DirEntr
       }
       return 0;
     }
-    case Realm::kFat:
-    case Realm::kUsbFat: {
-      FatVolume* vol = RealmOf(path, &rest) == Realm::kFat ? fat_ : usb_fat_;
+    case Realm::kFat: {
       auto node = vol->Lookup(rest, burn);
       if (!node) {
         return kErrNoEnt;

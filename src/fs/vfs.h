@@ -2,9 +2,9 @@
 //
 // Paths route by prefix exactly as the paper describes (§4.5): the root
 // filesystem (xv6fs on the ramdisk) owns '/', the FAT32 SD partition mounts
-// at '/d', device files live under '/dev', proc files under '/proc'. FAT
-// files are bridged through pseudo-inodes (FatNode) since FAT has no inode
-// concept.
+// at '/d' and a USB thumb drive's FAT32 volume at '/u', device files live
+// under '/dev', proc files under '/proc'. FAT files are bridged through
+// pseudo-inodes (FatNode) since FAT has no inode concept.
 #ifndef VOS_SRC_FS_VFS_H_
 #define VOS_SRC_FS_VFS_H_
 
@@ -97,15 +97,13 @@ struct DirEntryInfo {
 
 class Vfs {
  public:
-  // Construction wires the root filesystem; the FAT volume is attached when
-  // Prototype 5 mounts the SD card.
+  // Construction wires the root filesystem; Prototype 5 attaches the FAT
+  // volumes it finds.
   Vfs(Xv6Fs& rootfs, const KernelConfig& cfg) : root_(rootfs), cfg_(cfg) {}
 
-  void MountFat(FatVolume* fat) { fat_ = fat; }
-  bool fat_mounted() const { return fat_ != nullptr; }
-  // The USB thumb drive's volume, mounted at /u (§4.4 future-work class).
-  void MountUsbFat(FatVolume* fat) { usb_fat_ = fat; }
-  bool usb_fat_mounted() const { return usb_fat_ != nullptr; }
+  // Mounts a FAT volume at a top-level directory: "/d" for the SD card, "/u"
+  // for the USB thumb drive (§4.4 future-work class).
+  void MountFat(std::string at, FatVolume* fat) { fat_mounts_.push_back({std::move(at), fat}); }
 
   void RegisterDevice(const std::string& name, DevNode* node) { devices_[name] = node; }
   DevNode* Device(const std::string& name) const;
@@ -156,17 +154,21 @@ class Vfs {
                        Cycles* burn);
 
   Xv6Fs& rootfs() { return root_; }
-  FatVolume* fat() { return fat_; }
 
  private:
-  enum class Realm { kRoot, kFat, kUsbFat, kDev, kProc };
-  // Splits a resolved path into (realm, remainder).
-  Realm RealmOf(const std::string& path, std::string* rest) const;
+  enum class Realm { kRoot, kFat, kDev, kProc };
+  // Splits a resolved path into (realm, remainder); for kFat, *fat (when
+  // non-null) receives the volume mounted there.
+  Realm RealmOf(const std::string& path, std::string* rest, FatVolume** fat = nullptr) const;
+
+  struct FatMount {
+    std::string at;  // "/d" or "/u"
+    FatVolume* vol;
+  };
 
   Xv6Fs& root_;
   const KernelConfig& cfg_;
-  FatVolume* fat_ = nullptr;
-  FatVolume* usb_fat_ = nullptr;
+  std::vector<FatMount> fat_mounts_;
   std::map<std::string, DevNode*> devices_;
   std::map<std::string, std::function<std::string()>> proc_;
   std::map<std::string, std::function<std::int64_t(const std::string&)>> proc_writers_;

@@ -204,8 +204,6 @@ struct KernelConfig {
   bool net_enabled = true;
   std::uint32_t net_ip = 0x0A000002;        // 10.0.0.2 (loopback wire peer too)
   std::uint32_t net_mtu = 1500;             // ethernet payload bytes per frame
-  std::uint32_t net_rx_ring = 256;          // NIC descriptor ring entries
-  std::uint32_t net_tx_ring = 256;
   std::uint32_t net_irq_coalesce_frames = 8;   // RX IRQ after this many frames…
   std::uint32_t net_irq_coalesce_us = 50;      // …or this window, whichever first
   std::uint32_t net_link_latency_us = 20;      // one-way wire propagation

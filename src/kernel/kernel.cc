@@ -17,6 +17,30 @@ namespace {
 // text/data, the (embedded) ramdisk dump, and boot allocations; the page
 // allocator manages the rest.
 constexpr PhysAddr kKernelReservedEnd = MiB(8);
+
+// One row per task, shared by /proc/tasks and /proc/schedstat; each file
+// prints its own columns of it.
+std::vector<ProcTaskLine> ProcTaskRows(const std::map<Pid, std::unique_ptr<Task>>& tasks) {
+  auto ms = [](Cycles c) { return static_cast<std::uint64_t>(ToMs(c)); };
+  std::vector<ProcTaskLine> rows;
+  for (const auto& [pid, t] : tasks) {
+    const Cycles* dom = t->time_by_domain;
+    // stime = kernel domain; utime = user + user-lib (the split Machine
+    // charges per activation).
+    rows.push_back(ProcTaskLine{
+        .pid = pid,
+        .name = t->name(),
+        .state = TaskStateName(t->state),
+        .cpu_ms = ms(t->cpu_time),
+        .level = t->mlfq_level,
+        .utime_ms = ms(dom[static_cast<int>(TimeDomain::kUser)] +
+                       dom[static_cast<int>(TimeDomain::kUserLib)]),
+        .stime_ms = ms(dom[static_cast<int>(TimeDomain::kKernel)]),
+        .syscalls = t->syscall_count,
+        .blocked_ms = ms(t->blocked_time)});
+  }
+  return rows;
+}
 }  // namespace
 
 const char* SysName(Sys num) {
@@ -201,13 +225,10 @@ Kernel::BootReport Kernel::Boot() {
   metrics_.Gauge("pmm.total_pages", [this] { return pmm_->total_pages(); });
   metrics_.Gauge("pmm.free_pages", [this] { return pmm_->free_pages(); });
   metrics_.Gauge("pmm.largest_block_pages", [this] { return pmm_->LargestFreeBlockPages(); });
-  metrics_.Gauge("pmm.page_allocs", [this] { return pmm_->stats().page_allocs; });
-  metrics_.Gauge("pmm.page_frees", [this] { return pmm_->stats().page_frees; });
-  metrics_.Gauge("pmm.range_allocs", [this] { return pmm_->stats().range_allocs; });
-  metrics_.Gauge("pmm.range_frees", [this] { return pmm_->stats().range_frees; });
-  metrics_.Gauge("pmm.splits", [this] { return pmm_->stats().splits; });
-  metrics_.Gauge("pmm.merges", [this] { return pmm_->stats().merges; });
-  metrics_.Gauge("pmm.oom_events", [this] { return pmm_->stats().oom_events; });
+#define VOS_PMM_GAUGE(field, label) \
+  metrics_.Gauge("pmm." #field, [this] { return pmm_->stats().field; });
+  VOS_PMM_STATS(VOS_PMM_GAUGE)
+#undef VOS_PMM_GAUGE
   if (cfg_.HasKmalloc()) {
     kmalloc_ = std::make_unique<Kmalloc>(*pmm_, cfg_.slab_percore_cache_objs);
     kmalloc_->SetCoreFn([this] {
@@ -331,7 +352,7 @@ Kernel::BootReport Kernel::Boot() {
     vfs_->RegisterProc("cpuinfo", [this] {
       std::vector<ProcCpuLine> lines;
       for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-        lines.push_back(ProcCpuLine{c, machine_.Utilization(c), sched_.context_switches()});
+        lines.push_back(ProcCpuLine{c, machine_.Utilization(c), sched_.context_switches(c)});
       }
       return FormatCpuInfo(lines, static_cast<std::uint64_t>(ToMs(Now())));
     });
@@ -340,32 +361,7 @@ Kernel::BootReport Kernel::Boot() {
     });
     vfs_->RegisterProc("uptime",
                        [this] { return FormatUptime(static_cast<std::uint64_t>(ToMs(Now()))); });
-    vfs_->RegisterProc("tasks", [this] {
-      std::vector<ProcTaskLine> lines;
-      for (auto& [pid, t] : tasks_) {
-        const char* st = "?";
-        switch (t->state) {
-          case TaskState::kEmbryo:
-            st = "embryo";
-            break;
-          case TaskState::kRunnable:
-            st = "runnable";
-            break;
-          case TaskState::kRunning:
-            st = "running";
-            break;
-          case TaskState::kSleeping:
-            st = "sleeping";
-            break;
-          case TaskState::kZombie:
-            st = "zombie";
-            break;
-        }
-        lines.push_back(
-            ProcTaskLine{pid, t->name(), st, static_cast<std::uint64_t>(ToMs(t->cpu_time))});
-      }
-      return FormatTasks(lines);
-    });
+    vfs_->RegisterProc("tasks", [this] { return FormatTasks(ProcTaskRows(tasks_)); });
     vfs_->RegisterProc("fbinfo", [this] {
       return std::to_string(fb_driver_->width()) + " " + std::to_string(fb_driver_->height()) +
              " " + std::to_string(fb_driver_->pitch()) + "\n";
@@ -373,32 +369,17 @@ Kernel::BootReport Kernel::Boot() {
     // /proc/blkstat is a formatted view over the metrics registry: every
     // counter flows through the block.<dev>.* gauges /proc/metrics exports.
     vfs_->RegisterProc("blkstat", [this] {
-      std::vector<ProcBlkLine> lines;
+      std::vector<BlockDevStats> devs;
       for (int d = 0; d < bcache_->device_count(); ++d) {
-        std::string pfx = "block." + bcache_->stats(d).name + ".";
-        auto val = [&](const char* field) {
-          std::uint64_t v = 0;
-          metrics_.Value(pfx + field, &v);
-          return v;
-        };
-        ProcBlkLine l;
-        l.name = bcache_->stats(d).name;
-        l.reads = val("reads");
-        l.writes = val("writes");
-        l.blocks_read = val("blocks_read");
-        l.blocks_written = val("blocks_written");
-        l.hits = val("hits");
-        l.misses = val("misses");
-        l.writebacks = val("writebacks");
-        l.merged = val("merged");
-        l.queue_depth_hw = val("queue_depth_hw");
-        l.dirty = val("dirty");
-        l.io_retries = val("io_retries");
-        l.io_errors = val("io_errors");
-        l.io_timeouts = val("io_timeouts");
-        lines.push_back(std::move(l));
+        BlockDevStats row;
+        row.name = bcache_->stats(d).name;
+        const std::string pfx = "block." + row.name + ".";
+#define VOS_BLKSTAT_FROM_METRICS(field, column) metrics_.Value(pfx + #field, &row.field);
+        VOS_BLOCK_DEV_STATS(VOS_BLKSTAT_FROM_METRICS)
+#undef VOS_BLKSTAT_FROM_METRICS
+        devs.push_back(std::move(row));
       }
-      return FormatBlkStat(lines);
+      return FormatBlkStat(devs);
     });
     // /proc/faultinject: read shows injector state and fault counters; write
     // accepts the command language (see FaultInjector::Command).
@@ -436,22 +417,16 @@ Kernel::BootReport Kernel::Boot() {
       ms.free_pages = val("pmm.free_pages");
       ms.largest_block_pages = val("pmm.largest_block_pages");
       ms.frag_pct = pmm_->FragmentationPct();
-      ms.page_allocs = val("pmm.page_allocs");
-      ms.page_frees = val("pmm.page_frees");
-      ms.range_allocs = val("pmm.range_allocs");
-      ms.range_frees = val("pmm.range_frees");
-      ms.splits = val("pmm.splits");
-      ms.merges = val("pmm.merges");
-      ms.oom_events = val("pmm.oom_events");
+#define VOS_PMM_OP_FROM_METRICS(field, label) ms.ops.field = val("pmm." #field);
+      VOS_PMM_STATS(VOS_PMM_OP_FROM_METRICS)
+#undef VOS_PMM_OP_FROM_METRICS
       for (int o = 0; o < pmm_->num_orders(); ++o) {
         ms.free_blocks_by_order.push_back(pmm_->FreeBlocksOfOrder(o));
       }
       if (kmalloc_ != nullptr) {
         ms.has_kmalloc = true;
         for (int cls = 0; cls < Kmalloc::kNumClasses; ++cls) {
-          Kmalloc::ClassStats cs = kmalloc_->class_stats(cls);
-          ms.classes.push_back(ProcMemClassLine{cs.obj_size, cs.slab_pages, cs.slabs,
-                                                cs.total_objs, cs.live_objs, cs.refills});
+          ms.classes.push_back(kmalloc_->class_stats(cls));
         }
         for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
           std::string pfx = "slab.core" + std::to_string(c) + ".";
@@ -475,23 +450,7 @@ Kernel::BootReport Kernel::Boot() {
                                       sched_.steals(c), sched_.migrations(c),
                                       (1.0 - machine_.Utilization(c)) * 100.0});
       }
-      std::vector<ProcTaskLine> tasks;
-      for (auto& [pid, t] : tasks_) {
-        ProcTaskLine l;
-        l.pid = pid;
-        l.name = t->name();
-        l.cpu_ms = ToMs(t->cpu_time);
-        l.level = t->mlfq_level;
-        // stime = kernel domain; utime = user + user-lib (the split Machine
-        // charges per activation).
-        l.stime_ms = ToMs(t->time_by_domain[static_cast<int>(TimeDomain::kKernel)]);
-        l.utime_ms = ToMs(t->time_by_domain[static_cast<int>(TimeDomain::kUser)] +
-                          t->time_by_domain[static_cast<int>(TimeDomain::kUserLib)]);
-        l.syscalls = t->syscall_count;
-        l.blocked_ms = ToMs(t->blocked_time);
-        tasks.push_back(std::move(l));
-      }
-      return FormatSchedStat(cores, tasks);
+      return FormatSchedStat(cores, ProcTaskRows(tasks_));
     });
     trace_dev_ = std::make_unique<TraceDev>(trace_);
     vfs_->RegisterDevice("trace", trace_dev_.get());
@@ -527,7 +486,7 @@ Kernel::BootReport Kernel::Boot() {
       fat_ = std::make_unique<FatVolume>(*bcache_, sd_dev_, cfg_);
       Cycles mount_burn = 0;
       if (fat_->Mount(&mount_burn) == 0) {
-        vfs_->MountFat(fat_.get());
+        vfs_->MountFat("/d", fat_.get());
       }
       fs_time += mount_burn;
     }
@@ -544,7 +503,7 @@ Kernel::BootReport Kernel::Boot() {
       usb_fat_ = std::make_unique<FatVolume>(*bcache_, usb_dev_, cfg_);
       Cycles mb = 0;
       if (usb_fat_->Mount(&mb) == 0) {
-        vfs_->MountUsbFat(usb_fat_.get());
+        vfs_->MountFat("/u", usb_fat_.get());
       }
       usb_time += mb;
     }
@@ -614,24 +573,10 @@ void Kernel::RegisterBlockDevMetrics(int dev) {
   std::string pfx = "block." + bcache_->stats(dev).name + ".";
   // Gauges are sampled outside the metrics lock, so stats(dev) taking the
   // bcache lock in the callback keeps "metrics" a lockdep leaf.
-  metrics_.Gauge(pfx + "reads", [this, dev] { return bcache_->stats(dev).reads; });
-  metrics_.Gauge(pfx + "writes", [this, dev] { return bcache_->stats(dev).writes; });
-  metrics_.Gauge(pfx + "blocks_read", [this, dev] { return bcache_->stats(dev).blocks_read; });
-  metrics_.Gauge(pfx + "blocks_written",
-                 [this, dev] { return bcache_->stats(dev).blocks_written; });
-  metrics_.Gauge(pfx + "hits", [this, dev] { return bcache_->stats(dev).hits; });
-  metrics_.Gauge(pfx + "misses", [this, dev] { return bcache_->stats(dev).misses; });
-  metrics_.Gauge(pfx + "writebacks", [this, dev] { return bcache_->stats(dev).writebacks; });
-  metrics_.Gauge(pfx + "merged", [this, dev] { return bcache_->stats(dev).merged; });
-  metrics_.Gauge(pfx + "queue_depth_hw",
-                 [this, dev] {
-                   return static_cast<std::uint64_t>(bcache_->stats(dev).queue_depth_hw);
-                 });
-  metrics_.Gauge(pfx + "dirty",
-                 [this, dev] { return static_cast<std::uint64_t>(bcache_->DirtyCount(dev)); });
-  metrics_.Gauge(pfx + "io_retries", [this, dev] { return bcache_->stats(dev).io_retries; });
-  metrics_.Gauge(pfx + "io_errors", [this, dev] { return bcache_->stats(dev).io_errors; });
-  metrics_.Gauge(pfx + "io_timeouts", [this, dev] { return bcache_->stats(dev).io_timeouts; });
+#define VOS_BLOCK_DEV_GAUGE(field, column) \
+  metrics_.Gauge(pfx + #field, [this, dev] { return bcache_->stats(dev).field; });
+  VOS_BLOCK_DEV_STATS(VOS_BLOCK_DEV_GAUGE)
+#undef VOS_BLOCK_DEV_GAUGE
 }
 
 void Kernel::FlusherBody() {

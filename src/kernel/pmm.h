@@ -27,6 +27,18 @@
 
 namespace vos {
 
+// Every buddy-allocator op counter, once: X(field, /proc/memstat PmmOps
+// label). Pmm::Stats, the pmm.<field> gauges and memstat's PmmOps line are
+// all expanded from this list.
+#define VOS_PMM_STATS(X)                                                                           \
+  X(page_allocs, "alloc")        /* AllocPage calls that succeeded */                              \
+  X(page_frees, "free")          /* FreePage calls */                                              \
+  X(range_allocs, "range_alloc") /* AllocRange calls that succeeded */                             \
+  X(range_frees, "range_free")   /* FreeRange calls */                                             \
+  X(splits, "split")             /* buddy blocks split */                                          \
+  X(merges, "merge")             /* buddy blocks coalesced */                                      \
+  X(oom_events, "oom")           /* allocations that returned 0 */
+
 class Pmm {
  public:
   // Manages frames in [start, end) of physical memory; both page-aligned.
@@ -53,13 +65,9 @@ class Pmm {
 
   // --- Observability (/proc/memstat, tests, bench) ---
   struct Stats {
-    std::uint64_t page_allocs = 0;   // AllocPage calls that succeeded
-    std::uint64_t page_frees = 0;    // FreePage calls
-    std::uint64_t range_allocs = 0;  // AllocRange calls that succeeded
-    std::uint64_t range_frees = 0;   // FreeRange calls
-    std::uint64_t splits = 0;        // buddy blocks split
-    std::uint64_t merges = 0;        // buddy blocks coalesced
-    std::uint64_t oom_events = 0;    // allocations that returned 0
+#define VOS_PMM_STAT_FIELD(field, label) std::uint64_t field = 0;
+    VOS_PMM_STATS(VOS_PMM_STAT_FIELD)
+#undef VOS_PMM_STAT_FIELD
   };
   const Stats& stats() const { return stats_; }
   int num_orders() const { return norders_; }

@@ -93,7 +93,28 @@ class TaskFiber {
 
 using Pid = int;
 
-enum class TaskState { kEmbryo, kRunnable, kRunning, kSleeping, kZombie };
+// Every task state, once: X(enumerator, /proc/tasks name).
+#define VOS_TASK_STATES(X)                                                                         \
+  X(kEmbryo, "embryo")                                                                             \
+  X(kRunnable, "runnable")                                                                         \
+  X(kRunning, "running")                                                                           \
+  X(kSleeping, "sleeping")                                                                         \
+  X(kZombie, "zombie")
+
+enum class TaskState {
+#define VOS_TASK_STATE_ENUM(e, name) e,
+  VOS_TASK_STATES(VOS_TASK_STATE_ENUM)
+#undef VOS_TASK_STATE_ENUM
+};
+
+inline const char* TaskStateName(TaskState s) {
+  static constexpr const char* kNames[] = {
+#define VOS_TASK_STATE_NAME(e, name) name,
+      VOS_TASK_STATES(VOS_TASK_STATE_NAME)
+#undef VOS_TASK_STATE_NAME
+  };
+  return kNames[static_cast<int>(s)];
+}
 
 // Why Fig 11 latency samples attribute to K/U/L: tasks carry an attribution
 // mode that ulib flips around library code.

@@ -607,7 +607,7 @@ TEST(BcacheOsTest, ProcBlkstatReportsPerDeviceCounters) {
   ASSERT_NE(out.find("DEV"), std::string::npos) << out;
   ASSERT_NE(out.find("ramdisk"), std::string::npos) << out;
 
-  std::vector<ProcBlkLine> lines;
+  std::vector<BlockDevStats> lines;
   std::size_t hdr = out.find("DEV\t");
   ASSERT_TRUE(ParseBlkStat(out.substr(hdr), &lines));
   ASSERT_FALSE(lines.empty());

@@ -1,13 +1,18 @@
-// Observability subsystem tests (PR 4): log2 histogram math, the lock-free
+// Observability subsystem tests: log2 histogram math, the lock-free
 // per-core trace ring (no lockdep acquisitions on Emit, wrap counted as
 // drops), trace text/JSON round-trips, the metrics registry's leaf-lock
-// discipline, and a full Proto5 boot exercising /proc/metrics,
-// /proc/schedstat, /dev/trace, and the `trace` coreutil end to end.
+// discipline, the exact bytes of the /proc formatters, and a full Proto5
+// boot exercising /proc/metrics, /proc/schedstat, /proc/blkstat,
+// /proc/memstat, /proc/cpuinfo, /dev/trace, and the `trace` coreutil end to
+// end.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -287,6 +292,126 @@ TEST(MetricsTest, GaugeCallbacksRunOutsideTheMetricsLock) {
   dep.Reset();
 }
 
+// --- /proc formatters ----------------------------------------------------
+
+// Exact bytes on fixed inputs: the /proc text is an interface (sysmon, ps
+// and the coreutils parse it, and SysRead charges virtual time per byte), so
+// a formatter change must show up here, not only in a parser round trip.
+TEST(ProcFormatTest, BlkStatBytes) {
+  std::vector<BlockDevStats> devs(2);
+  BlockDevStats& r = devs[0];
+  r.name = "ramdisk";
+  r.reads = 101;
+  r.writes = 102;
+  r.blocks_read = 103;
+  r.blocks_written = 104;
+  r.hits = 105;
+  r.misses = 106;
+  r.writebacks = 107;
+  r.merged = 108;
+  r.queue_depth_hw = 109;
+  r.dirty = 110;
+  r.io_retries = 111;
+  r.io_errors = 112;
+  r.io_timeouts = 113;
+  devs[1].name = "sd";
+  devs[1].reads = 18446744073709551615ull;
+  devs[1].blocks_read = 7;
+  devs[1].queue_depth_hw = 4294967295ull;
+  EXPECT_EQ(FormatBlkStat(devs),
+            "DEV\tREADS\tWRITES\tBLK_RD\tBLK_WR\tHITS\tMISSES\tWBACKS\tMERGED\tQHW\tDIRTY\tRETRIES"
+            "\tERRS\tTMOUTS\n"
+            "ramdisk\t101\t102\t103\t104\t105\t106\t107\t108\t109\t110\t111\t112\t113\n"
+            "sd\t18446744073709551615\t0\t7\t0\t0\t0\t0\t0\t4294967295\t0\t0\t0\t0\n");
+}
+
+TEST(ProcFormatTest, MemStatBytes) {
+  ProcMemStat ms;
+  ms.total_pages = 16384;
+  ms.free_pages = 12001;
+  ms.largest_block_pages = 8192;
+  ms.frag_pct = 31.25;
+  ms.ops.page_allocs = 11;
+  ms.ops.page_frees = 12;
+  ms.ops.range_allocs = 13;
+  ms.ops.range_frees = 14;
+  ms.ops.splits = 15;
+  ms.ops.merges = 16;
+  ms.ops.oom_events = 17;
+  ms.free_blocks_by_order = {3, 0, 1, 5};
+  const std::string pmm =
+      "PmmTotalPages: 16384\n"
+      "PmmFreePages: 12001\n"
+      "PmmLargestBlock: 8192 pages\n"
+      "PmmFragmentation: 31.2 %\n"
+      "PmmOps: alloc 11 free 12 range_alloc 13 range_free 14 split 15 merge 16 oom 17\n"
+      "FreeByOrder: 0:3 1:0 2:1 3:5\n";
+  EXPECT_EQ(FormatMemStat(ms), pmm);  // no kmalloc below Prototype 4
+
+  ms.has_kmalloc = true;
+  ms.classes = {Kmalloc::ClassStats{32, 1, 2, 256, 100, 9},
+                Kmalloc::ClassStats{2048, 4, 0, 0, 0, 0}};
+  ms.cores = {ProcMemCoreLine{0, 90, 10, 3, 12}, ProcMemCoreLine{1, 0, 0, 0, 0}};
+  ms.large_live = 2;
+  ms.large_allocs = 5;
+  EXPECT_EQ(FormatMemStat(ms), pmm +
+                                   "SLAB\tPAGES\tSLABS\tOBJS\tLIVE\tUTIL%\tREFILLS\n"
+                                   "slab-32\t1\t2\t256\t100\t39.1\t9\n"
+                                   "slab-2048\t4\t0\t0\t0\t0.0\t0\n"
+                                   "CORE\tHITS\tMISSES\tHIT%\tDRAINS\tCACHED\n"
+                                   "core0\t90\t10\t90.0\t3\t12\n"
+                                   "core1\t0\t0\t100.0\t0\t0\n"
+                                   "Large: live 2 total 5\n");
+}
+
+std::vector<ProcTaskLine> FixedTaskRows() {
+  return {ProcTaskLine{.pid = 1,
+                       .name = "init",
+                       .state = "sleeping",
+                       .cpu_ms = 42,
+                       .level = 2,
+                       .utime_ms = 30,
+                       .stime_ms = 12,
+                       .syscalls = 77,
+                       .blocked_ms = 900},
+          ProcTaskLine{.pid = 17, .name = "sh", .state = "running", .cpu_ms = 5}};
+}
+
+TEST(ProcFormatTest, TasksBytes) {
+  EXPECT_EQ(FormatTasks(FixedTaskRows()),
+            "PID\tSTATE\tCPU_MS\tNAME\n"
+            "1\tsleeping\t42\tinit\n"
+            "17\trunning\t5\tsh\n");
+}
+
+TEST(ProcFormatTest, SchedStatBytes) {
+  std::vector<ProcSchedLine> cores = {ProcSchedLine{0, 1234, 2, 5, 6, 87.54},
+                                      ProcSchedLine{1, 0, 0, 0, 0, 100.0}};
+  EXPECT_EQ(FormatSchedStat(cores, FixedTaskRows()),
+            "core 0 switches 1234 runq 2 steals 5 migr 6 idle 87.5%\n"
+            "core 1 switches 0 runq 0 steals 0 migr 0 idle 100.0%\n"
+            "pid 1 cpu_ms 42 utime_ms 30 stime_ms 12 sys 77 blocked_ms 900 level 2 name init\n"
+            "pid 17 cpu_ms 5 utime_ms 0 stime_ms 0 sys 0 blocked_ms 0 level 0 name sh\n");
+}
+
+// A distinct value in every column, so a parser that reads one column into
+// another field fails.
+TEST(ProcFormatTest, BlkStatRoundTripsEveryColumn) {
+  BlockDevStats d;
+  d.name = "usb";
+  std::uint64_t next = 1000;
+#define DISTINCT_VALUE(field, column) d.field = next++;
+  VOS_BLOCK_DEV_STATS(DISTINCT_VALUE)
+#undef DISTINCT_VALUE
+  std::vector<BlockDevStats> back;
+  ASSERT_TRUE(ParseBlkStat(FormatBlkStat({d, d}), &back));
+  ASSERT_EQ(back.size(), 2u);
+  EXPECT_EQ(back[1].name, "usb");
+#define SAME_VALUE(field, column) EXPECT_EQ(back[1].field, d.field) << #field;
+  VOS_BLOCK_DEV_STATS(SAME_VALUE)
+#undef SAME_VALUE
+}
+
 // --- Full-boot integration ------------------------------------------------
 
 int RunInOs(System& sys, const char* name, AppMain main_fn) {
@@ -296,6 +421,16 @@ int RunInOs(System& sys, const char* name, AppMain main_fn) {
   sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
   Task* t = sys.kernel().StartUserProgram(unique, {unique});
   return static_cast<int>(sys.WaitProgram(t));
+}
+
+// Reads /proc/<name> host-side, as open(2) does: the generator runs at open.
+// With the machine stopped, files read back to back share one instant of
+// virtual time, so no counter moves between them.
+std::string ProcSnapshot(System& sys, const std::string& name) {
+  FilePtr f;
+  Cycles burn = 0;
+  EXPECT_EQ(sys.kernel().vfs().Open(nullptr, "/proc/" + name, kORdonly, &f, &burn), 0) << name;
+  return f != nullptr ? f->proc_snapshot : std::string();
 }
 
 // Serial output accumulates; capture only what a program printed.
@@ -425,22 +560,105 @@ TEST(ObservabilityBootTest, DevTraceAndTraceCoreutil) {
 }
 
 TEST(ObservabilityBootTest, BlkstatAndMemstatStayCoherentWithMetrics) {
-  System sys(OptionsForStage(Stage::kProto5));
-  sys.Run(Ms(50));
-  // The legacy formatted views are now windows over the registry: the same
-  // numbers must appear in both /proc/blkstat and /proc/metrics.
-  const std::string blk = RunAndCapture(sys, "cat", {"/proc/blkstat"});
-  std::vector<ProcBlkLine> devs;
+  SystemOptions opt = OptionsForStage(Stage::kProto5);
+  opt.usb_storage = true;
+  System sys(opt);
+  // Writes on every device, left unsynced so the DIRTY column is live too.
+  EXPECT_EQ(RunInOs(sys, "blk_traffic", [](AppEnv& env) -> int {
+              const std::string body(6000, 'x');
+              for (const char* path : {"/traffic.txt", "/d/traffic.txt", "/u/traffic.txt"}) {
+                std::int64_t fd = uopen(env, path, kOCreate | kOWronly);
+                if (fd < 0 || uwrite(env, static_cast<int>(fd), body.data(),
+                                     static_cast<std::uint32_t>(body.size())) < 0) {
+                  return 1;
+                }
+                uclose(env, static_cast<int>(fd));
+              }
+              return 0;
+            }),
+            0);
+  const std::string blk = ProcSnapshot(sys, "blkstat");
+  const std::string mem = ProcSnapshot(sys, "memstat");
+  const std::string metrics = ProcSnapshot(sys, "metrics");
+
+  // Every blkstat column of every device equals its block.<dev>.<field> gauge.
+  std::vector<BlockDevStats> devs;
   ASSERT_TRUE(ParseBlkStat(blk, &devs)) << blk;
-  const std::string metrics = RunAndCapture(sys, "cat", {"/proc/metrics"});
-  bool found_ramdisk = false;
-  for (const ProcBlkLine& d : devs) {
-    std::uint64_t reads = 0;
-    ASSERT_TRUE(ParseMetricValue(metrics, "block." + d.name + ".reads", &reads)) << d.name;
-    EXPECT_EQ(reads, d.reads) << d.name;
-    found_ramdisk |= d.name == "ramdisk";
+  ASSERT_EQ(devs.size(), 3u) << blk;
+  std::uint64_t dirty = 0;
+  for (const BlockDevStats& d : devs) {
+    const std::string pfx = "block." + d.name + ".";
+    std::uint64_t value = 0;
+#define COLUMN_MATCHES_GAUGE(field, column)                               \
+  EXPECT_TRUE(ParseMetricValue(metrics, pfx + #field, &value)) << #field; \
+  EXPECT_EQ(value, d.field) << pfx << #field << " vs /proc/blkstat " column;
+    VOS_BLOCK_DEV_STATS(COLUMN_MATCHES_GAUGE)
+#undef COLUMN_MATCHES_GAUGE
+    EXPECT_GT(d.writes + d.hits, 0u) << d.name;
+    dirty += d.dirty;
   }
-  EXPECT_TRUE(found_ramdisk);
+  EXPECT_EQ(devs[0].name, "ramdisk");
+  EXPECT_GT(dirty, 0u) << blk;
+
+  // memstat's PMM scalars equal the pmm.* gauges.
+  auto gauge = [&metrics](const std::string& name) {
+    std::uint64_t v = ~0ull;
+    EXPECT_TRUE(ParseMetricValue(metrics, name, &v)) << name;
+    return v;
+  };
+  unsigned long long total_pages = 0, free_pages = 0, largest = 0;
+  ASSERT_EQ(std::sscanf(mem.c_str(), "PmmTotalPages: %llu PmmFreePages: %llu PmmLargestBlock: %llu",
+                        &total_pages, &free_pages, &largest),
+            3)
+      << mem;
+  EXPECT_EQ(total_pages, gauge("pmm.total_pages"));
+  EXPECT_EQ(free_pages, gauge("pmm.free_pages"));
+  EXPECT_EQ(largest, gauge("pmm.largest_block_pages"));
+  const std::size_t ops_at = mem.find("PmmOps:");
+  ASSERT_NE(ops_at, std::string::npos) << mem;
+  std::istringstream ops(mem.substr(ops_at + 7, mem.find('\n', ops_at) - ops_at - 7));
+  std::map<std::string, std::uint64_t> op_values;
+  std::string label;
+  for (std::uint64_t v = 0; ops >> label >> v;) {
+    op_values[label] = v;
+  }
+#define OP_MATCHES_GAUGE(field, label)                                      \
+  ASSERT_EQ(op_values.count(label), 1u) << label;                           \
+  EXPECT_EQ(op_values[label], gauge("pmm." #field)) << label;
+  VOS_PMM_STATS(OP_MATCHES_GAUGE)
+#undef OP_MATCHES_GAUGE
+  EXPECT_GT(op_values["alloc"], 0u) << mem;
+}
+
+// Each cpuinfo line counts its own core's switches: none exceeds that core's
+// sched.coreN.ctx_switches gauge read afterwards, and together they do not
+// exceed the machine total.
+TEST(ObservabilityBootTest, CpuinfoSwitchesArePerCore) {
+  System sys(OptionsForStage(Stage::kProto5));
+  ASSERT_EQ(sys.options().cores, 4u);
+  sys.Run(Ms(50));
+  const std::string cpuinfo = RunAndCapture(sys, "cat", {"/proc/cpuinfo"});
+  const std::string metrics = ProcSnapshot(sys, "metrics");
+  std::istringstream lines(cpuinfo);
+  std::uint64_t sum = 0;
+  unsigned cores_seen = 0;
+  for (std::string line; std::getline(lines, line);) {
+    unsigned core = 0;
+    double util = 0;
+    unsigned long long switches = 0;
+    if (std::sscanf(line.c_str(), "cpu%u: util %lf%% switches %llu", &core, &util, &switches) != 3) {
+      continue;
+    }
+    ++cores_seen;
+    std::uint64_t after = 0;
+    ASSERT_TRUE(ParseMetricValue(metrics, "sched.core" + std::to_string(core) + ".ctx_switches",
+                                 &after));
+    EXPECT_LE(switches, after) << line;
+    sum += switches;
+  }
+  EXPECT_EQ(cores_seen, 4u) << cpuinfo;
+  EXPECT_GT(sum, 0u);
+  EXPECT_LE(sum, sys.kernel().sched().context_switches()) << cpuinfo;
 }
 
 }  // namespace

@@ -219,6 +219,58 @@ TEST_F(VfsTest, MknodCreatesWorkingDeviceInode) {
   EXPECT_EQ(rc, 0);
 }
 
+// /d (the SD card) and /u (the USB stick) are two entries of one FAT mount
+// list, so every path operation takes the same route on both, relative
+// paths included.
+TEST(VfsFatMountTest, PathOpsWorkOnBothFatVolumes) {
+  SystemOptions opt = OptionsForStage(Stage::kProto5);
+  opt.usb_storage = true;
+  System sys(opt);
+  int rc = RunProgram(sys, "fatops", [](AppEnv& env) -> int {
+    int base = 0;
+    for (const std::string mnt : {"/d", "/u"}) {
+      base += 10;  // 1x: failed on /d, 2x: failed on /u
+      const std::string other = mnt == "/d" ? "/u" : "/d";
+      if (umkdir(env, mnt + "/work") < 0) {
+        return base + 1;
+      }
+      if (uchdir(env, mnt + "/work") < 0) {
+        return base + 2;
+      }
+      std::int64_t fd = uopen(env, "note.txt", kOCreate | kOWronly);
+      if (fd < 0 || uwrite(env, static_cast<int>(fd), "fat!", 4) != 4) {
+        return base + 3;
+      }
+      uclose(env, static_cast<int>(fd));
+      std::vector<DirEntryInfo> entries;
+      if (ureaddir(env, ".", &entries) < 0 || entries.size() != 1 || entries[0].size != 4) {
+        return base + 4;
+      }
+      // The file is on this volume, at its absolute path, and not the other.
+      Stat st;
+      fd = uopen(env, mnt + "/work/note.txt", kORdonly);
+      if (fd < 0 || ufstat(env, static_cast<int>(fd), &st) < 0 || st.size != 4) {
+        return base + 5;
+      }
+      uclose(env, static_cast<int>(fd));
+      if (uopen(env, other + "/work/note.txt", kORdonly) >= 0) {
+        return base + 6;
+      }
+      if (uunlink(env, "note.txt") < 0) {
+        return base + 7;
+      }
+      if (ureaddir(env, ".", &entries) < 0 || !entries.empty()) {
+        return base + 8;
+      }
+      if (uchdir(env, "..") < 0 || uunlink(env, "work") < 0) {
+        return base + 9;
+      }
+    }
+    return 0;
+  });
+  EXPECT_EQ(rc, 0);
+}
+
 TEST(FsImage, RootImageContainsAllApps) {
   FsSpec extra;
   auto image = BuildRootImage(extra);
