@@ -46,8 +46,6 @@ constexpr unsigned kCores = 4;
 // round-robin lists, one global lock, woken/new tasks stay where placed.
 class SeedSched {
  public:
-  explicit SeedSched(const KernelConfig& cfg) : cfg_(cfg) {}
-
   void AddNew(Task* t, int core_hint) {
     SpinGuard g(lock_);
     t->core = core_hint >= 0 ? static_cast<unsigned>(core_hint) : next_core_++ % kCores;
@@ -70,7 +68,7 @@ class SeedSched {
   void OnBudget(unsigned core, Task* t) {
     SpinGuard g(lock_);
     t->state = TaskState::kRunnable;
-    if (t->slice_used >= cfg_.tick_interval * cfg_.slice_ticks) {
+    if (t->slice_used >= kTickInterval * kSliceTicks) {
       t->slice_used = 0;
       t->runnable_since = now;
       runq_[core].push_back(t);
@@ -83,7 +81,6 @@ class SeedSched {
   Histogram hist;
 
  private:
-  const KernelConfig& cfg_;
   SpinLock lock_{"sched"};
   std::deque<Task*> runq_[kCores];
   unsigned next_core_ = 0;
@@ -104,8 +101,8 @@ Cycles WorkFor(int i) { return i % 3 == 0 ? Ms(15) : Ms(2); }
 // next, like the machine window loop). `set_now` feeds the wait histogram.
 template <typename PickFn, typename StoppedFn, typename SetNowFn>
 void Dispatch(std::vector<std::unique_ptr<Task>>& tasks, std::vector<Cycles>& remaining,
-              const KernelConfig& cfg, PickFn pick, StoppedFn stopped, SetNowFn set_now) {
-  const Cycles slice = cfg.tick_interval * cfg.slice_ticks;
+              PickFn pick, StoppedFn stopped, SetNowFn set_now) {
+  const Cycles slice = kTickInterval * kSliceTicks;
   std::array<Cycles, kCores> clock{};
   int done = 0;
   while (done < static_cast<int>(tasks.size())) {
@@ -140,8 +137,8 @@ void Dispatch(std::vector<std::unique_ptr<Task>>& tasks, std::vector<Cycles>& re
   }
 }
 
-FanoutResult RunSeedFanout(const KernelConfig& cfg) {
-  SeedSched sched(cfg);
+FanoutResult RunSeedFanout() {
+  SeedSched sched;
   std::vector<std::unique_ptr<Task>> tasks;
   std::vector<Cycles> remaining;
   for (int i = 0; i < kTasks; ++i) {
@@ -150,7 +147,7 @@ FanoutResult RunSeedFanout(const KernelConfig& cfg) {
     sched.AddNew(tasks.back().get(), /*core_hint=*/0);
   }
   Dispatch(
-      tasks, remaining, cfg, [&](unsigned c) { return sched.PickNext(c); },
+      tasks, remaining, [&](unsigned c) { return sched.PickNext(c); },
       [&](unsigned c, Task* t) { sched.OnBudget(c, t); },
       [&](Cycles now) { sched.now = now; });
   return {sched.hist.Percentile(50), sched.hist.Percentile(99), sched.hist.max()};
@@ -170,7 +167,7 @@ FanoutResult RunShardedFanout(const KernelConfig& cfg) {
     sched.AddNew(tasks.back().get(), /*core_hint=*/0);
   }
   Dispatch(
-      tasks, remaining, cfg, [&](unsigned c) { return sched.PickNext(c); },
+      tasks, remaining, [&](unsigned c) { return sched.PickNext(c); },
       [&](unsigned c, Task* t) {
         sched.OnTaskStopped(c, t, TaskFiber::StopReason::kBudget);
       },
@@ -296,7 +293,7 @@ double RunIpcExperiment(const std::string& name, const std::string& key) {
 void Run() {
   KernelConfig cfg;  // proto5 defaults: 4 cores, rr policy, stealing on
   std::printf("runqueue-wait p99, %d tasks fanned onto core 0 of %u cores:\n", kTasks, kCores);
-  FanoutResult seed = RunSeedFanout(cfg);
+  FanoutResult seed = RunSeedFanout();
   FanoutResult sharded = RunShardedFanout(cfg);
   double p99_speedup = sharded.p99 > 0 ? double(seed.p99) / double(sharded.p99) : 0;
   std::printf("  %-8s p50 %10.2f ms   p99 %10.2f ms   max %10.2f ms\n", "seed",

@@ -114,7 +114,7 @@ void Run() {
     locked.Emit(Cycles(i), 0, TraceEvent::kUserMark, 1, i, 0);
   });
 
-  TraceRing ring(/*enabled=*/true, kCap);
+  TraceRing ring(kCap);
   Rate lockfree_rate = Measure(kEmitsPerThread, [&ring](std::uint64_t i) {
     ring.Emit(Cycles(i), 0, TraceEvent::kUserMark, 1, i, 0);
   });
@@ -133,7 +133,7 @@ void Run() {
   double lockfree_eps[4] = {};
   double mutex_eps[4] = {};
   for (int t = 1; t <= 4; ++t) {
-    TraceRing mt_ring(true, kCap);
+    TraceRing mt_ring(kCap);
     lockfree_eps[t - 1] = MeasureThreaded(t, [&mt_ring](unsigned core) {
       return [&mt_ring, core](std::uint64_t i) {
         mt_ring.Emit(Cycles(i), core, TraceEvent::kUserMark, 1, i, 0);

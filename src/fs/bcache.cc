@@ -10,11 +10,7 @@ namespace vos {
 
 int Bcache::AddDevice(BlockDevice* dev, const std::string& name) {
   SpinGuard g(lock_);
-  BlockRetryPolicy policy;
-  policy.max_retries = cfg_.blk_max_retries;
-  policy.backoff_base = Us(cfg_.blk_retry_backoff_us);
-  policy.timeout_budget = Ms(cfg_.blk_timeout_budget_ms);
-  queues_.emplace_back(dev, policy);
+  queues_.emplace_back(dev, BlockRetryPolicy{});
   pending_error_.push_back(0);
   if (latency_hook_) {
     auto hook = latency_hook_;

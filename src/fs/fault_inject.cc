@@ -9,15 +9,6 @@
 
 namespace vos {
 
-FaultInjector::FaultInjector(const KernelConfig& cfg)
-    : enabled_(cfg.fault_inject_enabled),
-      rng_(cfg.fault_seed),
-      transient_rate_(cfg.fault_transient_rate),
-      timeout_rate_(cfg.fault_timeout_rate),
-      latency_rate_(cfg.fault_latency_spike_rate),
-      latency_mult_(cfg.fault_latency_spike_mult),
-      timeout_cost_(Ms(cfg.blk_timeout_budget_ms)) {}
-
 FaultLbaRange* FaultInjector::FindRange(int dev, std::uint64_t lba, std::uint32_t count) {
   for (auto& r : ranges_) {
     if (r.dev >= 0 && r.dev != dev) {
@@ -116,9 +107,10 @@ BlockStatus FaultInjector::DecideLocked(int dev, std::uint64_t lba, std::uint32_
         ++counters_.torn;
       }
     }
-    // Burn the whole budget so the queue deterministically classifies the
-    // failure as a timeout rather than retrying it as a transient.
-    *extra += timeout_cost_;
+    // Burn the queue's whole service budget so it deterministically
+    // classifies the failure as a timeout rather than retrying it as a
+    // transient.
+    *extra += BlockRetryPolicy{}.timeout_budget;
     return BlockStatus::kTimeout;
   }
   if (latency_rate_ > 0.0 && rng_.Chance(latency_rate_)) {

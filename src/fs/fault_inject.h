@@ -6,7 +6,7 @@
 // exactly from its seed.
 //
 // One FaultInjector is shared by every device (the `dev` id distinguishes
-// them); it is configured from KernelConfig at boot and reconfigured at
+// them); it boots disabled with zero rates and seed 1, and is configured at
 // runtime by writing commands to /proc/faultinject. The injector also models
 // power loss for the crash-consistency torture harness: CutPowerAfter(k)
 // lets the next k device blocks of writes persist, tears the write that
@@ -21,7 +21,6 @@
 #include "src/base/random.h"
 #include "src/base/units.h"
 #include "src/fs/block_dev.h"
-#include "src/kernel/kconfig.h"
 #include "src/kernel/spinlock.h"
 
 namespace vos {
@@ -49,8 +48,6 @@ class FaultInjector {
     std::uint64_t latency_spikes = 0;
     std::uint64_t cut_dropped = 0;     // blocks discarded after the power cut
   };
-
-  explicit FaultInjector(const KernelConfig& cfg);
 
   // Decide the fate of a transfer. `*extra` is added to the device's cost
   // (fault handling and latency spikes take time). For writes, `*persist` is
@@ -87,13 +84,12 @@ class FaultInjector {
   FaultLbaRange* FindRange(int dev, std::uint64_t lba, std::uint32_t count);
 
   SpinLock lock_{"faultinject"};
-  bool enabled_;
-  Rng rng_;
-  double transient_rate_;
-  double timeout_rate_;
-  double latency_rate_;
-  double latency_mult_;
-  Cycles timeout_cost_;  // a stalled command burns the whole budget
+  bool enabled_ = false;  // gates the random rates, not ranges or power cuts
+  Rng rng_{1};
+  double transient_rate_ = 0.0;  // per-transfer P(transient error)
+  double timeout_rate_ = 0.0;    // per-transfer P(command stall)
+  double latency_rate_ = 0.0;    // per-transfer P(latency spike)
+  double latency_mult_ = 20.0;   // spike = mult × Us(100)
   std::vector<FaultLbaRange> ranges_;
   bool cut_armed_ = false;
   bool cut_dead_ = false;

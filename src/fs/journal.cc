@@ -83,11 +83,10 @@ void Journal::BeginTx(Cycles* burn) {
   // balance_dirty_pages idea): drain committed batches synchronously when
   // pinned buffers threaten to exhaust the pool, or when the ring could not
   // take a worst-case transaction on top of the open batch.
-  bool pin_pressure =
-      bc_.PinnedCount(dev_) >= cfg_.jrnl_pin_max;
+  bool pin_pressure = bc_.PinnedCount(dev_) >= kJrnlPinMax;
   std::uint32_t needed = std::min(
       capacity_,
-      static_cast<std::uint32_t>(RD_READ(open_)->blocks.size()) + cfg_.jrnl_max_tx_blocks + 2);
+      static_cast<std::uint32_t>(RD_READ(open_)->blocks.size()) + kJrnlMaxTxBlocks + 2);
   bool space_pressure = capacity_ - RD_READ(live_slots_) < needed;
   if ((pin_pressure || space_pressure) && !RD_READ(committed_).empty()) {
     ++RD_WRITE(stats_).backpressure_syncs;
@@ -142,8 +141,7 @@ std::int64_t Journal::CommitTx(Cycles* burn) {
   if (RD_READ(open_) == nullptr) {
     return 0;
   }
-  bool size_trigger =
-      RD_READ(open_)->blocks.size() >= cfg_.jrnl_commit_blocks;
+  bool size_trigger = RD_READ(open_)->blocks.size() >= kJrnlCommitBlocks;
   if (!cfg_.jrnl_group_commit || size_trigger) {
     // A failed triggered commit is deliberately silent: the batch stays
     // intact and open, and the error surfaces at the next durability point
@@ -159,10 +157,9 @@ void Journal::TxBarrier(Cycles* burn) {
   if (!active() || RD_READ(depth_) != 1 || RD_READ(open_) == nullptr) {
     return;
   }
-  bool near_capacity =
-      RD_READ(open_)->blocks.size() + cfg_.jrnl_max_tx_blocks + 2 >= capacity_;
+  bool near_capacity = RD_READ(open_)->blocks.size() + kJrnlMaxTxBlocks + 2 >= capacity_;
   if (!cfg_.jrnl_group_commit || near_capacity ||
-      RD_READ(open_)->blocks.size() >= cfg_.jrnl_commit_blocks) {
+      RD_READ(open_)->blocks.size() >= kJrnlCommitBlocks) {
     CommitLocked(burn);  // same silent-retry policy as CommitTx
     if (RD_READ(open_) == nullptr) {
       auto b = std::make_unique<Batch>();
@@ -204,11 +201,11 @@ Cycles Journal::Tick(Cycles now) {
   TryReclaimLocked(&spent);
   if (RD_READ(open_) != nullptr && RD_READ(depth_) == 0 &&
       !RD_READ(open_)->blocks.empty() &&
-      now - RD_READ(open_)->opened_at >= Ms(cfg_.jrnl_commit_interval_ms)) {
+      now - RD_READ(open_)->opened_at >= kJrnlCommitInterval) {
     CommitLocked(&spent);  // silent-retry policy (see CommitTx)
   }
   if (!RD_READ(committed_).empty()) {
-    CheckpointLocked(cfg_.jrnl_checkpoint_batch, &spent);
+    CheckpointLocked(kJrnlCheckpointBatch, &spent);
   }
   return spent;
 }

@@ -8,8 +8,8 @@
 //      to their home location) until the batch is safely in the log.
 //   2. Group commit. Transactions do not commit individually: they accumulate
 //      into the open batch, which is sealed and written as ONE sequential
-//      commit record when it grows past jrnl_commit_blocks, ages past
-//      jrnl_commit_interval_ms (the flusher's Tick drives this), or an fsync
+//      commit record when it grows past kJrnlCommitBlocks, ages past
+//      kJrnlCommitInterval (the flusher's Tick drives this), or an fsync
 //      demands durability now. Blocks rewritten by later transactions in the
 //      same batch coalesce — the log sees only the final version.
 //   3. Pipelined checkpoint. A committed batch is durable; draining it to
@@ -89,6 +89,13 @@ static_assert(sizeof(JrnlDescriptor) == kFsBlockSize,
 constexpr std::uint32_t kJrnlMaxRecBlocks =
     static_cast<std::uint32_t>(sizeof(JrnlDescriptor::homes) / 4);
 
+// Group-commit and checkpoint tuning.
+constexpr std::uint32_t kJrnlCommitBlocks = 12;     // size trigger: seal the open batch
+constexpr Cycles kJrnlCommitInterval = Ms(20);      // time trigger (flusher-driven)
+constexpr std::uint32_t kJrnlMaxTxBlocks = 12;      // Writei splits its tx at this many
+constexpr std::uint32_t kJrnlCheckpointBatch = 16;  // fs blocks drained per flusher tick
+constexpr std::uint32_t kJrnlPinMax = 32;           // pinned bufs forcing a sync checkpoint
+
 class Journal {
  public:
   Journal(Bcache& bc, int dev, const KernelConfig& cfg)
@@ -120,7 +127,7 @@ class Journal {
   // and log-full backpressure). Returns 0 or kErrIo.
   std::int64_t CheckpointAll(Cycles* burn);
   // Flusher hook: time-triggered group commit plus one pipelined checkpoint
-  // slice (jrnl_checkpoint_batch blocks). Returns the device time consumed.
+  // slice (kJrnlCheckpointBatch blocks). Returns the device time consumed.
   Cycles Tick(Cycles now);
 
   struct Stats {

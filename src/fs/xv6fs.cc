@@ -375,7 +375,7 @@ std::int64_t Xv6Fs::Writei(Xv6Inode& ip, const std::uint8_t* src, std::uint32_t 
     // offer a commit-eligibility point between chunks. Atomicity degrades
     // to per-chunk for multi-chunk writes — the POSIX contract for write()
     // makes no stronger promise.
-    if (jrnl_ != nullptr && ++tx_blocks >= cfg_.jrnl_max_tx_blocks / 2) {
+    if (jrnl_ != nullptr && ++tx_blocks >= kJrnlMaxTxBlocks / 2) {
       tx_blocks = 0;
       jrnl_->TxBarrier(burn);
     }

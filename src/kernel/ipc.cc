@@ -45,7 +45,7 @@ std::size_t IpcRing::TryPop(std::uint8_t* dst, std::size_t n) {
 
 std::int64_t IpcTable::Create(std::size_t bytes) {
   if (bytes == 0) {
-    bytes = cfg_.ipc_ring_bytes;
+    bytes = kIpcDefaultRingBytes;
   }
   if (bytes > kMaxIpcRingBytes) {
     return kErrInval;

@@ -25,7 +25,6 @@
 #include <memory>
 #include <vector>
 
-#include "src/kernel/kconfig.h"
 #include "src/kernel/racedet.h"
 #include "src/kernel/sched.h"
 #include "src/kernel/spinlock.h"
@@ -34,6 +33,7 @@ namespace vos {
 
 constexpr int kMaxIpcChannels = 64;
 constexpr std::size_t kMaxIpcRingBytes = 1u << 22;  // 4 MiB sanity ceiling
+constexpr std::size_t kIpcDefaultRingBytes = 65536;  // what Create(0) allocates
 
 // Which side of the ring a wait/wake refers to: consumers wait for kData
 // (the pushed counter to move), producers wait for kSpace (popped to move).
@@ -105,9 +105,10 @@ class IpcRing {
 // without touching freed memory.
 class IpcTable {
  public:
-  IpcTable(Sched& sched, const KernelConfig& cfg) : sched_(sched), cfg_(cfg) {}
+  explicit IpcTable(Sched& sched) : sched_(sched) {}
 
-  // Returns a new channel id, or kErrInval / kErrNoSpace.
+  // Returns a new channel id, or kErrInval / kErrNoSpace. `bytes` == 0 asks
+  // for kIpcDefaultRingBytes.
   std::int64_t Create(std::size_t bytes);
   std::int64_t Destroy(int id);
 
@@ -141,7 +142,6 @@ class IpcTable {
   }
 
   Sched& sched_;
-  const KernelConfig& cfg_;
   SpinLock lock_{"ipc"};
   std::array<Slot, kMaxIpcChannels> slots_{};
   std::uint64_t waits_slept_ = 0;      // racedet: shared (guarded by lock_)

@@ -115,17 +115,12 @@ struct KernelConfig {
   OsProfile os = OsProfile::kOurs;
 
   unsigned cores = 4;             // used cores (proto5 only; earlier stages use 1)
-  Cycles tick_interval = Ms(1);   // per-core scheduler tick
-  unsigned slice_ticks = 10;      // round-robin slice = 10 ms
 
   // Scheduler policy knobs. The defaults keep seed behaviour: single-level
   // round robin with work stealing across the per-core runqueues.
   SchedPolicy sched_policy = SchedPolicy::kRr;
   bool sched_steal = true;              // steal-half when a core's queue is empty
   std::uint32_t mlfq_boost_ms = 100;    // periodic boost interval (kMlfq only)
-
-  // Default byte capacity of a futex IPC ring (SysIpcCreate(0) uses this).
-  std::uint32_t ipc_ring_bytes = 65536;
 
   std::uint32_t fb_width = 640;
   std::uint32_t fb_height = 480;
@@ -136,49 +131,21 @@ struct KernelConfig {
   bool opt_bcache_bypass = true;     // range I/O bypasses the buffer cache
   bool opt_writeback_cache = true;   // write-back bcache (off = xv6 write-through)
   bool opt_wm_dirty_rects = true;    // WM redraws only dirty regions
-  // Write-back cache policy knobs (only meaningful with opt_writeback_cache).
-  std::uint32_t bcache_flush_interval_ms = 50;  // bflush thread wake period
-  std::uint32_t bcache_dirty_age_ms = 30;       // age before background flush
-  double bcache_dirty_ratio = 0.5;   // dirty fraction that throttles writers
-  // Write-ahead journal for the xv6 root filesystem (src/fs/journal.h).
-  // Active only when the image carries a log region (sb.nlog > 0).
-  bool jrnl_enabled = true;
+  // Dirty fraction that throttles writers (only meaningful with
+  // opt_writeback_cache).
+  double bcache_dirty_ratio = 0.5;
+  // Write-ahead journal for the xv6 root filesystem (src/fs/journal.h),
+  // active when the image carries a log region (sb.nlog > 0).
   bool jrnl_group_commit = true;   // off = one commit record per transaction
-  std::uint32_t jrnl_commit_blocks = 12;       // size trigger: seal the open batch
-  std::uint32_t jrnl_commit_interval_ms = 20;  // time trigger (flusher-driven)
-  std::uint32_t jrnl_max_tx_blocks = 12;       // Writei splits its tx at this many blocks
-  std::uint32_t jrnl_checkpoint_batch = 16;    // fs blocks drained per flusher tick
-  std::uint32_t jrnl_pin_max = 32;             // pinned device bufs forcing a sync checkpoint
-  // Per-core slab cache (magazine) capacity, in objects per size class per
-  // core. Larger = fewer depot-lock trips, more memory cached per core.
-  std::uint32_t slab_percore_cache_objs = 32;
   // Production-OS mechanisms (enabled by linux/freebsd profiles).
   bool cow_fork = false;
   bool dma_sd = false;
 
-  // Block-layer fault handling (§6 of DESIGN.md). Every block device is
-  // wrapped in a FaultInjectingBlockDevice; with fault_inject_enabled off the
-  // decorator is a zero-fault pass-through. Runtime control: /proc/faultinject.
-  bool fault_inject_enabled = false;
-  std::uint64_t fault_seed = 1;
-  double fault_transient_rate = 0.0;      // per-transfer P(transient error)
-  double fault_timeout_rate = 0.0;        // per-transfer P(command stall)
-  double fault_latency_spike_rate = 0.0;  // per-transfer P(latency spike)
-  double fault_latency_spike_mult = 20.0; // spike = mult × Us(100)
-  // Retry discipline BlockRequestQueue applies per request.
-  std::uint32_t blk_max_retries = 4;
-  std::uint32_t blk_retry_backoff_us = 50;   // first backoff; doubles per retry
-  std::uint32_t blk_timeout_budget_ms = 50;  // per-request service-time ceiling
-
-  bool trace_enabled = true;         // ftrace-like ring (negligible overhead)
   std::uint32_t trace_ring_capacity = 16384;  // records per core (tests shrink
                                               // it to exercise wrap/drop)
-  bool lockdep_enabled = true;       // lock-order/IRQ-safety validator (§7 of
-                                     // DESIGN.md); off = record nothing
-  bool racedet_enabled = true;       // Eraser lockset data-race detector; needs
-                                     // lockdep (its held stacks are the lockset)
-  std::uint32_t racedet_cells = 4096;  // shadow-cell hash capacity (rounded up
-                                       // to a power of two)
+  // Lock-order/IRQ-safety validator (§7 of DESIGN.md) and the Eraser lockset
+  // race detector that reads its held stacks; off = record nothing.
+  bool lockdep_enabled = true;
 
   // Sampling profiler (src/kernel/profiler.h). Off by default; /proc/profile
   // (or the `prof` coreutil) starts/stops it at runtime. prof_hz is virtual-
@@ -186,35 +153,23 @@ struct KernelConfig {
   // 10 ms of virtual time per core.
   bool prof_enabled = false;          // start sampling at boot
   std::uint32_t prof_hz = 100;        // samples per virtual second per core
-  std::uint32_t prof_ring_capacity = 8192;  // sample records per core
   std::uint32_t prof_max_frames = 24; // frames kept per sample (deepest first)
-  bool prof_offcpu = true;            // attribute blocked-time to sleep stacks
 
   // Hung-task / softlockup watchdog (kernel thread, proto2+). Barks via klog
   // + kWatchdogBark when a runnable task sits unscheduled — or a core stops
   // servicing its timer tick — for watchdog_thresh_ms of virtual time.
   // Non-fatal: one bark per offender, reset when it runs again.
-  bool watchdog_enabled = true;
   std::uint32_t watchdog_thresh_ms = 10000;  // generous: stress tests queue deep
   std::uint32_t watchdog_poll_ms = 1000;     // watchdog thread wake period
 
   // Network stack (src/kernel/net/, proto5-gated via HasNet()). The NIC link
-  // is the FaultInjector-style wire model in src/hw/nic.h; loss/latency are
-  // runtime-tunable through /proc/netstat writes as well.
+  // is the FaultInjector-style wire model in src/hw/nic.h; loss, latency and
+  // IRQ coalescing are runtime-tunable through /proc/netstat writes as well.
   bool net_enabled = true;
   std::uint32_t net_ip = 0x0A000002;        // 10.0.0.2 (loopback wire peer too)
-  std::uint32_t net_mtu = 1500;             // ethernet payload bytes per frame
-  std::uint32_t net_irq_coalesce_frames = 8;   // RX IRQ after this many frames…
-  std::uint32_t net_irq_coalesce_us = 50;      // …or this window, whichever first
-  std::uint32_t net_link_latency_us = 20;      // one-way wire propagation
-  std::uint32_t net_link_loss_ppm = 0;         // deterministic seeded frame loss
+  std::uint32_t net_link_loss_ppm = 0;      // deterministic seeded frame loss
   std::uint64_t net_link_seed = 1;
   std::uint32_t net_rto_ms = 50;            // TCP retransmit timeout (doubles)
-  std::uint32_t net_max_retries = 8;        // RTO expiries before reset
-  std::uint32_t net_sndbuf = 32768;         // per-socket send buffer bytes
-  std::uint32_t net_rcvbuf = 32768;         // per-socket receive buffer bytes
-  std::uint32_t net_time_wait_ms = 5;       // short TIME_WAIT (virtual time)
-  std::uint32_t net_somaxconn = 512;        // listen backlog hard cap
 
   CostModel cost;
 

@@ -72,10 +72,10 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
     : board_(board),
       cfg_(cfg),
       lockdep_session_(cfg.lockdep_enabled),
-      racedet_session_(cfg.racedet_enabled && cfg.lockdep_enabled, cfg.racedet_cells),
+      racedet_session_(cfg.lockdep_enabled),
       machine_(board, this, cfg.EffectiveCores()),
       klog_(board.uart()),
-      trace_(cfg.trace_enabled, cfg.trace_ring_capacity),
+      trace_(cfg.trace_ring_capacity),
       sched_(cfg_),
       profiler_(cfg_, &trace_) {
   VOS_CHECK_MSG(cfg_.EffectiveCores() <= board.config().cores,
@@ -230,7 +230,7 @@ Kernel::BootReport Kernel::Boot() {
   VOS_PMM_STATS(VOS_PMM_GAUGE)
 #undef VOS_PMM_GAUGE
   if (cfg_.HasKmalloc()) {
-    kmalloc_ = std::make_unique<Kmalloc>(*pmm_, cfg_.slab_percore_cache_objs);
+    kmalloc_ = std::make_unique<Kmalloc>(*pmm_);
     kmalloc_->SetCoreFn([this] {
       Task* cur = CurrentTask();
       return cur != nullptr ? cur->core : 0u;
@@ -248,7 +248,7 @@ Kernel::BootReport Kernel::Boot() {
   }
   vtimers_ = std::make_unique<VirtualTimers>(board_.sys_timer());
   sems_ = std::make_unique<SemTable>(sched_);
-  ipcs_ = std::make_unique<IpcTable>(sched_, cfg_);
+  ipcs_ = std::make_unique<IpcTable>(sched_);
   metrics_.Gauge("ipc.waits_slept", [this] { return ipcs_->waits_slept(); });
   metrics_.Gauge("ipc.waits_immediate", [this] { return ipcs_->waits_immediate(); });
   metrics_.Gauge("ipc.wakes", [this] { return ipcs_->wakes(); });
@@ -260,7 +260,7 @@ Kernel::BootReport Kernel::Boot() {
   // Release secondary cores from their firmware parking loop (§4.5) and arm
   // every core's generic timer for the scheduler tick.
   for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
-    board_.core_timer(c).Arm(now + r.firmware + core, cfg_.tick_interval);
+    board_.core_timer(c).Arm(now + r.firmware + core, kTickInterval);
     board_.intc().Enable(CoreTimerIrq(c));
     if (c > 0) {
       core += Us(300);  // SEV + stack setup per secondary core
@@ -281,7 +281,7 @@ Kernel::BootReport Kernel::Boot() {
   // Files (Prototype 4): ramdisk root filesystem + devfs/procfs + input/audio.
   Cycles fs_time = 0;
   Cycles usb_time = 0;
-  fault_ = std::make_unique<FaultInjector>(cfg_);
+  fault_ = std::make_unique<FaultInjector>();
   // Every block device goes through a fault-injection decorator, tagged with
   // the bcache device id it is about to be registered under.
   auto wrap_fault = [this](BlockDevice* raw) -> BlockDevice* {
@@ -303,37 +303,32 @@ Kernel::BootReport Kernel::Boot() {
     std::int64_t mr = rootfs_->Mount(&fs_time);
     VOS_CHECK_MSG(mr == 0, "root filesystem mount failed");
     // Write-ahead journal: Mount() already ran recovery-by-replay; the live
-    // journal attaches only when the knob is on AND the image carries a log.
+    // journal attaches only when the image carries a log.
     // FAT32 volumes stay unjournaled (see README): removable media interop
     // means the on-disk format is not ours to extend.
-    if (cfg_.jrnl_enabled) {
-      journal_ = std::make_unique<Journal>(*bcache_, ramdisk_dev_, cfg_);
-      if (journal_->Init(rootfs_->sb(), &fs_time) == 0 && journal_->active()) {
-        journal_->SetNowFn([this] { return Now(); });
-        journal_->SetTraceHook(TaskTraceHook());
-        Histogram* jrnl_lat = metrics_.Hist("jrnl.commit_latency");
-        journal_->SetCommitLatencyHook([jrnl_lat](Cycles lat) { jrnl_lat->Record(lat); });
-        rootfs_->AttachJournal(journal_.get());
-        metrics_.Gauge("jrnl.commits", [this] { return journal_->stats().commits; });
-        metrics_.Gauge("jrnl.commit_errors",
-                       [this] { return journal_->stats().commit_errors; });
-        metrics_.Gauge("jrnl.txs", [this] { return journal_->stats().txs; });
-        metrics_.Gauge("jrnl.blocks_logged",
-                       [this] { return journal_->stats().blocks_logged; });
-        metrics_.Gauge("jrnl.coalesced", [this] { return journal_->stats().coalesced; });
-        metrics_.Gauge("jrnl.checkpoints", [this] { return journal_->stats().checkpoints; });
-        metrics_.Gauge("jrnl.checkpoint_blocks",
-                       [this] { return journal_->stats().checkpoint_blocks; });
-        metrics_.Gauge("jrnl.backpressure_syncs",
-                       [this] { return journal_->stats().backpressure_syncs; });
-        metrics_.Gauge("jrnl.live_slots", [this] { return journal_->stats().live_slots; });
-        metrics_.Gauge("jrnl.backlog_blocks",
-                       [this] { return journal_->stats().backlog_blocks; });
-        metrics_.Gauge("jrnl.recovered_records", [this] { return rootfs_->recovered_records(); });
-        metrics_.Gauge("jrnl.recovered_blocks", [this] { return rootfs_->recovered_blocks(); });
-      } else {
-        journal_.reset();  // unjournaled image or unreadable jsb: plain write-back
-      }
+    journal_ = std::make_unique<Journal>(*bcache_, ramdisk_dev_, cfg_);
+    if (journal_->Init(rootfs_->sb(), &fs_time) == 0 && journal_->active()) {
+      journal_->SetNowFn([this] { return Now(); });
+      journal_->SetTraceHook(TaskTraceHook());
+      Histogram* jrnl_lat = metrics_.Hist("jrnl.commit_latency");
+      journal_->SetCommitLatencyHook([jrnl_lat](Cycles lat) { jrnl_lat->Record(lat); });
+      rootfs_->AttachJournal(journal_.get());
+      metrics_.Gauge("jrnl.commits", [this] { return journal_->stats().commits; });
+      metrics_.Gauge("jrnl.commit_errors", [this] { return journal_->stats().commit_errors; });
+      metrics_.Gauge("jrnl.txs", [this] { return journal_->stats().txs; });
+      metrics_.Gauge("jrnl.blocks_logged", [this] { return journal_->stats().blocks_logged; });
+      metrics_.Gauge("jrnl.coalesced", [this] { return journal_->stats().coalesced; });
+      metrics_.Gauge("jrnl.checkpoints", [this] { return journal_->stats().checkpoints; });
+      metrics_.Gauge("jrnl.checkpoint_blocks",
+                     [this] { return journal_->stats().checkpoint_blocks; });
+      metrics_.Gauge("jrnl.backpressure_syncs",
+                     [this] { return journal_->stats().backpressure_syncs; });
+      metrics_.Gauge("jrnl.live_slots", [this] { return journal_->stats().live_slots; });
+      metrics_.Gauge("jrnl.backlog_blocks", [this] { return journal_->stats().backlog_blocks; });
+      metrics_.Gauge("jrnl.recovered_records", [this] { return rootfs_->recovered_records(); });
+      metrics_.Gauge("jrnl.recovered_blocks", [this] { return rootfs_->recovered_blocks(); });
+    } else {
+      journal_.reset();  // unjournaled image or unreadable jsb: plain write-back
     }
     vfs_ = std::make_unique<Vfs>(*rootfs_, cfg_);
 
@@ -551,7 +546,7 @@ Kernel::BootReport Kernel::Boot() {
   for (unsigned c = 0; c < cfg_.EffectiveCores(); ++c) {
     wd_last_tick_[c] = board_.clock().now();
   }
-  if (cfg_.watchdog_enabled && cfg_.HasMultitasking()) {
+  if (cfg_.HasMultitasking()) {
     CreateKernelTask("watchdog", [this] { WatchdogBody(); }, /*core_hint=*/0);
   }
   if (cfg_.prof_enabled) {
@@ -579,6 +574,10 @@ void Kernel::RegisterBlockDevMetrics(int dev) {
 #undef VOS_BLOCK_DEV_GAUGE
 }
 
+// bflush cadence: wake every 50 ms, write back buffers dirty for 30 ms.
+constexpr std::uint32_t kBflushIntervalMs = 50;
+constexpr Cycles kBflushDirtyAge = Ms(30);
+
 void Kernel::FlusherBody() {
   for (;;) {
     Task* cur = CurrentTask();
@@ -590,8 +589,8 @@ void Kernel::FlusherBody() {
     if (journal_ != nullptr) {
       ChargeCurrent(journal_->Tick(Now()));
     }
-    ChargeCurrent(bcache_->FlushAged(Now(), Ms(cfg_.bcache_dirty_age_ms)));
-    KSleepMs(cfg_.bcache_flush_interval_ms);
+    ChargeCurrent(bcache_->FlushAged(Now(), kBflushDirtyAge));
+    KSleepMs(kBflushIntervalMs);
   }
 }
 
@@ -880,7 +879,7 @@ void Kernel::WatchdogBody() {
 
 void Kernel::TickHandler(unsigned core, Cycles now) {
   board_.core_timer(core).ClearIrq();
-  board_.core_timer(core).Arm(now, cfg_.tick_interval);
+  board_.core_timer(core).Arm(now, kTickInterval);
   if (wedged_core_[core]) {
     // Debug wedge: the core runs with IRQs "masked" — the tick is acked and
     // re-armed (the hardware keeps firing) but not serviced, so the watchdog

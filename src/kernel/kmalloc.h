@@ -37,8 +37,7 @@ class Kmalloc {
   static constexpr int kMaxShift = 11;   // 2 KB; beyond that, whole pages
   static constexpr int kNumClasses = kMaxShift - kMinShift + 1;
 
-  // `percore_cache_objs` is the magazine capacity per core per class
-  // (KernelConfig::slab_percore_cache_objs).
+  // `percore_cache_objs` is the magazine capacity per core per class.
   explicit Kmalloc(Pmm& pmm, std::uint32_t percore_cache_objs = 32);
 
   // Returns a physical address of at least `size` bytes, or 0 on exhaustion.

@@ -78,13 +78,12 @@ NetStack::NetStack(const KernelConfig& cfg, Sched& sched, VirtualClock& clock, E
 
 void NetStack::Init() {
   loss_ppm_override_ = cfg_.net_link_loss_ppm;
-  latency_us_override_ = cfg_.net_link_latency_us;
   seed_override_ = cfg_.net_link_seed;
   {
     SpinGuard g(lock_);
     ApplyLinkFaultsLocked();
     SpinGuard n(nic_lock_);
-    nic_.SetIrqCoalesce(cfg_.net_irq_coalesce_frames, Us(cfg_.net_irq_coalesce_us));
+    nic_.SetIrqCoalesce(kNetIrqCoalesceFrames, Us(kNetIrqCoalesceUs));
   }
   // Gauges snapshot token-serialized counters, like every other subsystem.
   metrics_.Gauge("net.nic.tx_frames", [this] { return nic_.tx_frames(); });
@@ -336,7 +335,7 @@ std::uint16_t NetStack::AllocEphemeralPort(std::uint32_t rip, std::uint16_t rpor
 std::string NetStack::NetstatText() const {
   SpinGuard g(lock_);
   std::ostringstream os;
-  os << "ip " << IpStr(cfg_.net_ip) << " mtu " << cfg_.net_mtu << "\n";
+  os << "ip " << IpStr(cfg_.net_ip) << " mtu " << kNetMtu << "\n";
   os << "ip_tx " << stats_.ip_tx << " ip_rx " << stats_.ip_rx << " ip_drop " << stats_.ip_drop
      << " csum_drop " << stats_.csum_drop << "\n";
   os << "arp_tx " << stats_.arp_tx << " arp_rx " << stats_.arp_rx << "\n";

@@ -89,6 +89,20 @@ inline std::uint32_t Get32(const std::uint8_t* p) {
 // (used for the TCP/UDP pseudo-header). Exposed for tests.
 std::uint16_t InetChecksum(const std::uint8_t* data, std::size_t len, std::uint32_t seed = 0);
 
+// --- Stack sizes and timers ---------------------------------------------------
+
+constexpr std::size_t kNetMtu = 1500;          // ethernet payload bytes per frame
+constexpr std::size_t kNetSndBuf = 32768;      // per-socket send buffer bytes
+constexpr std::size_t kNetRcvBuf = 32768;      // per-socket receive buffer bytes
+constexpr Cycles kNetTimeWait = Ms(5);         // short TIME_WAIT (virtual time)
+constexpr std::uint32_t kNetMaxRetries = 8;    // RTO expiries before reset
+constexpr std::uint32_t kNetSoMaxConn = 512;   // listen backlog hard cap
+// Boot values of the link knobs /proc/netstat retunes: an RX IRQ after 8
+// frames or 50 µs, whichever comes first, over a 20 µs one-way wire.
+constexpr std::uint32_t kNetIrqCoalesceFrames = 8;
+constexpr std::uint32_t kNetIrqCoalesceUs = 50;
+constexpr std::uint32_t kNetLinkLatencyUs = 20;
+
 // --- Connection state -------------------------------------------------------
 
 enum class TcpState : int {
@@ -352,10 +366,10 @@ class NetStack {
   NetStats stats_;  // racedet: ok (aggregate; members written under lock_, gauges snapshot)
   std::uint64_t sockets_live_ = 0;  // racedet: shared (guarded by lock_)
 
-  // Runtime link-fault state (/proc/netstat command language), seeded from
-  // the cfg knobs at Init.
+  // Runtime link-fault state (/proc/netstat command language); loss and seed
+  // come from the cfg knobs at Init.
   std::uint32_t loss_ppm_override_ = 0;
-  std::uint32_t latency_us_override_ = 0;
+  std::uint32_t latency_us_override_ = kNetLinkLatencyUs;
   std::uint64_t seed_override_ = 1;
 };
 

@@ -39,11 +39,11 @@ std::int64_t NetStack::Listen(Socket& s, std::uint32_t backlog) {
     return kErrInval;
   }
   if (s.listening) {
-    s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), cfg_.net_somaxconn);
+    s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), kNetSoMaxConn);
     return 0;
   }
   s.listening = true;
-  s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), cfg_.net_somaxconn);
+  s.backlog = std::min(std::max<std::uint32_t>(backlog, 1), kNetSoMaxConn);
   RD_WRITE(listeners_)[s.local_port] = &s;
   return 0;
 }
@@ -165,7 +165,7 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
     if (!s.udp_connected) {
       return kErrInval;
     }
-    std::size_t mtu_payload = cfg_.net_mtu - kIpHdrLen - kUdpHdrLen;
+    std::size_t mtu_payload = kNetMtu - kIpHdrLen - kUdpHdrLen;
     std::size_t take = std::min(n, mtu_payload);
     std::vector<std::uint8_t> dgram(kUdpHdrLen + take);
     Put16(dgram.data() + 0, s.local_port);
@@ -206,7 +206,7 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
       sched_.SleepOn(cur, &t->rcv_chan, lock_);
       continue;
     }
-    if (t->sndq.size() >= cfg_.net_sndbuf) {
+    if (t->sndq.size() >= kNetSndBuf) {
       if (cur->killed) {
         return done > 0 ? static_cast<std::int64_t>(done) : kErrIntr;
       }
@@ -216,7 +216,7 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
       sched_.SleepOn(cur, &t->snd_chan, lock_);
       continue;
     }
-    std::size_t room = cfg_.net_sndbuf - t->sndq.size();
+    std::size_t room = kNetSndBuf - t->sndq.size();
     std::size_t take = std::min(room, n - done);
     t->sndq.insert(t->sndq.end(), buf + done, buf + done + take);
     done += take;

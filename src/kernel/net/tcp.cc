@@ -34,7 +34,7 @@ void NetStack::TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, const s
   Put32(h + 4, seq);
   Put32(h + 8, (flags & kTcpAck) != 0 ? t.rcv_nxt : 0);
   Put16(h + 12, static_cast<std::uint16_t>((5u << 12) | flags));
-  std::size_t room = t.rcvq.size() < cfg_.net_rcvbuf ? cfg_.net_rcvbuf - t.rcvq.size() : 0;
+  std::size_t room = t.rcvq.size() < kNetRcvBuf ? kNetRcvBuf - t.rcvq.size() : 0;
   Put16(h + 14, static_cast<std::uint16_t>(std::min<std::size_t>(room, 0xffff)));
   Put16(h + 16, 0);  // checksum placeholder
   Put16(h + 18, 0);  // urgent
@@ -76,7 +76,7 @@ void NetStack::TcpSendRstFor(const TcpSeg& seg, Cycles* burn) {
 }
 
 void NetStack::TcpPushSend(Tcb& t, Cycles* burn) {
-  std::size_t mss = cfg_.net_mtu - kIpHdrLen - kTcpHdrLen;
+  std::size_t mss = kNetMtu - kIpHdrLen - kTcpHdrLen;
   for (;;) {
     std::uint32_t inflight = t.snd_nxt - t.snd_una;
     std::uint32_t wnd = std::max<std::uint32_t>(t.snd_wnd, 1);  // 1: probe a closed window
@@ -140,7 +140,7 @@ void NetStack::TcpOnRto(const std::shared_ptr<Tcb>& t) {
     return;  // everything acked in the meantime
   }
   ++t->retries;
-  if (t->retries > cfg_.net_max_retries) {
+  if (t->retries > kNetMaxRetries) {
     // Peer unreachable: reset the connection locally.
     TcpKill(t, kErrIo);
     return;
@@ -187,7 +187,7 @@ void NetStack::TcpEnterTimeWait(const std::shared_ptr<Tcb>& t) {
   t->state = TcpState::kTimeWait;
   TcpDisarmRto(*t);
   std::shared_ptr<Tcb> keep = t;
-  t->time_wait_event = events_.Schedule(clock_.now() + Ms(cfg_.net_time_wait_ms), [this, keep] {
+  t->time_wait_event = events_.Schedule(clock_.now() + kNetTimeWait, [this, keep] {
     SpinGuard g(lock_);
     keep->time_wait_event = 0;
     if (keep->state == TcpState::kTimeWait) {
@@ -385,7 +385,7 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
   bool advanced = false;
   if (seg.len > 0) {
     if (seg.seq == t->rcv_nxt && !t->rcv_shutdown &&
-        t->rcvq.size() + seg.len <= cfg_.net_rcvbuf && !t->peer_fin) {
+        t->rcvq.size() + seg.len <= kNetRcvBuf && !t->peer_fin) {
       t->rcvq.insert(t->rcvq.end(), seg.data, seg.data + seg.len);
       t->rcv_nxt += static_cast<std::uint32_t>(seg.len);
       Charge(burn,

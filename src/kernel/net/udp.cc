@@ -27,7 +27,7 @@ void NetStack::HandleUdp(std::uint32_t src_ip, const std::uint8_t* p, std::size_
   }
   Socket* s = it->second;
   std::size_t payload = ulen - kUdpHdrLen;
-  if (s->udpq.size() >= 64 || s->udpq_bytes + payload > cfg_.net_rcvbuf) {
+  if (s->udpq.size() >= 64 || s->udpq_bytes + payload > kNetRcvBuf) {
     ++stats_.udp_drop;
     return;
   }

@@ -27,7 +27,7 @@ Profiler::Profiler(const KernelConfig& cfg, TraceRing* trace)
       period_(cfg.prof_hz == 0 ? kCyclesPerSec : kCyclesPerSec / cfg.prof_hz),
       max_frames_(std::min(cfg.prof_max_frames == 0 ? 1u : cfg.prof_max_frames,
                            kProfMaxFrames)),
-      ring_(cfg.prof_ring_capacity) {}
+      ring_(kProfRingCapacity) {}
 
 void Profiler::Start(Cycles now) {
   if (running_) {
@@ -152,7 +152,7 @@ unsigned Profiler::OnSpan(unsigned core, Task* task, Cycles t0, Cycles t1) {
 }
 
 void Profiler::OnSleep(Task* t) {
-  if (!running_ || !cfg_.prof_offcpu) {
+  if (!running_) {
     return;
   }
   t->sleep_stack = t->call_stack;
@@ -162,7 +162,7 @@ void Profiler::OnSleep(Task* t) {
 }
 
 void Profiler::OnWake(Task* t, Cycles blocked) {
-  if (!running_ || !cfg_.prof_offcpu) {
+  if (!running_) {
     t->sleep_stack.clear();
     return;
   }

@@ -43,6 +43,8 @@ class TraceRing;
 
 // Hard cap on frames kept per sample; cfg.prof_max_frames clamps to this.
 constexpr unsigned kProfMaxFrames = 32;
+// Sample records kept per core.
+constexpr std::size_t kProfRingCapacity = 8192;
 
 // One captured sample. Frames are root-first (call_stack order), truncated
 // to the configured depth; a truncated capture is still a valid stack.

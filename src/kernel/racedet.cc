@@ -100,7 +100,7 @@ Racedet::Cell* Racedet::Lookup(std::uintptr_t addr, bool create, const char* nam
     }
   }
   // Probe chain exhausted: the location goes untracked (counted, never a
-  // false positive). Raise KernelConfig::racedet_cells if this fires.
+  // false positive). Raise kRacedetCells if this fires.
   if (create) {
     ++dropped_;
   }

@@ -38,10 +38,9 @@
 //    left unannotated because they are per-core by construction.
 //
 // The checker is driven entirely by annotations — it never traps raw loads.
-// It is a no-op when disabled (KernelConfig::racedet_enabled) and requires
-// lockdep (the lockset source): the kernel session enables it only when
-// both knobs are on. Reports are diagnostics, not panics: detection must
-// not perturb the schedule it is observing.
+// It requires lockdep (the lockset source), so the kernel session enables it
+// exactly when KernelConfig::lockdep_enabled is on. Reports are diagnostics,
+// not panics: detection must not perturb the schedule it is observing.
 #ifndef VOS_SRC_KERNEL_RACEDET_H_
 #define VOS_SRC_KERNEL_RACEDET_H_
 
@@ -89,7 +88,7 @@ class Racedet {
   // Wipes shadow cells, reports, and counters; resizes the cell table.
   // Each Kernel construction starts a fresh session (tests boot many
   // kernels). `cells` is rounded up to a power of two.
-  void Reset(std::size_t cells = 4096);
+  void Reset(std::size_t cells);
 
   void SetEnabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
@@ -187,14 +186,17 @@ class Racedet {
   CtxNameFn ctx_name_;
 };
 
+// Shadow-cell hash capacity of a kernel's racedet session.
+constexpr std::size_t kRacedetCells = 4096;
+
 // Per-kernel racedet session, mirroring LockdepSession: Reset + enable on
 // construction so each boot starts with empty shadow state. Lives as an
 // early Kernel member, right after the lockdep session (racedet reads the
 // lockset lockdep maintains).
 class RacedetSession {
  public:
-  RacedetSession(bool enabled, std::size_t cells) {
-    Racedet::Instance().Reset(cells);
+  explicit RacedetSession(bool enabled) {
+    Racedet::Instance().Reset(kRacedetCells);
     Racedet::Instance().SetEnabled(enabled);
   }
   ~RacedetSession() {

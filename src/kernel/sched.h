@@ -35,6 +35,10 @@
 
 namespace vos {
 
+// Per-core scheduler tick, and the round-robin slice in ticks (10 ms).
+constexpr Cycles kTickInterval = Ms(1);
+constexpr unsigned kSliceTicks = 10;
+
 // MLFQ depth. Level 0 is the highest priority; slices double per level.
 constexpr int kMlfqLevels = 3;
 
@@ -163,7 +167,7 @@ class Sched {
   // Slice budget at `level`: doubles per level so demoted CPU hogs run in
   // longer, less frequent bursts (the classic MLFQ shape).
   Cycles SliceLenAt(int level) const {
-    return (cfg_.tick_interval * cfg_.slice_ticks) << (Mlfq() ? level : 0);
+    return (kTickInterval * kSliceTicks) << (Mlfq() ? level : 0);
   }
   Cycles NowStamp() const { return now_fn_ ? now_fn_() : 0; }
   // Pops the highest-priority task of `rq` and accounts the dispatch.

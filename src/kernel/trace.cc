@@ -8,9 +8,7 @@ namespace vos {
 
 void TraceRing::Emit(Cycles ts, unsigned core, TraceEvent ev, std::int32_t pid, std::uint64_t a,
                      std::uint64_t b) {
-  if (enabled_) {
-    ring_.Push(core, TraceRecord{ts, static_cast<std::uint16_t>(core), ev, pid, a, b});
-  }
+  ring_.Push(core, TraceRecord{ts, static_cast<std::uint16_t>(core), ev, pid, a, b});
 }
 
 std::vector<TraceRecord> TraceRing::DumpEvent(TraceEvent ev) const {
@@ -88,29 +86,44 @@ bool ParseTraceText(const std::string& text, std::vector<TraceRecord>* out) {
 
 std::string FormatChromeTrace(const std::vector<TraceRecord>& recs) {
   std::string out = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-  char buf[256];
+  char buf[320];
+  char args[128];
   bool first = true;
   for (const TraceRecord& r : recs) {
     // Syscall and IRQ brackets become duration events so Perfetto renders
-    // spans; the rest are instant events. A wrapped ring can lose one half of
-    // a pair — viewers tolerate unmatched B/E, and the JSON stays valid.
+    // spans; a wrapped ring can lose one half of a pair — viewers tolerate
+    // unmatched B/E, and the JSON stays valid. Profiler samples become one
+    // counter track of sample weight per core, and a watchdog bark is a
+    // global instant carrying the offender pid. The rest are thread instants.
     std::string name;
     char ph = 'I';
+    const char* scope = ",\"s\":\"t\"";
+    std::snprintf(args, sizeof(args), "\"a\":%" PRIu64 ",\"b\":%" PRIu64, r.a, r.b);
     if (r.event == TraceEvent::kSyscallEnter || r.event == TraceEvent::kSyscallExit) {
       name = "syscall_" + std::to_string(r.a);
       ph = r.event == TraceEvent::kSyscallEnter ? 'B' : 'E';
     } else if (r.event == TraceEvent::kIrqEnter || r.event == TraceEvent::kIrqExit) {
       name = "irq_" + std::to_string(r.a);
       ph = r.event == TraceEvent::kIrqEnter ? 'B' : 'E';
+    } else if (r.event == TraceEvent::kProfSample) {
+      name = "prof_samples_core" + std::to_string(r.core);
+      ph = 'C';
+      std::snprintf(args, sizeof(args), "\"weight\":%" PRIu64 ",\"stack_hash\":%" PRIu64, r.b,
+                    r.a);
+    } else if (r.event == TraceEvent::kWatchdogBark) {
+      name = "watchdog_bark_core" + std::to_string(r.b);
+      scope = ",\"s\":\"g\"";
+      std::snprintf(args, sizeof(args),
+                    "\"offender_pid\":%d,\"stalled_cycles\":%" PRIu64 ",\"core\":%" PRIu64,
+                    r.pid, r.a, r.b);
     } else {
       name = TraceRing::EventName(r.event);
     }
     std::snprintf(buf, sizeof(buf),
                   "%s{\"name\":\"%s\",\"cat\":\"kernel\",\"ph\":\"%c\",\"ts\":%.3f,"
-                  "\"pid\":%d,\"tid\":%u%s,\"args\":{\"a\":%" PRIu64 ",\"b\":%" PRIu64 "}}",
-                  first ? "" : ",", name.c_str(), ph,
-                  static_cast<double>(r.ts) / 1000.0, r.pid, r.core,
-                  ph == 'I' ? ",\"s\":\"t\"" : "", r.a, r.b);
+                  "\"pid\":%d,\"tid\":%u%s,\"args\":{%s}}",
+                  first ? "" : ",", name.c_str(), ph, static_cast<double>(r.ts) / 1000.0, r.pid,
+                  r.core, ph == 'I' ? scope : "", args);
     out += buf;
     first = false;
   }

@@ -67,8 +67,7 @@ struct TraceRecord {
 
 class TraceRing {
  public:
-  explicit TraceRing(bool enabled, std::size_t per_core_capacity = 16384)
-      : enabled_(enabled), ring_(per_core_capacity) {}
+  explicit TraceRing(std::size_t per_core_capacity = 16384) : ring_(per_core_capacity) {}
 
   // Lock-free hot path: one producer per core (token-serialized in the
   // simulator). Safe to call from IRQ context and inside any spinlock.
@@ -82,7 +81,6 @@ class TraceRing {
   std::vector<TraceRecord> DumpEvent(TraceEvent ev) const;
 
   void Clear() { ring_.Clear(); }
-  bool enabled() const { return enabled_; }
   std::uint64_t total_emitted() const { return ring_.emitted(); }
   // Records overwritten by ring wrap since the last Clear().
   std::uint64_t dropped(unsigned core) const { return ring_.dropped(core); }
@@ -94,7 +92,6 @@ class TraceRing {
   static bool EventFromName(const std::string& name, TraceEvent* out);
 
  private:
-  bool enabled_;
   SeqlockRing<TraceRecord, kMaxCores> ring_;
 };
 
@@ -104,8 +101,10 @@ std::string FormatTraceText(const std::vector<TraceRecord>& recs);
 bool ParseTraceText(const std::string& text, std::vector<TraceRecord>* out);
 
 // Chrome trace-event JSON (loadable in Perfetto / chrome://tracing):
-// syscall and IRQ enter/exit pairs become duration (B/E) events, everything
-// else instant events; tid = core, ts in microseconds.
+// syscall and IRQ enter/exit pairs become duration (B/E) events, profiler
+// samples a per-core counter (C) track, watchdog barks global instants, and
+// everything else thread instants; tid = core, ts in microseconds.
+// tools/trace2perfetto.py converts a saved text dump to the same events.
 std::string FormatChromeTrace(const std::vector<TraceRecord>& recs);
 
 }  // namespace vos

@@ -4,12 +4,12 @@
 
 #include "src/apps/doomlike.h"
 #include "src/apps/mario.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/bmp.h"
 #include "src/ulib/usys.h"
 #include "src/wm/wm.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -197,11 +197,10 @@ TEST_F(AppsTest, ScreenshotUtilityWritesDecodableBmpToSdCard) {
   std::vector<std::uint8_t> raw;
   static std::vector<std::uint8_t>* sink = nullptr;
   sink = &raw;
-  AppRegistry::Instance().Register("shotread", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys(), "shotread", [](AppEnv& env) -> int {
     return uread_file(env, "/d/SHOT.BMP", sink) >= 0 ? 0 : 1;
-  }, 1024, 8 << 20);
-  sys().kernel().AddBootBlob("shotread", BuildVelf("shotread", 1024, {}, 8 << 20));
-  ASSERT_EQ(sys().WaitProgram(sys().kernel().StartUserProgram("shotread", {"shotread"})), 0);
+  }, 8 << 20);
+  ASSERT_EQ(rc, 0);
   std::optional<Image> img = BmpDecode(raw.data(), raw.size());
   ASSERT_TRUE(img.has_value());
   Image live = sys().Screenshot();

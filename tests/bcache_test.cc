@@ -13,10 +13,10 @@
 #include "src/fs/fsck.h"
 #include "src/fs/procfs.h"
 #include "src/fs/xv6fs.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -326,7 +326,7 @@ class BcacheFaultTest : public ::testing::Test {
 
   KernelConfig cfg_;
   RamDisk disk_;
-  FaultInjector fi_{cfg_};
+  FaultInjector fi_;
   FaultInjectingBlockDevice fdev_;
   Bcache bc_;
   int dev_ = -1;
@@ -348,7 +348,8 @@ TEST_F(BcacheFaultTest, FlushFailureLatchesErrorUntilTaken) {
 
 TEST_F(BcacheFaultTest, TransientErrorsRetryUntilTheWriteLands) {
   DirtyBlock(10, 0x5a);
-  // Two bounces, fewer than blk_max_retries: the retry loop must absorb them.
+  // Two bounces, fewer than BlockRetryPolicy's 4 retries: the retry loop must
+  // absorb them.
   ASSERT_EQ(fi_.Command("transient 0 10 1 2\n"), 0);
   bc_.FlushAll();
   EXPECT_EQ(RawByte(10), 0x5a) << "retries did not recover the transient fault";
@@ -392,10 +393,9 @@ TEST_F(BcacheFaultTest, WriteThroughFailureReturnsErrIoSynchronously) {
 }
 
 TEST_F(BcacheFaultTest, ExhaustedRetriesWithinBudgetClassifyAsTimeout) {
-  KernelConfig cfg = cfg_;
-  cfg.fault_inject_enabled = true;
-  cfg.fault_timeout_rate = 1.0;  // every command stalls for the whole budget
-  FaultInjector fi(cfg);
+  FaultInjector fi;
+  // Every command stalls for the whole budget.
+  ASSERT_EQ(fi.Command("on\ntimeout_rate 1"), 0);
   FaultInjectingBlockDevice fdev(&disk_, &fi, 0);
   Bcache bc(cfg_);
   int dev = bc.AddDevice(&fdev, "slow");
@@ -493,15 +493,6 @@ TEST_F(BcacheFsTest, FsckCleanAfterFlushAll) {
 }
 
 // --- Syscalls + /proc/blkstat on a booted system -----------------------------
-
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 TEST(BcacheOsTest, FsyncAndSyncSyscallsDrainDirtyBuffers) {
   System sys(OptionsForStage(Stage::kProto5));

@@ -52,7 +52,7 @@ CrashOutcome RunCrashPoint(std::uint64_t seed, int crash_point) {
 
   KernelConfig cfg;
   RamDisk disk(Xv6Fs::Mkfs(kFsBlocks, kNInodes));
-  FaultInjector fi(cfg);
+  FaultInjector fi;
   FaultInjectingBlockDevice fdev(&disk, &fi, 0);
   Bcache bc(cfg);
   Xv6Fs fs(bc, bc.AddDevice(&fdev, "torture"), cfg);
@@ -212,7 +212,7 @@ TEST(CrashTortureTest, CrashPointsReplayDeterministically) {
 TEST(FaultWorkloadTest, TenThousandOpsUnderTransientFaultsNoSilentCorruption) {
   KernelConfig cfg;
   RamDisk disk(Xv6Fs::Mkfs(kFsBlocks, kNInodes));
-  FaultInjector fi(cfg);
+  FaultInjector fi;
   FaultInjectingBlockDevice fdev(&disk, &fi, 0);
   Bcache bc(cfg);
   int dev = bc.AddDevice(&fdev, "flaky");
@@ -357,7 +357,7 @@ JournaledOutcome RunJournaledCrashPoint(std::uint64_t seed, int crash_point) {
 
   KernelConfig cfg;
   RamDisk disk(Xv6Fs::Mkfs(kFsBlocks, kNInodes));
-  FaultInjector fi(cfg);
+  FaultInjector fi;
   FaultInjectingBlockDevice fdev(&disk, &fi, 0);
   Bcache bc(cfg);
   int dev = bc.AddDevice(&fdev, "jtorture");

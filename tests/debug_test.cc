@@ -28,7 +28,7 @@ TEST(Trace, RecordsSyscallsInOrder) {
 }
 
 TEST(Trace, RingOverwritesOldestNotNewest) {
-  TraceRing ring(true, 8);
+  TraceRing ring(8);
   for (int i = 0; i < 20; ++i) {
     ring.Emit(Cycles(i), 0, TraceEvent::kUserMark, 1, static_cast<std::uint64_t>(i));
   }
@@ -36,12 +36,6 @@ TEST(Trace, RingOverwritesOldestNotNewest) {
   ASSERT_EQ(all.size(), 8u);
   EXPECT_EQ(all.front().a, 12u);
   EXPECT_EQ(all.back().a, 19u);
-}
-
-TEST(Trace, DisabledRingCostsNothing) {
-  TraceRing ring(false);
-  ring.Emit(1, 0, TraceEvent::kUserMark, 1);
-  EXPECT_TRUE(ring.Dump().empty());
 }
 
 TEST(Unwinder, ShadowStackFramesInOrder) {

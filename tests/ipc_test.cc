@@ -7,24 +7,13 @@
 #include <string>
 
 #include "src/base/status.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
-
-// Registers a one-off test program and runs it to completion (the
-// syscall_test harness pattern).
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 class IpcTest : public ::testing::Test {
  protected:
@@ -33,7 +22,7 @@ class IpcTest : public ::testing::Test {
 };
 
 TEST_F(IpcTest, CreateMapRoundTrip) {
-  int rc = RunInOs(sys_, "ipc-roundtrip", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "ipc-rt", [](AppEnv& env) -> int {
     std::int64_t id = uipc_create(env, 4096);
     if (id < 0) {
       return 1;

@@ -32,7 +32,6 @@ class JournalTest : public ::testing::Test {
 
   explicit JournalTest(std::uint32_t nlog = kJrnlDefaultLogBlocks)
       : disk_(Xv6Fs::Mkfs(kFsBlocks, kNInodes, nlog)),
-        injector_(MakeInjectorConfig()),
         faulty_(&disk_, &injector_, 0),
         bc_(cfg_),
         dev_(bc_.AddDevice(&faulty_)),
@@ -41,12 +40,6 @@ class JournalTest : public ::testing::Test {
     EXPECT_EQ(fs_.Mount(&burn_), 0);
     EXPECT_EQ(jrnl_.Init(fs_.sb(), &burn_), 0);
     fs_.AttachJournal(&jrnl_);
-  }
-
-  static KernelConfig MakeInjectorConfig() {
-    KernelConfig c;
-    c.fault_inject_enabled = true;  // zero-rate: deterministic until armed
-    return c;
   }
 
   // Remounts a fresh Xv6Fs over the (possibly power-cut) image, running

@@ -15,10 +15,10 @@
 #include "src/base/status.h"
 #include "src/kernel/lockdep.h"
 #include "src/kernel/spinlock.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -209,20 +209,11 @@ TEST_F(LockdepTest, ReportFormatsClassesAndEdges) {
 
 // --- Full-boot integration: the kernel's own locks populate the graph ------
 
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
-
 TEST(LockdepBootTest, ProcLockdepListsKernelClassesAfterBoot) {
   System sys(OptionsForStage(Stage::kProto5));
   // Exercise pipes, semaphores, and file I/O so every instrumented subsystem
   // contributes acquisitions and edges.
-  int rc = RunInOs(sys, "lockdep_probe", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "ld-probe", [](AppEnv& env) -> int {
     int fds[2];
     if (upipe(env, fds) != 0) {
       return 1;

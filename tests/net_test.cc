@@ -11,22 +11,13 @@
 
 #include "src/base/status.h"
 #include "src/kernel/net/net.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
-
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 class NetTest : public ::testing::Test {
  protected:
@@ -237,7 +228,7 @@ TEST_F(NetTest, AcceptOnEmptyBacklog) {
 }
 
 TEST_F(NetTest, RecvAfterPeerShutdownDrainsThenEof) {
-  int rc = RunInOs(sys_, "recv-shutdown", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "recv-shut", [](AppEnv& env) -> int {
     std::uint32_t ip = env.kernel->config().net_ip;
     std::int64_t lfd = usocket(env, 0);
     if (lfd < 0 || ubind(env, static_cast<int>(lfd), 7200) < 0 ||
@@ -290,7 +281,7 @@ TEST_F(NetTest, RecvAfterPeerShutdownDrainsThenEof) {
 
 TEST_F(NetTest, EintrDuringAccept) {
   Kernel* k = &sys_.kernel();
-  int rc = RunInOs(sys_, "accept-eintr", [k](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "acc-eintr", [k](AppEnv& env) -> int {
     std::int64_t lfd = usocket(env, 0);
     if (lfd < 0 || ubind(env, static_cast<int>(lfd), 7300) < 0 ||
         ulisten(env, static_cast<int>(lfd), 4) < 0) {
@@ -319,7 +310,7 @@ TEST_F(NetTest, EintrDuringAccept) {
 }
 
 TEST_F(NetTest, BacklogOverflowDropsSyn) {
-  int rc = RunInOs(sys_, "backlog-drop", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "backlog", [](AppEnv& env) -> int {
     std::uint32_t ip = env.kernel->config().net_ip;
     std::int64_t lfd = usocket(env, 0);
     // Backlog of 1: the first handshake fills it; later SYNs are shed.

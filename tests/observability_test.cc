@@ -23,10 +23,10 @@
 #include "src/kernel/metrics.h"
 #include "src/kernel/spinlock.h"
 #include "src/kernel/trace.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -79,7 +79,7 @@ TEST(TraceRingTest, EmitTakesNoLock) {
   Lockdep& dep = Lockdep::Instance();
   dep.Reset();
   dep.SetEnabled(true);
-  TraceRing ring(/*enabled=*/true, /*per_core_capacity=*/1024);
+  TraceRing ring(/*per_core_capacity=*/1024);
   auto total_acquisitions = [&dep] {
     std::uint64_t t = 0;
     for (const LockClassInfo& c : dep.Classes()) {
@@ -97,7 +97,7 @@ TEST(TraceRingTest, EmitTakesNoLock) {
 }
 
 TEST(TraceRingTest, WrapOverwritesOldestAndCountsDrops) {
-  TraceRing ring(true, 8);
+  TraceRing ring(8);
   for (int i = 0; i < 20; ++i) {
     ring.Emit(Cycles(i), /*core=*/0, TraceEvent::kUserMark, 1, std::uint64_t(i), 0);
   }
@@ -114,7 +114,7 @@ TEST(TraceRingTest, WrapOverwritesOldestAndCountsDrops) {
 }
 
 TEST(TraceRingTest, DumpMergesCoresInTimeOrder) {
-  TraceRing ring(true, 16);
+  TraceRing ring(16);
   ring.Emit(Cycles(30), 1, TraceEvent::kWakeup, 2);
   ring.Emit(Cycles(10), 0, TraceEvent::kSleep, 1);
   ring.Emit(Cycles(20), 2, TraceEvent::kCtxSwitch, 3);
@@ -190,17 +190,17 @@ TEST(ChromeTraceTest, PairsBracketsAndMarksInstants) {
 bool HavePython3() { return std::system("python3 --version > /dev/null 2>&1") == 0; }
 
 // Validate the C++ JSON emitter with a real parser, and run the offline
-// converter over the same dump: both must yield parseable trace-event JSON
-// with the same event count.
+// converter over the same dump: both must yield the same trace events.
 TEST(ChromeTraceTest, PythonToolingAcceptsTheOutput) {
   if (!HavePython3()) {
     GTEST_SKIP() << "python3 not available";
   }
   // One record of every listed event: syscall and IRQ pairs, the profiler
-  // and watchdog records trace2perfetto.py renders specially, and the rest.
+  // and watchdog records both converters render specially, and the rest.
+  // Timestamps are not whole microseconds, so the "ts" formatting is compared.
   std::vector<TraceRecord> recs;
   for (TraceEvent ev : kEveryEvent) {
-    recs.push_back({Cycles(1000 * (recs.size() + 1)), 1, ev, 2, 27, 1});
+    recs.push_back({Cycles(1001 * (recs.size() + 1)), 1, ev, 2, 27, 1});
   }
   const std::filesystem::path tmp = ::testing::TempDir();
   const std::filesystem::path json_path = tmp / "vos_trace.json";
@@ -213,28 +213,39 @@ TEST(ChromeTraceTest, PythonToolingAcceptsTheOutput) {
   const std::filesystem::path tools =
       std::filesystem::path(__FILE__).parent_path().parent_path() / "tools";
   // Loads a trace-event JSON file, checks the event count, then runs
-  // `assertion` with ph = the set of phases and by = events by name.
-  auto check = [&recs](const std::string& assertion, const std::filesystem::path& file) {
+  // `assertion` with ev = the events, ph = the set of phases, by = events by
+  // name, and argv[2] = `other`.
+  auto check = [&recs](const std::string& assertion, const std::filesystem::path& file,
+                       const std::filesystem::path& other = {}) {
     const std::string cmd =
         "python3 -c \"import json,sys; d=json.load(open(sys.argv[1])); ev=d['traceEvents']; "
         "assert d['displayTimeUnit']=='ns' and len(ev)==" + std::to_string(recs.size()) +
         "; ph={e['ph'] for e in ev}; by={e['name']: e for e in ev}; " + assertion + "\" " +
-        file.string();
+        file.string() + " " + other.string();
     return std::system(cmd.c_str());
   };
-  EXPECT_EQ(check("assert ph=={'B','E','I'}", json_path), 0)
-      << "FormatChromeTrace output is not valid trace-event JSON";
+  // prof_sample becomes a per-core counter track, watchdog_bark a global
+  // instant carrying the offender pid.
+  const std::string special =
+      "assert ph=={'B','E','I','C'}; p=by['prof_samples_core1']; "
+      "assert p['ph']=='C' and p['args']=={'weight': 1, 'stack_hash': 27}; "
+      "w=by['watchdog_bark_core1']; assert w['ph']=='I' and w['s']=='g'; "
+      "assert w['args']=={'offender_pid': 2, 'stalled_cycles': 27, 'core': 1}";
+  EXPECT_EQ(check(special, json_path), 0)
+      << "FormatChromeTrace output is not the expected trace-event JSON";
   const std::string convert = "python3 " + (tools / "trace2perfetto.py").string() + " " +
                               text_path.string() + " " + tool_json.string() +
                               " > /dev/null 2>&1";
   ASSERT_EQ(std::system(convert.c_str()), 0) << "trace2perfetto.py failed";
-  // prof_sample becomes a per-core counter track, watchdog_bark a global
-  // instant; both only happen if the tool knows the names the dump uses.
-  EXPECT_EQ(check("assert ph=={'B','E','I','C'}; assert by['prof_samples_core1']['ph']=='C'; "
-                  "w=by['watchdog_bark_core1']; assert w['ph']=='I' and w['s']=='g'",
-                  tool_json),
-            0)
+  EXPECT_EQ(check(special, tool_json), 0)
       << "trace2perfetto.py output is not the expected trace-event JSON";
+  // The in-OS converter (the `trace` coreutil) and the offline tool agree
+  // event for event: same names, phases, scopes, timestamps and args.
+  EXPECT_EQ(check("t=json.load(open(sys.argv[2]))['traceEvents']; "
+                  "assert ev==t, [(a, b) for a, b in zip(ev, t) if a!=b][:2]",
+                  json_path, tool_json),
+            0)
+      << "FormatChromeTrace and trace2perfetto.py disagree";
 }
 
 // --- Metrics registry -----------------------------------------------------
@@ -413,15 +424,6 @@ TEST(ProcFormatTest, BlkStatRoundTripsEveryColumn) {
 }
 
 // --- Full-boot integration ------------------------------------------------
-
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 // Reads /proc/<name> host-side, as open(2) does: the generator runs at open.
 // With the machine stopped, files read back to back share one instant of
@@ -659,6 +661,21 @@ TEST(ObservabilityBootTest, CpuinfoSwitchesArePerCore) {
   EXPECT_EQ(cores_seen, 4u) << cpuinfo;
   EXPECT_GT(sum, 0u);
   EXPECT_LE(sum, sys.kernel().sched().context_switches()) << cpuinfo;
+}
+
+// The boot values of the fault injector and the stack's MTU, as a freshly
+// booted system reports them. They are constants beside their consumers, so
+// these bytes are the only place a changed default shows.
+TEST(ObservabilityBootTest, FreshBootFaultinjectAndNetstatBytes) {
+  System sys(OptionsForStage(Stage::kProto5));
+  EXPECT_EQ(ProcSnapshot(sys, "faultinject"),
+            "enabled 0\n"
+            "rates transient=0 timeout=0 latency=0 latency_mult=20\n"
+            "power on\n"
+            "counters reads=6 writes=0 transient=0 media=0 timeout=0 torn=0 "
+            "latency_spikes=0 cut_dropped=0\n");
+  const std::string netstat = ProcSnapshot(sys, "netstat");
+  EXPECT_EQ(netstat.substr(0, netstat.find('\n') + 1), "ip 10.0.0.2 mtu 1500\n") << netstat;
 }
 
 }  // namespace

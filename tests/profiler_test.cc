@@ -18,11 +18,11 @@
 #include "src/kernel/metrics.h"
 #include "src/kernel/profiler.h"
 #include "src/kernel/trace.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/ustdio.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -32,7 +32,7 @@ namespace {
 TEST(ProfilerUnitTest, IdleSpansSampleAtConfiguredRate) {
   KernelConfig cfg;
   cfg.prof_hz = 1000;  // 1 ms period
-  TraceRing ring(true, 1024);
+  TraceRing ring(1024);
   Profiler prof(cfg, &ring);
   prof.Start(0);
   ASSERT_TRUE(prof.running());
@@ -64,7 +64,7 @@ TEST(ProfilerUnitTest, IdleSpansSampleAtConfiguredRate) {
 
 TEST(ProfilerUnitTest, CommandLanguageMatchesFaultinjectIdiom) {
   KernelConfig cfg;
-  TraceRing ring(true, 64);
+  TraceRing ring(64);
   Profiler prof(cfg, &ring);
   EXPECT_FALSE(prof.running());
   EXPECT_EQ(prof.Command("start\n", 0), 0);
@@ -79,7 +79,7 @@ TEST(ProfilerUnitTest, CommandLanguageMatchesFaultinjectIdiom) {
 TEST(ProfilerUnitTest, ResetClearsSamplesAndFolds) {
   KernelConfig cfg;
   cfg.prof_hz = 1000;
-  TraceRing ring(true, 64);
+  TraceRing ring(64);
   Profiler prof(cfg, &ring);
   prof.Start(0);
   EXPECT_EQ(prof.OnSpan(1, nullptr, 0, Ms(5)), 1u);
@@ -95,15 +95,6 @@ TEST(ProfilerUnitTest, ResetClearsSamplesAndFolds) {
 }
 
 // --- Boot-level helpers ------------------------------------------------------
-
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 std::string RunAndCapture(System& sys, const std::string& prog,
                           const std::vector<std::string>& args) {

@@ -21,10 +21,10 @@
 #include "src/kernel/spinlock.h"
 #include "src/kernel/task.h"
 #include "src/kernel/trace.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -290,15 +290,6 @@ TEST_F(RacedetTest, ReportTextCarriesTheWholeStory) {
 }
 
 // --- Full-boot integration ------------------------------------------------
-
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 // The seeded race: one locked increment from the machine context, one locked
 // increment from a task fiber (the counter becomes shared-modified with

@@ -31,7 +31,7 @@ namespace {
 TEST(SeqlockTortureTest, WrappingWriterNeverTearsARecord) {
   // 64 slots: at full speed the writer laps the ring thousands of times per
   // second, so nearly every Dump overlaps a write window.
-  TraceRing ring(/*enabled=*/true, /*per_core_capacity=*/64);
+  TraceRing ring(/*per_core_capacity=*/64);
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {

@@ -11,23 +11,13 @@
 #include <vector>
 
 #include "src/base/status.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
-
-// Registers a one-off test program and runs it to completion.
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 9000;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 // --- Pipe stress: byte conservation under concurrent writers ----------------
 

@@ -13,20 +13,10 @@
 #include "src/kernel/velf.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
-
-// Registers a one-off test program and runs it to completion.
-int RunInOs(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 0;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  // The ramdisk was built before this registration; inject a kernel blob.
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  Task* t = sys.kernel().StartUserProgram(unique, {unique});
-  return static_cast<int>(sys.WaitProgram(t));
-}
 
 class Proto5Test : public ::testing::Test {
  protected:
@@ -440,7 +430,7 @@ TEST_F(Proto5Test, MmapFbAndCacheFlushPath) {
 
 TEST(StageGating, Proto3HasNoFileSyscalls) {
   System sys(OptionsForStage(Stage::kProto3));
-  AppRegistry::Instance().Register("probe3", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "probe", [](AppEnv& env) -> int {
     if (uopen(env, "/anything", kORdonly) != kErrNoSys) {
       return 1;
     }
@@ -453,16 +443,14 @@ TEST(StageGating, Proto3HasNoFileSyscalls) {
       return 3;
     }
     return 0;
-  }, 1024, 1 << 20);
-  sys.kernel().AddBootBlob("probe3", BuildVelf("probe3", 1024, {}, 1 << 20));
-  Task* t = sys.kernel().StartUserProgram("probe3", {"probe3"});
-  EXPECT_EQ(sys.WaitProgram(t), 0);
+  }, 1 << 20);
+  EXPECT_EQ(rc, 0);
   EXPECT_NE(sys.SerialOutput().find("proto3 uart write"), std::string::npos);
 }
 
 TEST(StageGating, Proto4HasFilesButNoThreads) {
   System sys(OptionsForStage(Stage::kProto4));
-  AppRegistry::Instance().Register("probe4", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "probe", [](AppEnv& env) -> int {
     std::int64_t fd = uopen(env, "/etc/rc", kORdonly);
     if (fd < 0) {
       return 1;  // files must work
@@ -475,9 +463,8 @@ TEST(StageGating, Proto4HasFilesButNoThreads) {
       return 3;
     }
     return 0;
-  }, 1024, 1 << 20);
-  sys.kernel().AddBootBlob("probe4", BuildVelf("probe4", 1024, {}, 1 << 20));
-  EXPECT_EQ(sys.RunProgram("probe4"), 0);
+  }, 1 << 20);
+  EXPECT_EQ(rc, 0);
 }
 
 // One row per syscall entry point, called with arguments that do no harm: a

@@ -5,7 +5,6 @@
 #include <map>
 
 #include "src/base/random.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/console.h"
 #include "src/ulib/font8x8.h"
 #include "src/ulib/minisdl.h"
@@ -15,21 +14,17 @@
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
 
-int RunApp(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 900;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 16 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 16 << 20));
-  return static_cast<int>(sys.WaitProgram(sys.kernel().StartUserProgram(unique, {unique})));
-}
+// The user-library programs run with a 16 MiB heap.
+constexpr std::uint64_t kUlibHeap = 16 << 20;
 
 TEST(UMalloc, RandomOpsAgainstHostModel) {
   System sys(OptionsForStage(Stage::kProto5));
-  int rc = RunApp(sys, "mallocprop", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "mallocprop", [](AppEnv& env) -> int {
     UserHeap heap(env);
     Rng rng(31);
     struct Block {
@@ -65,13 +60,13 @@ TEST(UMalloc, RandomOpsAgainstHostModel) {
       heap.Free(b.p);
     }
     return heap.allocated_blocks() == 0 ? 0 : 2;
-  });
+  }, kUlibHeap);
   EXPECT_EQ(rc, 0);
 }
 
 TEST(UMalloc, DoubleFreeCaught) {
   System sys(OptionsForStage(Stage::kProto5));
-  int rc = RunApp(sys, "dblfree", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "dblfree", [](AppEnv& env) -> int {
     UserHeap heap(env);
     void* p = heap.Malloc(64);
     heap.Free(p);
@@ -81,7 +76,7 @@ TEST(UMalloc, DoubleFreeCaught) {
       return 0;  // canary caught it
     }
     return 1;
-  });
+  }, kUlibHeap);
   EXPECT_EQ(rc, 0);
 }
 
@@ -148,7 +143,7 @@ TEST(Pixel, YuvPathsAgreeApproximately) {
 
 TEST(Pixel, BlitClipsAtAllEdges) {
   System sys(OptionsForStage(Stage::kProto5));
-  int rc = RunApp(sys, "blitclip", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "blitclip", [](AppEnv& env) -> int {
     std::vector<std::uint32_t> dst_mem(16 * 16, 1);
     std::vector<std::uint32_t> src_mem(8 * 8, 2);
     PixelBuffer dst{dst_mem.data(), 16, 16};
@@ -171,13 +166,13 @@ TEST(Pixel, BlitClipsAtAllEdges) {
       return 2;
     }
     return 0;
-  });
+  }, kUlibHeap);
   EXPECT_EQ(rc, 0);
 }
 
 TEST(MiniSdl, DirectModePresentsToScanout) {
   System sys(OptionsForStage(Stage::kProto5));
-  int rc = RunApp(sys, "sdldirect", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "sdldirect", [](AppEnv& env) -> int {
     MiniSdl sdl(env);
     if (!sdl.InitVideo(64, 64, MiniSdl::VideoMode::kDirect)) {
       return 1;
@@ -185,7 +180,7 @@ TEST(MiniSdl, DirectModePresentsToScanout) {
     FillRect(env, sdl.backbuffer(), 0, 0, 64, 64, Rgb(9, 9, 9));
     sdl.Present();
     return 0;
-  });
+  }, kUlibHeap);
   EXPECT_EQ(rc, 0);
   // Present flushed the cache: the scanout shows the pixels (centered).
   Image shot = sys.Screenshot();
@@ -194,13 +189,13 @@ TEST(MiniSdl, DirectModePresentsToScanout) {
 
 TEST(MiniSdl, TicksAndDelayTrackVirtualTime) {
   System sys(OptionsForStage(Stage::kProto5));
-  int rc = RunApp(sys, "sdltime", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "sdltime", [](AppEnv& env) -> int {
     MiniSdl sdl(env);
     std::uint32_t t0 = sdl.Ticks();
     sdl.Delay(50);
     std::uint32_t t1 = sdl.Ticks();
     return (t1 - t0 >= 50 && t1 - t0 < 60) ? 0 : 1;
-  });
+  }, kUlibHeap);
   EXPECT_EQ(rc, 0);
 }
 
@@ -214,11 +209,11 @@ TEST(Ustdio, SplitAndGets) {
 
 TEST(Ustdio, PrintfThroughConsoleDevice) {
   System sys(OptionsForStage(Stage::kProto5));
-  RunApp(sys, "printer", [](AppEnv& env) -> int {
+  RunInOs(sys, "printer", [](AppEnv& env) -> int {
     uensure_stdio(env);
     uprintf(env, "value=%d hex=%x str=%s\n", 42, 255, "ok");
     return 0;
-  });
+  }, kUlibHeap);
   EXPECT_NE(sys.SerialOutput().find("value=42 hex=ff str=ok"), std::string::npos);
 }
 

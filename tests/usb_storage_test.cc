@@ -7,11 +7,11 @@
 
 #include "src/hw/usb_msc.h"
 #include "src/kernel/drivers.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/usys.h"
 #include "src/ulib/ustdio.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -104,9 +104,7 @@ TEST(UsbStorageE2E, ThumbDriveMountsAtSlashU) {
   EXPECT_TRUE(std::vector<std::uint8_t>(fresh.begin(), fresh.end()) ==
               BuildFatImage(opt.usb_storage_capacity, opt.usb_stick));
 
-  static int counter = 0;
-  std::string name = "usbprobe" + std::to_string(counter++);
-  AppRegistry::Instance().Register(name, [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "usbprobe", [](AppEnv& env) -> int {
     // Read the file the user brought on the stick.
     std::vector<std::uint8_t> data;
     if (uread_file(env, "/u/notes/readme.txt", &data) <= 0) {
@@ -138,9 +136,8 @@ TEST(UsbStorageE2E, ThumbDriveMountsAtSlashU) {
       return 7;
     }
     return 0;
-  }, 1024, 4 << 20);
-  sys.kernel().AddBootBlob(name, BuildVelf(name, 1024, {}, 4 << 20));
-  EXPECT_EQ(sys.WaitProgram(sys.kernel().StartUserProgram(name, {name})), 0);
+  });
+  EXPECT_EQ(rc, 0);
 
   // Host side: the write is really on the stick (readable by "another PC").
   UsbMassStorage* stick = sys.board().usb_storage();
@@ -160,13 +157,10 @@ TEST(UsbStorageE2E, ThumbDriveMountsAtSlashU) {
 
 TEST(UsbStorageE2E, AbsentWithoutTheDevice) {
   System sys(OptionsForStage(Stage::kProto5));  // no thumb drive
-  static int counter = 0;
-  std::string name = "nousb" + std::to_string(counter++);
-  AppRegistry::Instance().Register(name, [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "nousb", [](AppEnv& env) -> int {
     return uopen(env, "/u/anything", kORdonly) < 0 ? 0 : 1;
-  }, 1024, 1 << 20);
-  sys.kernel().AddBootBlob(name, BuildVelf(name, 1024, {}, 1 << 20));
-  EXPECT_EQ(sys.WaitProgram(sys.kernel().StartUserProgram(name, {name})), 0);
+  }, 1 << 20);
+  EXPECT_EQ(rc, 0);
 }
 
 }  // namespace

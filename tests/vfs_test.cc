@@ -9,17 +9,10 @@
 #include "src/kernel/velf.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
-
-int RunProgram(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 100;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  return static_cast<int>(sys.WaitProgram(sys.kernel().StartUserProgram(unique, {unique})));
-}
 
 class VfsTest : public ::testing::Test {
  protected:
@@ -28,7 +21,7 @@ class VfsTest : public ::testing::Test {
 };
 
 TEST_F(VfsTest, RelativePathsResolveAgainstCwd) {
-  int rc = RunProgram(sys_, "cwd", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "cwd", [](AppEnv& env) -> int {
     if (umkdir(env, "/mydir") < 0) {
       return 1;
     }
@@ -60,7 +53,7 @@ TEST_F(VfsTest, RelativePathsResolveAgainstCwd) {
 }
 
 TEST_F(VfsTest, MountDispatchRootVsFat) {
-  int rc = RunProgram(sys_, "mounts", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "mounts", [](AppEnv& env) -> int {
     // Root filesystem (xv6fs) and /d (FAT32) are distinct namespaces.
     std::int64_t a = uopen(env, "/samefile", kOCreate | kOWronly);
     std::int64_t b = uopen(env, "/d/samefile", kOCreate | kOWronly);
@@ -96,7 +89,7 @@ TEST_F(VfsTest, MountDispatchRootVsFat) {
 }
 
 TEST_F(VfsTest, FatFilesBeyondXv6Limit) {
-  int rc = RunProgram(sys_, "bigfat", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "bigfat", [](AppEnv& env) -> int {
     // 400 KB exceeds the xv6fs 268 KB cap but fits fine on FAT32 — the
     // Prototype-5 motivation (§4.5).
     std::vector<std::uint8_t> chunk(16384, 0x3c);
@@ -121,7 +114,7 @@ TEST_F(VfsTest, FatFilesBeyondXv6Limit) {
   });
   EXPECT_EQ(rc, 0);
 
-  int rc2 = RunProgram(sys_, "bigroot", [](AppEnv& env) -> int {
+  int rc2 = RunInOs(sys_, "bigroot", [](AppEnv& env) -> int {
     // The same write on the root filesystem hits EFBIG.
     std::vector<std::uint8_t> chunk(16384, 0x3c);
     std::int64_t fd = uopen(env, "/big.dat", kOCreate | kOWronly);
@@ -143,7 +136,7 @@ TEST_F(VfsTest, FatFilesBeyondXv6Limit) {
 }
 
 TEST_F(VfsTest, ProcfsSnapshotsAreStable) {
-  int rc = RunProgram(sys_, "proc", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "proc", [](AppEnv& env) -> int {
     std::vector<std::uint8_t> a;
     if (uread_file(env, "/proc/meminfo", &a) <= 0) {
       return 1;
@@ -173,7 +166,7 @@ TEST_F(VfsTest, ProcfsSnapshotsAreStable) {
 }
 
 TEST_F(VfsTest, DevNullAndListing) {
-  int rc = RunProgram(sys_, "devs", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "devs", [](AppEnv& env) -> int {
     std::int64_t fd = uopen(env, "/dev/null", kOWronly);
     if (fd < 0) {
       return 1;
@@ -199,7 +192,7 @@ TEST_F(VfsTest, DevNullAndListing) {
 }
 
 TEST_F(VfsTest, MknodCreatesWorkingDeviceInode) {
-  int rc = RunProgram(sys_, "mknod", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "mknod", [](AppEnv& env) -> int {
     std::int16_t major =
         static_cast<std::int16_t>(std::hash<std::string>{}("null") & 0x7fff);
     if (env.kernel->SysMknod("/mynull", major, 0) < 0) {
@@ -226,7 +219,7 @@ TEST(VfsFatMountTest, PathOpsWorkOnBothFatVolumes) {
   SystemOptions opt = OptionsForStage(Stage::kProto5);
   opt.usb_storage = true;
   System sys(opt);
-  int rc = RunProgram(sys, "fatops", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "fatops", [](AppEnv& env) -> int {
     int base = 0;
     for (const std::string mnt : {"/d", "/u"}) {
       base += 10;  // 1x: failed on /d, 2x: failed on /u
@@ -342,7 +335,7 @@ class PathSpellingTest : public ::testing::TestWithParam<unsigned> {};
 TEST_P(PathSpellingTest, EquivalentSpellingsResolveIdentically) {
   const unsigned seed = GetParam();
   System sys(OptionsForStage(Stage::kProto5));
-  int rc = RunProgram(sys, "spell", [seed](AppEnv& env) -> int {
+  int rc = RunInOs(sys, "spell", [seed](AppEnv& env) -> int {
     const std::vector<std::string> segs = {"p0", "p1", "p2"};
     std::string dir;
     for (const std::string& s : segs) {
@@ -413,7 +406,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PathSpellingTest, ::testing::Values(1u, 2u, 3u))
 // Two back-to-back writes to /dev/fb (offset-addressed) used to land on the
 // same bytes because Vfs::Write returned without bumping f.off.
 TEST_F(VfsTest, DeviceWriteAdvancesOffset) {
-  int rc = RunProgram(sys_, "devoff", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "devoff", [](AppEnv& env) -> int {
     std::int64_t fd = uopen(env, "/dev/fb", kORdwr);
     if (fd < 0) {
       return 1;

@@ -8,13 +8,13 @@
 #include <vector>
 
 #include "src/hw/usb_hw.h"
-#include "src/kernel/velf.h"
 #include "src/ulib/minisdl.h"
 #include "src/ulib/pixel.h"
 #include "src/ulib/usys.h"
 #include "src/wm/wm.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -22,9 +22,7 @@ namespace {
 // Starts a program that opens one randomly-placed window, paints it, then
 // sleeps until killed.
 Task* StartWindow(System& sys, unsigned seed) {
-  static int counter = 700;
-  std::string unique = "churnwin" + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, [seed](AppEnv& env) -> int {
+  return StartInOs(sys, "churnwin", [seed](AppEnv& env) -> int {
     std::minstd_rand rng(seed);
     MiniSdl sdl(env);
     std::uint32_t w = 40 + rng() % 200;
@@ -44,9 +42,7 @@ Task* StartWindow(System& sys, unsigned seed) {
     sdl.Present();
     usleep_ms(env, 600'000);  // live until the host kills us
     return 0;
-  }, 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  return sys.kernel().StartUserProgram(unique, {unique});
+  });
 }
 
 void ExpectIncrementalEqualsFullRepaint(System& sys) {

@@ -2,12 +2,12 @@
 // focus switching and event routing (§4.5).
 #include <gtest/gtest.h>
 
-#include "src/kernel/velf.h"
 #include "src/ulib/minisdl.h"
 #include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
 #include "src/wm/wm.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -53,16 +53,8 @@ class WmFixture : public ::testing::Test {
   System sys_;
 };
 
-int RunWmProgram(System& sys, const char* name, AppMain main_fn) {
-  static int counter = 500;
-  std::string unique = std::string(name) + std::to_string(counter++);
-  AppRegistry::Instance().Register(unique, std::move(main_fn), 1024, 4 << 20);
-  sys.kernel().AddBootBlob(unique, BuildVelf(unique, 1024, {}, 4 << 20));
-  return static_cast<int>(sys.WaitProgram(sys.kernel().StartUserProgram(unique, {unique})));
-}
-
 TEST_F(WmFixture, SurfaceCompositesToScreen) {
-  int rc = RunWmProgram(sys_, "wmapp", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "wmapp", [](AppEnv& env) -> int {
     MiniSdl sdl(env);
     if (!sdl.InitVideo(64, 64, MiniSdl::VideoMode::kSurface, "t", 255, 100, 100)) {
       return 1;
@@ -102,7 +94,7 @@ TEST_F(WmFixture, DirtyRectCompositionMatchesFullRepaint) {
 }
 
 TEST_F(WmFixture, AlphaBlendingForFloatingWindows) {
-  int rc = RunWmProgram(sys_, "alpha", [](AppEnv& env) -> int {
+  int rc = RunInOs(sys_, "alpha", [](AppEnv& env) -> int {
     // Opaque bottom window, translucent top window overlapping it.
     MiniSdl bottom(env);
     if (!bottom.InitVideo(100, 100, MiniSdl::VideoMode::kSurface, "bot", 255, 50, 50)) {
@@ -115,7 +107,7 @@ TEST_F(WmFixture, AlphaBlendingForFloatingWindows) {
   });
   EXPECT_EQ(rc, 0);
   // Kernel-side surface for the translucent overlay (sysmon-style).
-  int rc2 = RunWmProgram(sys_, "alpha2", [](AppEnv& env) -> int {
+  int rc2 = RunInOs(sys_, "alpha2", [](AppEnv& env) -> int {
     MiniSdl top(env);
     if (!top.InitVideo(100, 100, MiniSdl::VideoMode::kSurface, "top", 128, 50, 50)) {
       return 1;
@@ -131,10 +123,9 @@ TEST_F(WmFixture, AlphaBlendingForFloatingWindows) {
 
 TEST_F(WmFixture, CtrlTabSwitchesFocusAndRoutesEvents) {
   // Two apps with surfaces; events go only to the focused one.
-  Kernel* k = &sys_.kernel();
   static int got_a = 0, got_b = 0;
   got_a = got_b = 0;
-  AppRegistry::Instance().Register("focus-a", [](AppEnv& env) -> int {
+  Task* ta = StartInOs(sys_, "focus-a", [](AppEnv& env) -> int {
     MiniSdl sdl(env);
     if (!sdl.InitVideo(32, 32, MiniSdl::VideoMode::kSurface, "a", 255, 0, 0)) {
       return 1;
@@ -149,8 +140,9 @@ TEST_F(WmFixture, CtrlTabSwitchesFocusAndRoutesEvents) {
       sdl.Delay(10);
     }
     return 0;
-  }, 1024, 4 << 20);
-  AppRegistry::Instance().Register("focus-b", [](AppEnv& env) -> int {
+  });
+  sys_.Run(Ms(100));
+  Task* tb = StartInOs(sys_, "focus-b", [](AppEnv& env) -> int {
     MiniSdl sdl(env);
     if (!sdl.InitVideo(32, 32, MiniSdl::VideoMode::kSurface, "b", 255, 40, 0)) {
       return 1;
@@ -165,12 +157,7 @@ TEST_F(WmFixture, CtrlTabSwitchesFocusAndRoutesEvents) {
       sdl.Delay(10);
     }
     return 0;
-  }, 1024, 4 << 20);
-  k->AddBootBlob("focus-a", BuildVelf("focus-a", 1024, {}, 4 << 20));
-  k->AddBootBlob("focus-b", BuildVelf("focus-b", 1024, {}, 4 << 20));
-  Task* ta = k->StartUserProgram("focus-a", {"focus-a"});
-  sys_.Run(Ms(100));
-  Task* tb = k->StartUserProgram("focus-b", {"focus-b"});
+  });
   sys_.Run(Ms(100));
   // b opened last: it has focus. Type a key.
   sys_.TapKey(kHidX);
@@ -197,9 +184,7 @@ TEST_F(WmFixture, DirtyRectsReduceBlendWork) {
     SystemOptions opt = OptionsForStage(Stage::kProto5);
     opt.config_hook = [dirty_opt](KernelConfig& kc) { kc.opt_wm_dirty_rects = dirty_opt; };
     System sys(opt);
-    static int which = 0;
-    std::string name = "smallupd" + std::to_string(which++);
-    AppRegistry::Instance().Register(name, [](AppEnv& env) -> int {
+    Task* t = StartInOs(sys, "smallupd", [](AppEnv& env) -> int {
       MiniSdl sdl(env);
       if (!sdl.InitVideo(200, 200, MiniSdl::VideoMode::kSurface, "u", 255, 0, 0)) {
         return 1;
@@ -211,9 +196,7 @@ TEST_F(WmFixture, DirtyRectsReduceBlendWork) {
         sdl.Delay(30);
       }
       return 0;
-    }, 1024, 4 << 20);
-    sys.kernel().AddBootBlob(name, BuildVelf(name, 1024, {}, 4 << 20));
-    Task* t = sys.kernel().StartUserProgram(name, {name});
+    });
     sys.WaitProgram(t, Sec(60));
     return sys.kernel().wm()->stats().pixels_blended;
   };
