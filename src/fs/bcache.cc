@@ -33,8 +33,12 @@ void Bcache::SetLatencyHook(std::function<void(Cycles)> hook) {
 }
 
 void Bcache::Touch(Buf* b) {
-  lru_.remove(b);
-  lru_.push_front(b);
+  auto& pos = lru_pos_[static_cast<std::size_t>(b - bufs_.data())];
+  if (pos == lru_.end()) {
+    pos = lru_.insert(lru_.begin(), b);
+  } else {
+    lru_.splice(lru_.begin(), lru_, pos);
+  }
 }
 
 Cycles Bcache::FlushBufs(int dev, std::vector<Buf*>& bufs) {

@@ -55,7 +55,7 @@ struct Buf {
 
 class Bcache {
  public:
-  explicit Bcache(const KernelConfig& cfg) : cfg_(cfg) {}
+  explicit Bcache(const KernelConfig& cfg) : cfg_(cfg) { lru_pos_.fill(lru_.end()); }
 
   // Registers a device; returns its dev id. `name` labels it in /proc/blkstat.
   int AddDevice(BlockDevice* dev, const std::string& name = "");
@@ -169,6 +169,9 @@ class Bcache {
   std::vector<std::int64_t> pending_error_;  // latched per-device kErrIo
   std::array<Buf, kNumBufs> bufs_;
   std::list<Buf*> lru_;  // front = most recent
+  // Each buffer's node in lru_ (lru_.end() until it first enters), so a
+  // touch moves it to the front in O(1).
+  std::array<std::list<Buf*>::iterator, kNumBufs> lru_pos_;
   std::function<Cycles()> now_;
   std::function<void(TraceEvent, std::uint64_t, std::uint64_t)> trace_;
   std::function<void(Cycles)> latency_hook_;

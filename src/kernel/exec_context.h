@@ -10,20 +10,41 @@
 
 #include <ucontext.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace vos {
 
+class SpinLock;
 class Task;
 class TaskFiber;
 
+// A shadow-stack backtrace held inline, so capturing one allocates nothing:
+// frames are static string literals, root first (call_stack order). A stack
+// deeper than kMax keeps its kMax outermost frames, as profiler samples do.
+struct FrameArray {
+  static constexpr std::size_t kMax = 16;
+  std::array<const char*, kMax> pc{};
+  std::size_t n = 0;
+
+  void Assign(std::span<const char* const> frames) {
+    n = std::min(frames.size(), kMax);
+    std::copy_n(frames.begin(), n, pc.begin());
+  }
+  std::span<const char* const> view() const { return {pc.data(), n}; }
+  std::vector<const char*> ToVector() const { return {pc.begin(), pc.begin() + n}; }
+};
+
 // One entry of lockdep's held-lock stack (lockdep.cc gives it meaning).
 struct HeldLock {
-  const void* lock;
+  const SpinLock* lock;
   int cls;
-  std::vector<const char*> bt;  // acquisition-site backtrace
+  std::uint64_t chain_key;  // the held classes up to and including this one
+  FrameArray bt;            // acquisition-site backtrace
 };
 
 struct ExecContext {
@@ -38,10 +59,11 @@ struct ExecContext {
 
   int irq_off_depth = 0;  // spinlock.cc's PushOff/PopOff nesting
 
-  // racedet: this context's id (handed out lazily per Racedet generation)
-  // and its RD_EXCLUDE_SCOPE nesting.
+  // racedet: this context's id and name (handed out lazily per Racedet
+  // generation) and its RD_EXCLUDE_SCOPE nesting.
   std::uint64_t rd_ctx_id = 0;
   std::uint64_t rd_ctx_generation = 0;
+  std::uint32_t rd_name = 0;
   std::uint64_t rd_exclude_depth = 0;
 
   // libstdc++'s per-thread exception globals (__cxa_eh_globals: the caught

@@ -82,11 +82,13 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
                 "kernel configured for more cores than the board has");
   // Violations report through the tasks' shadow call stacks; off a fiber
   // (boot, IRQ dispatch on the machine thread) a synthetic frame marks it.
-  Lockdep::Instance().SetBacktraceProvider([]() -> std::vector<const char*> {
+  Lockdep::Instance().SetBacktraceProvider([](FrameArray& out) {
+    static constexpr const char* kMachineLoop[] = {"<machine-loop>"};
     if (Task* t = Ctx().task) {
-      return t->call_stack;
+      out.Assign(t->call_stack);
+    } else {
+      out.Assign(kMachineLoop);
     }
-    return {"<machine-loop>"};
   });
   // Racedet reporting rides the same infrastructure: contexts are named by
   // the running task, and a lockset-empty detection emits a trace event next

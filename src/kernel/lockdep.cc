@@ -6,6 +6,7 @@
 
 #include "src/base/assert.h"
 #include "src/kernel/exec_context.h"
+#include "src/kernel/spinlock.h"
 
 namespace vos {
 
@@ -35,12 +36,19 @@ Lockdep& Lockdep::Instance() {
 void Lockdep::Reset() {
   ids_.clear();
   classes_.clear();
-  ++generation_;  // invalidates every context's held stack lazily
+  edges_.clear();
+  chains_.clear();
+  ++generation_;  // invalidates held stacks and locks' class ids lazily
   Held(generation_);  // and empties this context's at once
   Ctx().in_irq = false;
 }
 
-int Lockdep::RegisterClass(const std::string& name) {
+void Lockdep::RegisterClass(SpinLock& lock) {
+  lock.class_id_ = ClassId(lock.name());
+  lock.class_generation_ = generation_;
+}
+
+int Lockdep::ClassId(const std::string& name) {
   auto it = ids_.find(name);
   if (it != ids_.end()) {
     return it->second;
@@ -53,11 +61,20 @@ int Lockdep::RegisterClass(const std::string& name) {
   return id;
 }
 
-std::vector<const char*> Lockdep::Backtrace() const {
+void Lockdep::Backtrace(FrameArray& out) const {
+  out.n = 0;
   if (backtrace_) {
-    return backtrace_();
+    backtrace_(out);
   }
-  return {};
+}
+
+std::uint64_t Lockdep::ChainKey(std::uint64_t below, int cls) {
+  // Order-sensitive mix (splitmix64's finalizer over key and class): the
+  // chains A,B and B,A must key differently.
+  std::uint64_t k = (below ^ static_cast<std::uint64_t>(cls + 1)) * 0x9E3779B97F4A7C15ull;
+  k ^= k >> 31;
+  k *= 0xBF58476D1CE4E5B9ull;
+  return k ^ (k >> 29);
 }
 
 bool Lockdep::Reachable(int from, int to) const {
@@ -118,7 +135,7 @@ std::vector<int> Lockdep::Path(int from, int to) const {
   return path;
 }
 
-std::string Lockdep::FormatFrames(const std::vector<const char*>& bt) {
+std::string Lockdep::FormatFrames(std::span<const char* const> bt) {
   if (bt.empty()) {
     return "    <no call stack>\n";
   }
@@ -146,15 +163,19 @@ void Lockdep::Violation(const char* kind, const std::string& detail) {
   __builtin_unreachable();  // VOS_CHECK_MSG(false, ...) always throws
 }
 
-void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
+void Lockdep::OnAcquire(SpinLock& lock) {
   if (!enabled_) {
     return;
   }
   std::vector<HeldLock>& held = Held(generation_);
   bool in_irq = Ctx().in_irq;
-  int cls = RegisterClass(class_name);
+  if (lock.class_generation_ != generation_) {
+    RegisterClass(lock);  // built before the last Reset
+  }
+  int cls = lock.class_id_;
+  HeldLock next{&lock, cls, ChainKey(held.empty() ? 0 : held.back().chain_key, cls), {}};
+  Backtrace(next.bt);
   Class& c = classes_[static_cast<std::size_t>(cls)];
-  std::vector<const char*> bt = Backtrace();
 
   // IRQ-safety, direction 1: first acquisition from IRQ context of a class
   // previously seen held with IRQs enabled is the same deadlock window.
@@ -163,18 +184,51 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
               "  class '" + c.name +
                   "' was held with IRQs enabled, and is now taken in IRQ "
                   "context\n  IRQ-context acquisition:\n" +
-                  FormatFrames(bt));
+                  FormatFrames(next.bt.view()));
   }
 
+  if (!held.empty()) {
+    // A chain seen before was proven then, and the graph cannot have gained
+    // the opposing path since: just count its edges again.
+    auto it = chains_.find(next.chain_key);
+    bool hit = it != chains_.end() && it->second.classes.size() == held.size() + 1 &&
+               it->second.classes.back() == cls &&
+               std::equal(held.begin(), held.end(), it->second.classes.begin(),
+                          [](const HeldLock& h, int k) { return h.cls == k; });
+    if (hit) {
+      for (std::size_t e : it->second.edges) {
+        ++edges_[e].count;
+      }
+    } else {
+      // First sighting. A chain whose key collides with a cached one is
+      // never cached itself: it is validated every time.
+      ValidateChain(held, next, it == chains_.end());
+    }
+  }
+
+  ++c.acquisitions;
+  if (in_irq && !c.irq_used) {
+    c.irq_used = true;
+    c.irq_bt = next.bt.ToVector();
+  }
+  held.push_back(next);
+  c.max_hold_depth = std::max(c.max_hold_depth, static_cast<int>(held.size()));
+}
+
+void Lockdep::ValidateChain(const std::vector<HeldLock>& held, const HeldLock& next,
+                            bool cache) {
+  int cls = next.cls;
+  const Class& c = classes_[static_cast<std::size_t>(cls)];
   // Order check: for every lock already held, acquiring `cls` adds the edge
   // held -> cls. If the graph already proves cls ->* held, this nesting
   // closes a cycle — the classic A->B observed after B->A inversion.
   for (const HeldLock& h : held) {
-    if (h.cls == cls && h.lock != static_cast<const void*>(lock)) {
+    if (h.cls == cls && h.lock != next.lock) {
       Violation("same-class nesting",
                 "  acquiring a second '" + c.name +
                     "' lock while one is already held\n  first acquisition:\n" +
-                    FormatFrames(h.bt) + "  second acquisition:\n" + FormatFrames(bt));
+                    FormatFrames(h.bt.view()) + "  second acquisition:\n" +
+                    FormatFrames(next.bt.view()));
     }
     if (Reachable(cls, h.cls)) {
       std::vector<int> opposing = Path(cls, h.cls);
@@ -186,10 +240,11 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
         const Class& oc = classes_[static_cast<std::size_t>(opposing[0])];
         auto eit = oc.out.find(opposing[1]);
         if (eit != oc.out.end()) {
+          const Edge& e = edges_[eit->second];
           opp_bt = "  opposing chain established while holding '" + oc.name + "' at:\n" +
-                   FormatFrames(eit->second.holder_bt) + "  and acquiring '" +
+                   FormatFrames(e.holder_bt) + "  and acquiring '" +
                    classes_[static_cast<std::size_t>(opposing[1])].name + "' at:\n" +
-                   FormatFrames(eit->second.taker_bt);
+                   FormatFrames(e.taker_bt);
         }
       }
       Violation("lock-order inversion",
@@ -197,30 +252,27 @@ void Lockdep::OnAcquire(const SpinLock* lock, const std::string& class_name) {
                     "' requires " + held_c.name + " -> " + c.name +
                     ", but the graph already proves " + FormatChain(opposing) +
                     "\n  current chain: holding '" + held_c.name + "' acquired at:\n" +
-                    FormatFrames(h.bt) + "  acquiring '" + c.name + "' at:\n" +
-                    FormatFrames(bt) + opp_bt);
+                    FormatFrames(h.bt.view()) + "  acquiring '" + c.name + "' at:\n" +
+                    FormatFrames(next.bt.view()) + opp_bt);
     }
   }
 
   // Record edges from every held lock (not just the innermost): transitive
   // closure then catches inversions across intermediate hops sooner.
+  Chain chain;
   for (const HeldLock& h : held) {
-    Class& hc = classes_[static_cast<std::size_t>(h.cls)];
-    Edge& e = hc.out[cls];
-    if (e.count == 0) {
-      e.holder_bt = h.bt;
-      e.taker_bt = bt;
+    auto [it, added] = classes_[static_cast<std::size_t>(h.cls)].out.emplace(cls, edges_.size());
+    if (added) {
+      edges_.push_back(Edge{0, h.bt.ToVector(), next.bt.ToVector()});
     }
-    ++e.count;
+    ++edges_[it->second].count;
+    chain.classes.push_back(h.cls);
+    chain.edges.push_back(it->second);
   }
-
-  ++c.acquisitions;
-  if (in_irq && !c.irq_used) {
-    c.irq_used = true;
-    c.irq_bt = bt;
+  if (cache) {
+    chain.classes.push_back(cls);
+    chains_.emplace(next.chain_key, std::move(chain));
   }
-  held.push_back(HeldLock{lock, cls, std::move(bt)});
-  c.max_hold_depth = std::max(c.max_hold_depth, static_cast<int>(held.size()));
 }
 
 void Lockdep::OnRelease(const SpinLock* lock) {
@@ -230,9 +282,13 @@ void Lockdep::OnRelease(const SpinLock* lock) {
   // Locks release in LIFO order in practice, but tolerate out-of-order
   // (SleepOn releases the condition lock below the sched bookkeeping).
   std::vector<HeldLock>& held = Held(generation_);
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
-    if (it->lock == static_cast<const void*>(lock)) {
-      held.erase(std::next(it).base());
+  for (std::size_t i = held.size(); i-- > 0;) {
+    if (held[i].lock == lock) {
+      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
+      // The entries above the released one now sit on a shorter chain.
+      for (; i < held.size(); ++i) {
+        held[i].chain_key = ChainKey(i == 0 ? 0 : held[i - 1].chain_key, held[i].cls);
+      }
       return;
     }
   }
@@ -251,13 +307,15 @@ void Lockdep::OnSleep(const void* chan) {
   for (const HeldLock& h : stack) {
     held << "  still holding '" << classes_[static_cast<std::size_t>(h.cls)].name
          << "' acquired at:\n"
-         << FormatFrames(h.bt);
+         << FormatFrames(h.bt.view());
   }
+  FrameArray site;
+  Backtrace(site);
   std::ostringstream os;
   os << "  task is about to sleep on channel " << chan << " with " << stack.size()
      << " spinlock(s) held\n"
      << held.str() << "  sleep site:\n"
-     << FormatFrames(Backtrace());
+     << FormatFrames(site.view());
   Violation("sleep with spinlock held", os.str());
 }
 
@@ -277,30 +335,21 @@ void Lockdep::OnIrqEnable() {
                     "' is taken in IRQ context but is held here with IRQs "
                     "enabled\n  IRQ-context acquisition:\n" +
                     FormatFrames(c.irq_bt) + "  held-with-IRQs-enabled acquisition:\n" +
-                    FormatFrames(h.bt));
+                    FormatFrames(h.bt.view()));
     }
   }
 }
 
-std::vector<const SpinLock*> Lockdep::HeldLockPtrs() const {
-  std::vector<const SpinLock*> out;
+std::span<const HeldLock> Lockdep::HeldStack() const {
   if (!enabled_) {
-    return out;
+    return {};
   }
-  const std::vector<HeldLock>& held = Held(generation_);
-  out.reserve(held.size());
-  for (const HeldLock& h : held) {
-    out.push_back(static_cast<const SpinLock*>(h.lock));
-  }
-  return out;
+  return Held(generation_);
 }
 
 bool Lockdep::IsHeldByCurrent(const SpinLock* lock) const {
-  if (!enabled_) {
-    return false;
-  }
-  for (const HeldLock& h : Held(generation_)) {
-    if (h.lock == static_cast<const void*>(lock)) {
+  for (const HeldLock& h : HeldStack()) {
+    if (h.lock == lock) {
       return true;
     }
   }
@@ -326,13 +375,7 @@ std::vector<LockClassInfo> Lockdep::Classes() const {
   return out;
 }
 
-std::size_t Lockdep::EdgeCount() const {
-  std::size_t n = 0;
-  for (const Class& c : classes_) {
-    n += c.out.size();
-  }
-  return n;
-}
+std::size_t Lockdep::EdgeCount() const { return edges_.size(); }
 
 bool Lockdep::HasPath(const std::string& from, const std::string& to) const {
   auto f = ids_.find(from);
@@ -377,7 +420,7 @@ std::string Lockdep::Report() const {
   for (const Class& c : classes_) {
     for (const auto& [to, edge] : c.out) {
       os << "  " << c.name << " -> " << classes_[static_cast<std::size_t>(to)].name << " (seen "
-         << edge.count << "x)\n";
+         << edges_[edge].count << "x)\n";
     }
   }
   return os.str();

@@ -16,6 +16,13 @@
 //    check detects inversions: acquiring B while holding A after the graph
 //    already proves B ->* A is a potential deadlock, reported with both the
 //    current chain and the backtrace that established the opposing edge.
+//  - Lock-chain cache (Linux lockdep's): the graph never gains a cycle, since
+//    the acquire that would close one throws first, so a sequence of held
+//    classes validated once stays valid until Reset. Each held entry carries
+//    a 64-bit key of the classes up to it; an acquire whose chain is cached
+//    only bumps that chain's edge counts. Backtraces are captured into fixed
+//    inline arrays and become vectors only when an edge or IRQ site is first
+//    recorded.
 //  - Sleep safety: the scheduler's sleep path calls OnSleep(); any spinlock
 //    still held there is a bug (SleepOn releases the condition lock first).
 //  - IRQ safety: the machine loop brackets interrupt dispatch with
@@ -25,16 +32,21 @@
 //    that is the window where the IRQ handler spins against its own core.
 //
 // Violations throw FatalError via VOS_CHECK_MSG with both offending chains
-// and shadow-stack backtraces (unwind.h-style frames). The whole checker is
-// a no-op when disabled (KernelConfig::lockdep_enabled, for benchmarks).
+// and shadow-stack backtraces (unwind.h-style frames). The checker stays on
+// in every test, bench and perfbench run, which the chain cache keeps cheap;
+// it is a no-op when KernelConfig::lockdep_enabled is off.
 #ifndef VOS_SRC_KERNEL_LOCKDEP_H_
 #define VOS_SRC_KERNEL_LOCKDEP_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
+
+#include "src/kernel/exec_context.h"
 
 namespace vos {
 
@@ -60,15 +72,15 @@ class Lockdep {
   void SetEnabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 
-  // Class registration; called from the SpinLock constructor. Safe to call
-  // repeatedly with the same name (locks of one class share the entry).
-  int RegisterClass(const std::string& name);
+  // Class registration; called from the SpinLock constructor, which keeps
+  // the id. Locks of one name share the class entry.
+  void RegisterClass(SpinLock& lock);
 
   // --- Hook points (wired in spinlock.cc / sched.cc / machine.cc) ---
-  // After the lock is successfully acquired. Performs the order-inversion
-  // and IRQ-safety checks; throws FatalError on violation (the caller backs
-  // out the acquisition so tests can continue past a detected bug).
-  void OnAcquire(const SpinLock* lock, const std::string& class_name);
+  // Before the lock is marked held. Performs the order-inversion and
+  // IRQ-safety checks; throws FatalError on violation (the caller backs out
+  // the acquisition so tests can continue past a detected bug).
+  void OnAcquire(SpinLock& lock);
   // Before the lock is released. Tolerates locks acquired while disabled.
   void OnRelease(const SpinLock* lock);
   // The scheduler sleep path: no spinlock may be held when a task parks.
@@ -82,21 +94,23 @@ class Lockdep {
   void SetIrqContext(bool in_irq);
   bool InIrqContext() const;
 
-  // Shadow-stack backtrace provider (the kernel installs one that walks the
-  // current task's call_stack; frames are static string literals).
-  using BacktraceFn = std::function<std::vector<const char*>()>;
+  // Shadow-stack backtrace provider: fills the array with the current
+  // context's frames (the kernel installs one that copies the running task's
+  // call_stack; frames are static string literals). It runs on every
+  // acquire, so it must not allocate.
+  using BacktraceFn = std::function<void(FrameArray&)>;
   void SetBacktraceProvider(BacktraceFn fn) { backtrace_ = std::move(fn); }
 
   // --- Racedet support (racedet.h) ---
-  // Lock *instances* currently held by this context, outermost first. The
-  // lockset algorithm intersects instances, not classes: two "sched-core"
-  // locks guard different runqueues and must refine independently.
-  std::vector<const SpinLock*> HeldLockPtrs() const;
+  // This context's held stack, outermost first (empty when disabled). The
+  // lockset algorithm intersects lock *instances*, not classes: two
+  // "sched-core" locks guard different runqueues and refine independently.
+  std::span<const HeldLock> HeldStack() const;
   // True if this context holds `lock` right now (backs RD_ASSERT_HELD).
   bool IsHeldByCurrent(const SpinLock* lock) const;
   // The current context's shadow-stack backtrace via the installed provider
   // (racedet reports reuse lockdep's view of "where am I").
-  std::vector<const char*> CurrentBacktrace() const { return Backtrace(); }
+  void CurrentBacktrace(FrameArray& out) const { Backtrace(out); }
 
   // --- Introspection (/proc/lockdep, tests) ---
   std::size_t ClassCount() const { return classes_.size(); }
@@ -125,20 +139,35 @@ class Lockdep {
     bool irq_used = false;
     bool held_irqs_on = false;
     std::vector<const char*> irq_bt;  // first IRQ-context acquisition site
-    std::map<int, Edge> out;          // class id -> dependency edge
+    std::map<int, std::size_t> out;   // class id -> index into edges_
   };
-  std::vector<const char*> Backtrace() const;
+  // A validated acquisition: the held classes, outermost first, then the
+  // class taken under them; edges[i] is classes[i] -> classes.back().
+  struct Chain {
+    std::vector<int> classes;
+    std::vector<std::size_t> edges;
+  };
+
+  int ClassId(const std::string& name);
+  void Backtrace(FrameArray& out) const;
+  static std::uint64_t ChainKey(std::uint64_t below, int cls);
+  // The first sighting of a chain: the same-class and inversion checks, then
+  // the edges from every held lock to `next`, recorded and (when `cache`)
+  // remembered under next.chain_key.
+  void ValidateChain(const std::vector<HeldLock>& held, const HeldLock& next, bool cache);
   // DFS over the order graph: is `to` reachable from `from`?
   bool Reachable(int from, int to) const;
   // Shortest observed path from -> to (class ids), for violation reports.
   std::vector<int> Path(int from, int to) const;
-  static std::string FormatFrames(const std::vector<const char*>& bt);
+  static std::string FormatFrames(std::span<const char* const> bt);
   std::string FormatChain(const std::vector<int>& path) const;
   [[noreturn]] void Violation(const char* kind, const std::string& detail);
 
   bool enabled_ = true;
   std::map<std::string, int> ids_;
   std::vector<Class> classes_;
+  std::vector<Edge> edges_;
+  std::unordered_map<std::uint64_t, Chain> chains_;
   BacktraceFn backtrace_;
   std::uint64_t generation_ = 0;  // bumped by Reset to invalidate held stacks
 };

@@ -58,26 +58,36 @@ void Racedet::Reset(std::size_t cells) {
   shrinks_ = 0;
   dropped_ = 0;
   next_ctx_ = 1;
+  names_.clear();
   ++generation_;  // invalidates every context's cached id lazily
 }
 
-std::uint64_t Racedet::CurrentCtx() {
-  ExecContext& ctx = Ctx();
+void Racedet::Identify(ExecContext& ctx) {
   if (ctx.rd_ctx_generation != generation_ || ctx.rd_ctx_id == 0) {
     ctx.rd_ctx_generation = generation_;
     ctx.rd_ctx_id = next_ctx_++;
+    ctx.rd_name = NameContext(ctx.rd_ctx_id);
   }
-  return ctx.rd_ctx_id;
 }
 
-std::string Racedet::CurrentCtxName(std::uint64_t id) const {
-  if (ctx_name_) {
-    std::string n = ctx_name_();
-    if (!n.empty()) {
-      return n;
-    }
+std::uint32_t Racedet::NameContext(std::uint64_t id) {
+  names_.push_back(CtxName{id, ctx_name_ ? ctx_name_() : std::string()});
+  return static_cast<std::uint32_t>(names_.size() - 1);
+}
+
+void Racedet::OnContextRenamed() {
+  ExecContext& ctx = Ctx();
+  if (ctx.rd_ctx_generation == generation_ && ctx.rd_ctx_id != 0) {
+    ctx.rd_name = NameContext(ctx.rd_ctx_id);
   }
-  return "ctx" + std::to_string(id);
+}
+
+std::string Racedet::CtxNameOf(std::uint32_t name) const {
+  if (name >= names_.size()) {
+    return "";
+  }
+  const CtxName& n = names_[name];
+  return n.name.empty() ? "ctx" + std::to_string(n.id) : n.name;
 }
 
 Racedet::Cell* Racedet::Lookup(std::uintptr_t addr, bool create, const char* name,
@@ -137,7 +147,16 @@ void Racedet::ForgetRange(const void* addr, std::size_t size) {
   }
 }
 
-std::string Racedet::FormatLockset(const std::vector<const SpinLock*>& set) const {
+namespace {
+std::vector<const SpinLock*> LocksOf(std::span<const HeldLock> held) {
+  std::vector<const SpinLock*> locks;
+  for (const HeldLock& h : held) {
+    locks.push_back(h.lock);
+  }
+  return locks;
+}
+
+std::string FormatLockset(const std::vector<const SpinLock*>& set) {
   std::string out = "{";
   for (std::size_t i = 0; i < set.size(); ++i) {
     if (i > 0) {
@@ -149,8 +168,7 @@ std::string Racedet::FormatLockset(const std::vector<const SpinLock*>& set) cons
   return out;
 }
 
-namespace {
-std::string FormatFrames(const std::vector<const char*>& bt) {
+std::string FormatFrames(std::span<const char* const> bt) {
   if (bt.empty()) {
     return "    <no call stack>\n";
   }
@@ -166,7 +184,7 @@ std::string SiteOf(const char* file, int line) {
 }
 }  // namespace
 
-void Racedet::RecordShrink(Cell& c, std::uint64_t ctx, const char* file, int line,
+void Racedet::RecordShrink(Cell& c, const ExecContext& ctx, const char* file, int line,
                            std::size_t before, std::size_t after) {
   ++shrinks_;
   if (c.history.size() >= kMaxHistory) {
@@ -174,30 +192,31 @@ void Racedet::RecordShrink(Cell& c, std::uint64_t ctx, const char* file, int lin
   }
   std::ostringstream os;
   os << "C(v) " << before << " -> " << after << " = " << FormatLockset(c.lockset) << " by '"
-     << CurrentCtxName(ctx) << "' at " << SiteOf(file, line);
+     << CtxNameOf(ctx.rd_name) << "' at " << SiteOf(file, line);
   c.history.push_back(os.str());
 }
 
-void Racedet::EmitReport(Cell& c, std::uint64_t ctx, const char* file, int line, bool is_write,
-                         const std::vector<const SpinLock*>& held) {
+void Racedet::EmitReport(Cell& c, const ExecContext& ctx, const char* file, int line,
+                         bool is_write, std::span<const HeldLock> held) {
   c.state = RdState::kReported;  // one bug, one report: the cell goes quiet
   std::size_t index = total_reports_++;
   if (reports_.size() < kMaxReports) {
+    FrameArray racing_bt;
+    Lockdep::Instance().CurrentBacktrace(racing_bt);
     RaceReport r;
     r.location = c.name != nullptr ? c.name : "?";
     r.addr = c.addr;
     r.site = SiteOf(file, line);
     r.racing_write = is_write;
-    r.racing_ctx = CurrentCtxName(ctx);
-    r.racing_bt = Lockdep::Instance().CurrentBacktrace();
+    r.racing_ctx = CtxNameOf(ctx.rd_name);
+    r.racing_bt = racing_bt.ToVector();
     r.prior_site = SiteOf(c.last_file, c.last_line);
     r.prior_write = c.last_write;
-    r.prior_ctx = c.last_ctx_name;
-    r.prior_bt = c.last_bt;
+    r.prior_ctx = CtxNameOf(c.last_ctx);
+    r.prior_bt = c.last_bt.ToVector();
     r.lockset_history = c.history;
-    std::ostringstream held_note;
-    held_note << "C(v) empty; racing access held " << FormatLockset(held);
-    r.lockset_history.push_back(held_note.str());
+    r.lockset_history.push_back("C(v) empty; racing access held " +
+                                FormatLockset(LocksOf(held)));
     reports_.push_back(std::move(r));
   }
   if (trace_) {
@@ -213,7 +232,8 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
   if (!enabled_ || cells_.empty()) {
     return;
   }
-  if (Excluded()) {
+  ExecContext& ctx = Ctx();
+  if (ctx.rd_exclude_depth > 0) {
     ++excluded_;
     return;
   }
@@ -223,7 +243,7 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
   if (c == nullptr) {
     return;
   }
-  std::uint64_t ctx = CurrentCtx();
+  Identify(ctx);
   if (is_write) {
     ++c->writes;
   } else {
@@ -233,26 +253,21 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
   switch (c->state) {
     case RdState::kVirgin:
       c->state = RdState::kExclusive;
-      c->owner = ctx;
-      c->owner_name = CurrentCtxName(ctx);
+      c->owner = ctx.rd_ctx_id;
       break;
     case RdState::kExclusive: {
-      if (ctx == c->owner) {
+      if (ctx.rd_ctx_id == c->owner) {
         break;  // still initialization: one context, any locking
       }
       // Second context: leave Exclusive. C(v) starts as the locks the new
       // context holds right now (the Eraser refinement begins here; the
       // initializing context's locking is deliberately not consulted).
-      std::vector<const SpinLock*> held = Lockdep::Instance().HeldLockPtrs();
-      c->lockset = held;
+      std::span<const HeldLock> held = Lockdep::Instance().HeldStack();
+      c->lockset = LocksOf(held);
       c->lockset_valid = true;
-      {
-        std::ostringstream os;
-        os << "C(v) init = " << FormatLockset(c->lockset) << " by '" << CurrentCtxName(ctx)
-           << "' at " << SiteOf(file, line);
-        if (c->history.size() < kMaxHistory) {
-          c->history.push_back(os.str());
-        }
+      if (c->history.size() < kMaxHistory) {
+        c->history.push_back("C(v) init = " + FormatLockset(c->lockset) + " by '" +
+                             CtxNameOf(ctx.rd_name) + "' at " + SiteOf(file, line));
       }
       c->state = is_write ? RdState::kSharedModified : RdState::kShared;
       if (c->state == RdState::kSharedModified && c->lockset.empty()) {
@@ -263,14 +278,12 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
     }
     case RdState::kShared:
     case RdState::kSharedModified: {
-      std::vector<const SpinLock*> held = Lockdep::Instance().HeldLockPtrs();
+      std::span<const HeldLock> held = Lockdep::Instance().HeldStack();
       std::size_t before = c->lockset.size();
-      c->lockset.erase(std::remove_if(c->lockset.begin(), c->lockset.end(),
-                                      [&held](const SpinLock* l) {
-                                        return std::find(held.begin(), held.end(), l) ==
-                                               held.end();
-                                      }),
-                       c->lockset.end());
+      std::erase_if(c->lockset, [held](const SpinLock* l) {
+        return std::none_of(held.begin(), held.end(),
+                            [l](const HeldLock& h) { return h.lock == l; });
+      });
       if (c->lockset.size() != before) {
         RecordShrink(*c, ctx, file, line, before, c->lockset.size());
       }
@@ -290,12 +303,11 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
   }
 
   // Remember this access as the "other side" of a future report.
-  c->last_ctx = ctx;
-  c->last_ctx_name = CurrentCtxName(ctx);
+  c->last_ctx = ctx.rd_name;
   c->last_file = file;
   c->last_line = line;
   c->last_write = is_write;
-  c->last_bt = Lockdep::Instance().CurrentBacktrace();
+  Lockdep::Instance().CurrentBacktrace(c->last_bt);
 }
 
 void Racedet::AssertHeld(const SpinLock* lock, const char* expr, const char* file, int line) {
@@ -317,7 +329,9 @@ void Racedet::AssertHeld(const SpinLock* lock, const char* expr, const char* fil
       os << (i > 0 ? ", " : "") << held[i];
     }
   }
-  os << "\n  call stack:\n" << FormatFrames(Lockdep::Instance().CurrentBacktrace());
+  FrameArray site;
+  Lockdep::Instance().CurrentBacktrace(site);
+  os << "\n  call stack:\n" << FormatFrames(site.view());
   std::string msg = os.str();
   VOS_CHECK_MSG(false, msg.c_str());
 }

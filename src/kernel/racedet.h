@@ -21,6 +21,12 @@
 //    location, both contexts, both shadow-stack backtraces (via the lockdep
 //    backtrace provider), and the lockset shrink history; a kRaceReport
 //    trace event fires and /proc/racedet serves the full text.
+//  - An access allocates nothing: the lockset is refined against lockdep's
+//    held stack in place, and the last access is kept as a context (an
+//    index into the session's name table) plus an inline frame array. A
+//    context is named once, when it gets its id (and again if exec renames
+//    its task); names become strings only when a report is formatted, so a
+//    report still names a prior context whose task has exited.
 //  - Reads in the read-only Shared state never report (read sharing after
 //    initialization is the classic benign pattern Eraser admits).
 //
@@ -46,6 +52,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -115,9 +122,13 @@ class Racedet {
   using TraceHook = std::function<void(std::uintptr_t, std::size_t)>;
   void SetTraceHook(TraceHook hook) { trace_ = std::move(hook); }
   // Names the current context in reports (the kernel wires the running
-  // task's name; unset contexts print "ctx<N>").
+  // task's name; unset contexts print "ctx<N>"). Asked once per context,
+  // when it gets its id.
   using CtxNameFn = std::function<std::string()>;
   void SetContextNameFn(CtxNameFn fn) { ctx_name_ = std::move(fn); }
+  // The running context's task was renamed (exec): its later accesses carry
+  // the new name, and earlier ones keep the name they were made under.
+  void OnContextRenamed();
 
   // --- Introspection (/proc/racedet, metrics gauges, tests) ---
   const std::vector<RaceReport>& reports() const { return reports_; }
@@ -138,6 +149,14 @@ class Racedet {
  private:
   Racedet() = default;
 
+  // A context as named from some access on: its id and the name the kernel
+  // gave it (empty when unnamed; reports print "ctx<id>").
+  struct CtxName {
+    std::uint64_t id = 0;
+    std::string name;
+  };
+  static constexpr std::uint32_t kNoCtx = ~std::uint32_t{0};
+
   struct Cell {
     std::uintptr_t addr = 0;
     const char* name = nullptr;  // annotation-site literals
@@ -145,16 +164,14 @@ class Racedet {
     int line = 0;
     RdState state = RdState::kVirgin;
     std::uint64_t owner = 0;      // context id while kExclusive
-    std::string owner_name;
     bool lockset_valid = false;   // C(v) initialized on first shared access
     std::vector<const SpinLock*> lockset;
     // Last disciplined access (the "other side" of an eventual report).
-    std::uint64_t last_ctx = 0;
-    std::string last_ctx_name;
+    std::uint32_t last_ctx = kNoCtx;  // index into names_
     const char* last_file = nullptr;
     int last_line = 0;
     bool last_write = false;
-    std::vector<const char*> last_bt;
+    FrameArray last_bt;
     std::vector<std::string> history;  // bounded lockset shrink log
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
@@ -162,14 +179,15 @@ class Racedet {
 
   Cell* Lookup(std::uintptr_t addr, bool create, const char* name, const char* file, int line);
   const Cell* Find(std::uintptr_t addr) const;
-  std::uint64_t CurrentCtx();
-  std::string CurrentCtxName(std::uint64_t id) const;
-  std::string FormatLockset(const std::vector<const SpinLock*>& set) const;
-  void RecordShrink(Cell& c, std::uint64_t ctx, const char* file, int line,
+  // Gives `ctx` its id and name in this session if it has none yet.
+  void Identify(ExecContext& ctx);
+  std::uint32_t NameContext(std::uint64_t id);
+  std::string CtxNameOf(std::uint32_t name) const;
+  void RecordShrink(Cell& c, const ExecContext& ctx, const char* file, int line,
                     std::size_t before, std::size_t after);
   std::string SiteOfReport(const RaceReport& r) const;
-  void EmitReport(Cell& c, std::uint64_t ctx, const char* file, int line, bool is_write,
-                  const std::vector<const SpinLock*>& held);
+  void EmitReport(Cell& c, const ExecContext& ctx, const char* file, int line, bool is_write,
+                  std::span<const HeldLock> held);
 
   bool enabled_ = true;
   std::vector<Cell> cells_;
@@ -182,6 +200,7 @@ class Racedet {
   std::uint64_t dropped_ = 0;
   std::uint64_t next_ctx_ = 1;
   std::uint64_t generation_ = 0;  // bumped by Reset; invalidates ctx ids
+  std::vector<CtxName> names_;
   TraceHook trace_;
   CtxNameFn ctx_name_;
 };

@@ -26,7 +26,7 @@ void PopOff() {
 int IrqOffDepth() { return Ctx().irq_off_depth; }
 
 SpinLock::SpinLock(std::string name) : name_(std::move(name)) {
-  Lockdep::Instance().RegisterClass(name_);
+  Lockdep::Instance().RegisterClass(*this);
 }
 
 void SpinLock::Acquire() {  // lockdep: naked-ok (implementation)
@@ -43,7 +43,7 @@ void SpinLock::Acquire() {  // lockdep: naked-ok (implementation)
     // Order/IRQ validation before the lock is visibly held: a detected
     // violation throws, and backing out the PushOff leaves the context
     // balanced so tests can continue past the report.
-    Lockdep::Instance().OnAcquire(this, name_);
+    Lockdep::Instance().OnAcquire(*this);
   } catch (...) {
     --Ctx().irq_off_depth;  // raw undo: OnIrqEnable must not re-fire mid-throw
     throw;

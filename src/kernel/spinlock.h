@@ -8,8 +8,8 @@
 // double-acquire, unlock-without-lock, and sleeping-with-lock are all caught.
 // Cross-lock discipline (ordering between classes, IRQ safety) is validated
 // by the lockdep layer (lockdep.h): the constructor registers the lock's
-// class by name, and Acquire/Release report to the per-context held stack
-// and the global acquisition-order graph.
+// class by name and keeps its id, and Acquire/Release report to the
+// per-context held stack and the global acquisition-order graph.
 #ifndef VOS_SRC_KERNEL_SPINLOCK_H_
 #define VOS_SRC_KERNEL_SPINLOCK_H_
 
@@ -37,10 +37,17 @@ class SpinLock {
   std::uint64_t acquisitions() const { return acquisitions_; }
 
  private:
+  friend class Lockdep;
+
   std::string name_;
   bool held_ = false;
   const void* owner_ = nullptr;  // the holder's ExecContext
   std::uint64_t acquisitions_ = 0;
+  // Lockdep's id for this class, valid while class_generation_ matches the
+  // lockdep session's; a lock built before a Lockdep::Reset re-registers by
+  // name at its next acquire.
+  int class_id_ = -1;
+  std::uint64_t class_generation_ = 0;
 };
 
 // RAII guard — the only sanctioned way to take a SpinLock outside the lock

@@ -284,6 +284,7 @@ std::int64_t Kernel::SysExec(const std::string& path, const std::vector<std::str
     }
     cur->mm = std::move(mm);
     cur->set_name(img->entry);
+    Racedet::Instance().OnContextRenamed();
     // A process exec'd with no inherited descriptors gets the console as
     // stdin/stdout/stderr — what init sets up in xv6 before running the shell.
     if (Has(SysNeed::kFiles) && cur->fds.empty()) {

@@ -156,6 +156,25 @@ TEST_F(BcacheTest, LruRecyclingUnderPressureFlushesDirtyVictims) {
   }
 }
 
+TEST_F(BcacheTest, ReReadMovesABufferToTheFrontOfTheLru) {
+  Cycles c = 0;
+  auto read = [&](std::uint64_t lba) {
+    Buf* b = bc_.Read(dev_, lba, &c);
+    ASSERT_NE(b, nullptr);
+    bc_.Release(b);
+  };
+  for (std::uint64_t lba = 0; lba < std::uint64_t(kNumBufs); ++lba) {
+    read(lba);  // fills the pool: block 0 is the least recent
+  }
+  read(0);         // a hit: block 0 becomes the most recent
+  read(kNumBufs);  // a miss that must recycle the least recent, block 1
+  std::uint64_t misses = bc_.misses();
+  read(0);
+  EXPECT_EQ(bc_.misses(), misses) << "block 0 was evicted despite its re-read";
+  read(1);
+  EXPECT_EQ(bc_.misses(), misses + 1) << "block 1 was not the victim";
+}
+
 TEST_F(BcacheTest, CleanVictimsPreferredOverDirtyOnes) {
   DirtyBlock(0, 0xee);
   // A read sweep has plenty of clean victims, so the dirty buffer survives

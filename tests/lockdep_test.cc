@@ -1,9 +1,10 @@
 // Lockdep validator tests: seeded lock-order inversions (direct and
 // transitive), same-class nesting, sleep-with-spinlock-held, both directions
-// of the IRQ-safety check, the disabled knob, and a full Proto5 boot whose
-// organic lock traffic must populate /proc/lockdep with the kernel's classes
-// and dependency edges. Violation messages must carry both offending chains
-// with their shadow-stack backtraces.
+// of the IRQ-safety check, the disabled knob, the lock-chain cache (a cached
+// chain never hides a violation, and its edge counts stay exact), and a full
+// Proto5 boot whose organic lock traffic must populate /proc/lockdep with the
+// kernel's classes and dependency edges. Violation messages must carry both
+// offending chains with their shadow-stack backtraces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,7 +31,7 @@ class LockdepTest : public ::testing::Test {
   void SetUp() override {
     Lockdep::Instance().Reset();
     Lockdep::Instance().SetEnabled(true);
-    Lockdep::Instance().SetBacktraceProvider([this] { return frames_; });
+    Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
     ASSERT_EQ(IrqOffDepth(), 0);
   }
   void TearDown() override {
@@ -205,6 +206,114 @@ TEST_F(LockdepTest, ReportFormatsClassesAndEdges) {
   EXPECT_NE(rep.find("lockdep: on"), std::string::npos) << rep;
   EXPECT_NE(rep.find("rep_a"), std::string::npos) << rep;
   EXPECT_NE(rep.find("rep_a -> rep_b (seen 1x)"), std::string::npos) << rep;
+}
+
+// --- The lock-chain cache never hides a violation --------------------------
+
+TEST_F(LockdepTest, CachedChainStillReportsTheInversionWithBothBacktraces) {
+  SpinLock a("cache_a");
+  SpinLock b("cache_b");
+  frames_ = {"worker_one", "first_a_then_b"};
+  {
+    SpinGuard ga(a);
+    SpinGuard gb(b);  // records cache_a -> cache_b with these frames
+  }
+  frames_ = {"worker_one", "warm_a_then_b"};
+  for (int i = 1; i < 1000; ++i) {
+    SpinGuard ga(a);
+    SpinGuard gb(b);  // the cached chain: counted, not re-validated
+  }
+  frames_ = {"worker_two", "now_b_then_a"};
+  SpinGuard gb(b);
+  try {
+    a.Acquire();  // lockdep: naked-ok (seeding a violation)
+    FAIL() << "inversion of a cached chain not detected";
+  } catch (const FatalError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("lock-order inversion"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("first_a_then_b"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("now_b_then_a"), std::string::npos) << msg;
+    // The edge keeps the backtraces of its first observation.
+    EXPECT_EQ(msg.find("warm_a_then_b"), std::string::npos) << msg;
+  }
+}
+
+TEST_F(LockdepTest, CachedChainsStillCloseATransitiveCycle) {
+  SpinLock a("cache_ta");
+  SpinLock b("cache_tb");
+  SpinLock c("cache_tc");
+  for (int i = 0; i < 1000; ++i) {
+    {
+      SpinGuard ga(a);
+      SpinGuard gb(b);
+    }
+    SpinGuard gb(b);
+    SpinGuard gc(c);
+  }
+  SpinGuard gc(c);
+  try {
+    a.Acquire();  // lockdep: naked-ok (seeding a violation)
+    FAIL() << "transitive inversion over cached chains not detected";
+  } catch (const FatalError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("cache_ta -> cache_tb -> cache_tc"), std::string::npos) << msg;
+  }
+}
+
+TEST_F(LockdepTest, OutOfOrderReleaseRecordsOnlyTheLocksStillHeld) {
+  SpinLock a("ooo_a");
+  SpinLock b("ooo_b");
+  SpinLock c("ooo_c");
+  a.Acquire();  // lockdep: naked-ok (the SleepOn pattern: release below the top)
+  b.Acquire();  // lockdep: naked-ok
+  a.Release();  // lockdep: naked-ok
+  {
+    SpinGuard gc(c);
+  }
+  b.Release();  // lockdep: naked-ok
+  // Only the direct edges: a -> c is implied through b, never observed.
+  EXPECT_EQ(Lockdep::Instance().EdgeCount(), 2u);
+  // The re-keyed entry and a plain b-then-c nesting are one chain.
+  {
+    SpinGuard gb(b);
+    SpinGuard gc(c);
+  }
+  const std::string rep = Lockdep::Instance().Report();
+  EXPECT_NE(rep.find("ooo_a -> ooo_b (seen 1x)"), std::string::npos) << rep;
+  EXPECT_NE(rep.find("ooo_b -> ooo_c (seen 2x)"), std::string::npos) << rep;
+  EXPECT_EQ(rep.find("ooo_a -> ooo_c"), std::string::npos) << rep;
+  EXPECT_EQ(IrqOffDepth(), 0);
+}
+
+TEST_F(LockdepTest, WarmChainCountsEveryNesting) {
+  SpinLock a("rep_a");
+  SpinLock b("rep_b");
+  for (int i = 0; i < 1000; ++i) {
+    SpinGuard ga(a);
+    SpinGuard gb(b);
+  }
+  const std::string rep = Lockdep::Instance().Report();
+  EXPECT_NE(rep.find("rep_a -> rep_b (seen 1000x)"), std::string::npos) << rep;
+}
+
+TEST_F(LockdepTest, LockBuiltBeforeResetIsClassedByNameAfterIt) {
+  SpinLock early("early_outer");  // its cached class id belongs to this session
+  {
+    SpinGuard g(early);
+  }
+  Lockdep::Instance().Reset();
+  SpinLock late("late_inner");  // takes the id `early` had
+  {
+    SpinGuard ge(early);
+    SpinGuard gl(late);
+  }
+  EXPECT_TRUE(Lockdep::Instance().HasPath("early_outer", "late_inner"));
+  std::vector<std::string> names;
+  for (const LockClassInfo& c : Lockdep::Instance().Classes()) {
+    names.push_back(c.name);
+    EXPECT_EQ(c.acquisitions, 1u) << c.name;
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"late_inner", "early_outer"}));
 }
 
 // --- Full-boot integration: the kernel's own locks populate the graph ------

@@ -5,7 +5,8 @@
 // ways, ForgetRange recycling, the /proc/racedet text, and the full-boot
 // seeded race: Kernel::DebugSharedInc(false) is a deliberate unlocked write
 // that must produce exactly one report naming 'racedet-self' with both
-// contexts' backtraces — while ordinary kernel workloads stay report-clean.
+// contexts' backtraces, even once the prior context's task has exited —
+// while ordinary kernel workloads stay report-clean.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -36,7 +37,7 @@ class RacedetTest : public ::testing::Test {
   void SetUp() override {
     Lockdep::Instance().Reset();
     Lockdep::Instance().SetEnabled(true);
-    Lockdep::Instance().SetBacktraceProvider([this] { return frames_; });
+    Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
     Racedet::Instance().Reset(256);
     Racedet::Instance().SetEnabled(true);
   }
@@ -284,7 +285,11 @@ TEST_F(RacedetTest, ReportTextCarriesTheWholeStory) {
   EXPECT_NE(text.find("racing write by"), std::string::npos) << text;
   EXPECT_NE(text.find("prior write by"), std::string::npos) << text;
   EXPECT_NE(text.find("lockset history:"), std::string::npos) << text;
-  EXPECT_NE(text.find("C(v) init = {rd_text}"), std::string::npos) << text;
+  EXPECT_NE(text.find("C(v) init = {rd_text} by 'ctx2'"), std::string::npos) << text;
+  // Unnamed contexts print as their ids, in the order they first touched a
+  // cell: this one, then each helper thread.
+  EXPECT_NE(text.find("racing write by 'ctx3'"), std::string::npos) << text;
+  EXPECT_NE(text.find("prior write by 'ctx2'"), std::string::npos) << text;
   // The declaration site is this file.
   EXPECT_NE(text.find("racedet_test.cc"), std::string::npos) << text;
 }
@@ -353,6 +358,36 @@ TEST(RacedetBootTest, SeededRaceReportsExactlyOnceThroughProcAndTrace) {
   const std::string metrics = sys.SerialOutput();
   EXPECT_NE(metrics.find("racedet.reports"), std::string::npos);
   EXPECT_NE(metrics.find("racedet.checks"), std::string::npos);
+}
+
+// The prior side of a report may come from a task that is long gone: its
+// name and backtrace were kept when it made the access, so the report still
+// names it after the task has exited and been reaped.
+TEST(RacedetBootTest, PriorContextIsNamedAfterItsTaskExits) {
+  System sys(OptionsForStage(Stage::kProto5));
+  Kernel& k = sys.kernel();
+  k.DebugSharedInc(true);  // machine context, disciplined
+  Task* gone = StartInOs(sys, "rd_gone", [](AppEnv& env) -> int {
+    StackFrame f(env.task, "rd_gone_main");
+    env.kernel->DebugSharedInc(true);  // second context: shared-modified
+    return 0;
+  });
+  Pid pid = gone->pid();
+  ASSERT_EQ(sys.WaitProgram(gone), 0);
+  ASSERT_EQ(k.FindTask(pid), nullptr) << "the task was not reaped";
+
+  k.DebugSharedInc(false);  // the machine context races the dead task's write
+  ASSERT_EQ(Racedet::Instance().total_reports(), 1u);
+  const RaceReport& r = Racedet::Instance().reports()[0];
+  EXPECT_EQ(r.racing_ctx, "<machine-loop>");
+  EXPECT_NE(r.prior_ctx.find("rd_gone"), std::string::npos) << r.prior_ctx;
+  ASSERT_FALSE(r.prior_bt.empty());
+  EXPECT_STREQ(r.prior_bt.back(), "rd_gone_main");
+
+  EXPECT_EQ(sys.RunProgram("cat", {"/proc/racedet"}), 0);
+  const std::string out = sys.SerialOutput();
+  EXPECT_NE(out.find("prior write by '" + r.prior_ctx + "'"), std::string::npos) << out;
+  EXPECT_NE(out.find("] rd_gone_main"), std::string::npos) << out;
 }
 
 // The flip side of the seeded race: a real workload across every instrumented
