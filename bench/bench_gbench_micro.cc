@@ -16,6 +16,7 @@
 #include "src/kernel/lockdep.h"
 #include "src/kernel/racedet.h"
 #include "src/kernel/spinlock.h"
+#include "src/kernel/task.h"
 #include "src/media/vmv.h"
 #include "src/ulib/pixel.h"
 #include "src/vos/prototypes.h"
@@ -207,6 +208,23 @@ void BM_FiberSwitch(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FiberSwitch);
+
+void BM_TaskFiberRoundTrip(benchmark::State& state) {
+  // The switch alone: one Run -> YieldToMachine round trip of a bare fiber,
+  // two context switches and no machine loop.
+  bool stop = false;
+  TaskFiber fiber([&stop] {
+    while (!stop) {
+      TaskFiber::Current()->YieldToMachine();
+    }
+  });
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fiber.Run(Us(10), 0));
+  }
+  stop = true;
+  fiber.Run(Us(10), 0);
+}
+BENCHMARK(BM_TaskFiberRoundTrip);
 
 void BM_BootProto5(benchmark::State& state) {
   for (auto _ : state) {

@@ -6,6 +6,7 @@
 #define VOS_SRC_HW_INTC_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <optional>
 
@@ -36,40 +37,43 @@ class Intc {
  public:
   explicit Intc(unsigned num_cores) : num_cores_(num_cores) {
     VOS_CHECK(num_cores >= 1 && num_cores <= kMaxCores);
-    routes_.fill(0);
+    for (unsigned i = 0; i < kIrqMax; ++i) {
+      Set(routed_[0], i);
+    }
     for (unsigned c = 0; c < kMaxCores; ++c) {
-      routes_[CoreTimerIrq(c)] = static_cast<int>(c);
+      RouteLine(CoreTimerIrq(c), c);
     }
   }
 
   unsigned num_cores() const { return num_cores_; }
 
   // Device side: level-triggered lines.
-  void Raise(unsigned irq) { Line(irq).pending = true; }
-  void Clear(unsigned irq) { Line(irq).pending = false; }
-  bool IsPending(unsigned irq) const { return lines_[Check(irq)].pending; }
+  void Raise(unsigned irq) { Set(pending_, irq); }
+  void Clear(unsigned irq) { Reset(pending_, irq); }
+  bool IsPending(unsigned irq) const { return Test(pending_, irq); }
 
   // Kernel side: masking and routing.
-  void Enable(unsigned irq) { Line(irq).enabled = true; }
-  void Disable(unsigned irq) { Line(irq).enabled = false; }
+  void Enable(unsigned irq) { Set(enabled_, irq); }
+  void Disable(unsigned irq) { Reset(enabled_, irq); }
   void RouteTo(unsigned irq, unsigned core) {
     VOS_CHECK(core < num_cores_);
-    routes_[Check(irq)] = static_cast<int>(core);
+    RouteLine(irq, core);
   }
 
   // Lowest-numbered enabled+pending IRQ routed to `core`, if any.
   std::optional<unsigned> PendingFor(unsigned core) const {
-    for (unsigned i = 0; i < kIrqMax; ++i) {
-      if (lines_[i].pending && lines_[i].enabled && routes_[i] == static_cast<int>(core)) {
-        return i;
+    VOS_CHECK(core < kMaxCores);
+    for (unsigned w = 0; w < kWords; ++w) {
+      if (std::uint64_t m = pending_[w] & enabled_[w] & routed_[core][w]) {
+        return w * 64 + static_cast<unsigned>(std::countr_zero(m));
       }
     }
     return std::nullopt;
   }
 
   bool AnyPending() const {
-    for (unsigned i = 0; i < kIrqMax; ++i) {
-      if (lines_[i].pending && lines_[i].enabled) {
+    for (unsigned w = 0; w < kWords; ++w) {
+      if ((pending_[w] & enabled_[w]) != 0) {
         return true;
       }
     }
@@ -89,20 +93,32 @@ class Intc {
   }
 
  private:
-  struct LineState {
-    bool pending = false;
-    bool enabled = false;
-  };
+  // One bit per line, as the Pi's pending and enable registers keep them.
+  static constexpr unsigned kWords = (kIrqMax + 63) / 64;
+  using Mask = std::array<std::uint64_t, kWords>;
 
   static unsigned Check(unsigned irq) {
     VOS_CHECK(irq < kIrqMax);
     return irq;
   }
-  LineState& Line(unsigned irq) { return lines_[Check(irq)]; }
+  static std::uint64_t Bit(unsigned irq) { return std::uint64_t{1} << (irq % 64); }
+  static void Set(Mask& m, unsigned irq) { m[Check(irq) / 64] |= Bit(irq); }
+  static void Reset(Mask& m, unsigned irq) { m[Check(irq) / 64] &= ~Bit(irq); }
+  static bool Test(const Mask& m, unsigned irq) { return (m[Check(irq) / 64] & Bit(irq)) != 0; }
+
+  // Each line is routed to exactly one core: its bit is set in that core's
+  // mask only.
+  void RouteLine(unsigned irq, unsigned core) {
+    for (Mask& r : routed_) {
+      Reset(r, irq);
+    }
+    Set(routed_[core], irq);
+  }
 
   unsigned num_cores_;
-  std::array<LineState, kIrqMax> lines_{};
-  std::array<int, kIrqMax> routes_{};
+  Mask pending_{};
+  Mask enabled_{};
+  std::array<Mask, kMaxCores> routed_{};
   bool fiq_pending_ = false;
   unsigned fiq_rr_ = 0;
 };

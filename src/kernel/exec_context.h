@@ -5,10 +5,18 @@
 // to another (TaskFiber in task.cc is the only switcher), so the per-context
 // state lockdep, the spinlock IRQ-off count and racedet keep is swapped along
 // with the registers instead of living in host-thread storage.
+//
+// On x86-64 the switch saves only what the ABI says a call preserves: the
+// callee-saved registers, MXCSR and the x87 control word, pushed on the
+// departing stack, whose pointer is all a parked context keeps. A fresh
+// fiber's first frame is written by hand, the same shape. Other hosts
+// (aarch64 Linux, say) switch with glibc's ucontext calls instead.
 #ifndef VOS_SRC_KERNEL_EXEC_CONTEXT_H_
 #define VOS_SRC_KERNEL_EXEC_CONTEXT_H_
 
+#if !defined(__x86_64__)
 #include <ucontext.h>
+#endif
 
 #include <algorithm>
 #include <array>
@@ -77,7 +85,11 @@ struct ExecContext {
   // Switch bookkeeping: saved registers, the context that last resumed this
   // fiber (it switches back there), and the stack and fiber handles the
   // sanitizers need to follow a switch.
+#if defined(__x86_64__)
+  void* sp = nullptr;  // while parked: the stack the registers were pushed on
+#else
   ucontext_t uc{};
+#endif
   ExecContext* resumer = nullptr;
   const void* stack_bottom = nullptr;
   std::size_t stack_size = 0;
@@ -95,6 +107,10 @@ inline ExecContext& Ctx() {
   ExecContext* c = tls_exec_context;
   return c != nullptr ? *c : AdoptHostThread();
 }
+
+// Makes `ctx` a fiber on the stack [stack_bottom, stack_bottom + stack_size):
+// the first switch into it calls `entry`, which must never return.
+void PrepareFiber(ExecContext& ctx, void* stack_bottom, std::size_t stack_size, void (*entry)());
 
 // Runs `to` on this host thread and parks `from`: registers, exception state
 // and sanitizer state travel with the switch. Returns when some context

@@ -32,15 +32,8 @@ TaskFiber::TaskFiber(std::function<void()> entry) : entry_(std::move(entry)) {
                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
   VOS_CHECK_MSG(stack_ != MAP_FAILED, "fiber stack mmap failed");
   VOS_CHECK(mprotect(stack_, GuardBytes(), PROT_NONE) == 0);  // overflow faults
-  char* bottom = static_cast<char*>(stack_) + GuardBytes();
   ctx_.fiber = this;
-  ctx_.stack_bottom = bottom;
-  ctx_.stack_size = kStackBytes;
-  VOS_CHECK(getcontext(&ctx_.uc) == 0);
-  ctx_.uc.uc_stack.ss_sp = bottom;
-  ctx_.uc.uc_stack.ss_size = kStackBytes;
-  ctx_.uc.uc_link = nullptr;  // Main never returns
-  makecontext(&ctx_.uc, &TaskFiber::Main, 0);
+  PrepareFiber(ctx_, static_cast<char*>(stack_) + GuardBytes(), kStackBytes, &TaskFiber::Main);
 #if defined(__SANITIZE_THREAD__)
   ctx_.tsan_fiber = __tsan_create_fiber(0);
 #endif

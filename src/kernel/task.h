@@ -1,15 +1,16 @@
 // Task control block and its execution context.
 //
 // Execution model (see DESIGN.md §5): each task runs on a fiber, a stack of
-// its own that the machine loop switches into with ucontext on the one host
-// thread, so exactly one of {machine loop, some fiber} executes at any
-// instant and kernel state needs no host synchronization. A switch saves one
-// context's registers and loads another's, the job the ARMv8 context switch
-// does on the Pi; everything else that is per-context (current task, held
-// locks, IRQ-off depth, exception state) travels in its ExecContext. Virtual
-// CPU time is charged explicitly via Burn(); the machine loop interleaves
-// fibers on the simulated cores between device events, so the scheduler,
-// runqueues, sleep channels and preemption behaviour stay real.
+// its own that the machine loop switches into on the one host thread, so
+// exactly one of {machine loop, some fiber} executes at any instant and
+// kernel state needs no host synchronization. A switch (SwitchContext in
+// exec_context.h) saves one context's callee-saved registers and loads
+// another's, the job the ARMv8 context switch does on the Pi; everything
+// else that is per-context (current task, held locks, IRQ-off depth,
+// exception state) travels in its ExecContext. Virtual CPU time is charged
+// explicitly via Burn(); the machine loop interleaves fibers on the
+// simulated cores between device events, so the scheduler, runqueues, sleep
+// channels and preemption behaviour stay real.
 #ifndef VOS_SRC_KERNEL_TASK_H_
 #define VOS_SRC_KERNEL_TASK_H_
 

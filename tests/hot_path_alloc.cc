@@ -1,4 +1,5 @@
-// The always-on checkers and the event queue allocate nothing once warm.
+// The always-on checkers, the event queue and the fiber switch allocate
+// nothing once warm.
 // This binary replaces the global operator new with one that counts (and
 // forwards to malloc, so sanitizers still see every block); vos_tests keeps
 // the real allocator. Each test warms a hot path up, then asserts that 10k
@@ -17,6 +18,7 @@
 #include "src/kernel/lockdep.h"
 #include "src/kernel/racedet.h"
 #include "src/kernel/spinlock.h"
+#include "src/kernel/task.h"
 
 namespace {
 std::atomic<std::size_t> g_allocs{0};
@@ -150,6 +152,24 @@ TEST_F(HotPathAllocTest, CancelReleasesTheCaptureAtOnce) {
   eq.Cancel(id);  // a second cancel is harmless
   eq.RunDue(Ms(100));
   EXPECT_EQ(owner.fired, 0);
+}
+
+TEST_F(HotPathAllocTest, FiberRoundTripsAllocateNothing) {
+  // The machine loop's activation: resume a parked fiber, let it yield back.
+  bool stop = false;
+  TaskFiber fiber([&stop] {
+    while (!stop) {
+      TaskFiber::Current()->YieldToMachine();
+    }
+  });
+  ASSERT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kBudget);  // first entry
+  std::size_t before = Allocs();
+  for (int i = 0; i < kTrips; ++i) {
+    fiber.Run(Us(10), 0);
+  }
+  EXPECT_EQ(Allocs() - before, 0u);
+  stop = true;
+  EXPECT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kExited);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
+#include <optional>
 #include <span>
 
 #include "src/base/random.h"
@@ -87,6 +90,109 @@ TEST(Intc, FiqRoundRobin) {
   EXPECT_EQ(intc.ConsumeFiq(), 0u);
   intc.RaiseFiq();
   EXPECT_EQ(intc.ConsumeFiq(), 1u);
+}
+
+TEST(Intc, PendingForMatchesAScanOfEveryLine) {
+  // PendingFor is the lowest-numbered line that is pending, enabled and
+  // routed to the core. A shadow of every line, scanned line by line, is that
+  // definition; after each seeded operation the controller must agree with it.
+  constexpr unsigned kCores = 4;
+  Intc intc(kCores);
+  struct Line {
+    bool pending = false;
+    bool enabled = false;
+    unsigned core = 0;
+  };
+  std::array<Line, kIrqMax> shadow{};
+  for (unsigned c = 0; c < kCores; ++c) {
+    shadow[CoreTimerIrq(c)].core = c;
+  }
+  std::array<int, kIrqMax> answered{};  // how often each line was a core's answer
+  auto expect_agrees = [&](int step) {
+    bool any = false;
+    for (unsigned c = 0; c < kCores; ++c) {
+      std::optional<unsigned> want;
+      for (unsigned i = 0; i < kIrqMax && !want; ++i) {
+        if (shadow[i].pending && shadow[i].enabled && shadow[i].core == c) {
+          want = i;
+        }
+      }
+      EXPECT_EQ(intc.PendingFor(c), want) << "core " << c << " after step " << step;
+      any = any || want.has_value();
+      if (want) {
+        ++answered[*want];
+      }
+    }
+    EXPECT_EQ(intc.AnyPending(), any) << "after step " << step;
+  };
+  enum Op { kRaise, kClear, kEnable, kDisable, kRoute };
+  auto apply = [&](Op op, unsigned irq, unsigned core) {
+    switch (op) {
+      case kRaise:
+        intc.Raise(irq);
+        shadow[irq].pending = true;
+        break;
+      case kClear:
+        intc.Clear(irq);
+        shadow[irq].pending = false;
+        break;
+      case kEnable:
+        intc.Enable(irq);
+        shadow[irq].enabled = true;
+        break;
+      case kDisable:
+        intc.Disable(irq);
+        shadow[irq].enabled = false;
+        break;
+      case kRoute:
+        intc.RouteTo(irq, core);
+        shadow[irq].core = core;
+        break;
+    }
+  };
+
+  // Priority across the 64-bit word boundary: the NIC (50) beats a core's
+  // timer (64+c) on whichever core it is routed to, and 63 beats 64 and 95.
+  for (unsigned c = 0; c < kCores; ++c) {
+    apply(kEnable, CoreTimerIrq(c), 0);
+    apply(kRaise, CoreTimerIrq(c), 0);
+  }
+  apply(kEnable, kIrqEth, 0);
+  apply(kRaise, kIrqEth, 0);
+  EXPECT_EQ(intc.PendingFor(0), kIrqEth);
+  EXPECT_EQ(intc.PendingFor(1), CoreTimerIrq(1));
+  apply(kRoute, kIrqEth, 2);
+  EXPECT_EQ(intc.PendingFor(0), CoreTimerIrq(0));
+  EXPECT_EQ(intc.PendingFor(2), kIrqEth);
+  for (unsigned irq : {95u, 63u}) {
+    apply(kEnable, irq, 0);
+    apply(kRaise, irq, 0);
+    apply(kRoute, irq, 3);
+  }
+  EXPECT_EQ(intc.PendingFor(3), 63u);
+  apply(kClear, 63, 0);
+  EXPECT_EQ(intc.PendingFor(3), CoreTimerIrq(3));
+  apply(kDisable, CoreTimerIrq(3), 0);
+  EXPECT_EQ(intc.PendingFor(3), 95u);
+  expect_agrees(0);
+
+  // Clears and disables outnumber raises and enables 3:1, so a core often
+  // has nothing below 64 and its answer comes from the upper word. A quarter
+  // of the operations hit lines at the word boundary and the ends.
+  constexpr unsigned kEdges[] = {0, kIrqEth, 62, 63, 64, 65, 66, 67, 94, 95};
+  constexpr Op kOps[] = {kRaise, kClear, kClear, kClear, kEnable, kDisable,
+                         kDisable, kDisable, kRoute, kRoute};
+  Rng rng(19);
+  for (int step = 1; step <= 20000 && !HasFailure(); ++step) {
+    unsigned irq = rng.Chance(0.25) ? kEdges[rng.NextBelow(std::size(kEdges))]
+                                    : static_cast<unsigned>(rng.NextBelow(kIrqMax));
+    apply(kOps[rng.NextBelow(std::size(kOps))], irq,
+          static_cast<unsigned>(rng.NextBelow(kCores)));
+    expect_agrees(step);
+  }
+  for (unsigned irq : {63u, 64u, 95u}) {
+    EXPECT_GT(answered[irq], 0) << "line " << irq << " never won";
+  }
 }
 
 TEST(PhysMem, ScrambleLeavesJunk) {

@@ -1,12 +1,20 @@
 // Unit tests for kernel subsystems not covered at the syscall level: the
 // buffer cache, virtual timers, klog wire timing, the semaphore table, pipe
-// edge cases, and task fibers (budget slicing, exception state, unwinding).
+// edge cases, and task fibers (budget slicing, exception and floating-point
+// state, first-frame alignment, unwinding).
 #include <gtest/gtest.h>
 
+#include <cfenv>
+#include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
+
+#if defined(__SSE__)
+#include <xmmintrin.h>
+#endif
 
 #include "src/base/status.h"
 #include "src/fs/bcache.h"
@@ -319,6 +327,56 @@ TEST(TaskFiberUnit, DeletingAParkedFiberFromAnotherFiberReturnsThere) {
   EXPECT_EQ(rr.consumed, Us(5));
   EXPECT_TRUE(inner_unwound);
   EXPECT_TRUE(back_in_outer);
+}
+
+// The SSE rounding-control field (MXCSR bits 13-14: 0 nearest, 0x4000
+// upward), which fegetround() does not read on x86-64: it reads the x87
+// control word.
+unsigned SseRounding() {
+#if defined(__SSE__)
+  return _mm_getcsr() & 0x6000;
+#else
+  return 0;
+#endif
+}
+
+TEST(TaskFiberUnit, FloatingPointControlStaysWithTheFiber) {
+  // The x87 control word and MXCSR's control bits are callee-saved, so a
+  // switch carries both: a fiber's rounding mode is its own.
+  int fiber_round = -1;
+  unsigned fiber_sse = 0;
+  TaskFiber fiber([&] {
+    std::fesetround(FE_UPWARD);
+    TaskFiber::Current()->YieldToMachine();
+    fiber_round = std::fegetround();
+    fiber_sse = SseRounding();
+  });
+  EXPECT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kBudget);
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(SseRounding(), 0u);
+  EXPECT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kExited);
+  EXPECT_EQ(fiber_round, FE_UPWARD);
+#if defined(__SSE__)
+  EXPECT_EQ(fiber_sse, 0x4000u);
+#endif
+  std::fesetround(FE_TONEAREST);  // a failure above must not leak into later tests
+}
+
+// Out of line, so it has a frame of its own on the fiber's stack.
+[[gnu::noinline]] std::uintptr_t FrameAddressAfterPrintf(char* buf, std::size_t n) {
+  std::snprintf(buf, n, "%.3f", 1.5);  // aligned SSE spills fault on a misaligned stack
+  return reinterpret_cast<std::uintptr_t>(__builtin_frame_address(0));
+}
+
+TEST(TaskFiberUnit, FreshFiberStartsOnAnAbiAlignedStack) {
+  // A fiber's first frame is the switch's own making, so the ABI's 16-byte
+  // stack alignment at every call holds only if that frame is right.
+  std::uintptr_t frame = 1;
+  char buf[16] = {};
+  TaskFiber fiber([&] { frame = FrameAddressAfterPrintf(buf, sizeof(buf)); });
+  EXPECT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kExited);
+  EXPECT_EQ(frame % 16, 0u);
+  EXPECT_STREQ(buf, "1.500");
 }
 
 }  // namespace
