@@ -169,7 +169,6 @@ struct KernelConfig {
   std::uint32_t net_ip = 0x0A000002;        // 10.0.0.2 (loopback wire peer too)
   std::uint32_t net_link_loss_ppm = 0;      // deterministic seeded frame loss
   std::uint64_t net_link_seed = 1;
-  std::uint32_t net_rto_ms = 50;            // TCP retransmit timeout (doubles)
 
   CostModel cost;
 

@@ -352,6 +352,11 @@ std::string NetStack::NetstatText() const {
      << nic_.tx_ring_full() << " rx_ring_full " << nic_.rx_ring_full() << "\n";
   os << "nic irqs " << nic_.irqs_raised() << " coalesced " << nic_.irqs_coalesced() << "\n";
   os << "sockets " << RD_READ(sockets_live_) << " tcbs " << RD_READ(tcbs_).size() << "\n";
+  for (const auto& [ip, e] : RD_READ(peer_rtt_)) {
+    os << "rtt " << IpStr(ip) << " srtt_us " << e.srtt / kCyclesPerUs << " rttvar_us "
+       << e.rttvar / kCyclesPerUs << " rto_us " << e.Rto() / kCyclesPerUs << " samples "
+       << e.samples << "\n";
+  }
   for (const auto& [key, t] : RD_READ(tcbs_)) {
     (void)key;
     os << "tcb " << IpStr(t->local_ip) << ":" << t->local_port << " " << IpStr(t->remote_ip)

@@ -19,6 +19,7 @@
 #ifndef VOS_SRC_KERNEL_NET_NET_H_
 #define VOS_SRC_KERNEL_NET_NET_H_
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
@@ -95,8 +96,17 @@ constexpr std::size_t kNetMtu = 1500;          // ethernet payload bytes per fra
 constexpr std::size_t kNetSndBuf = 32768;      // per-socket send buffer bytes
 constexpr std::size_t kNetRcvBuf = 32768;      // per-socket receive buffer bytes
 constexpr Cycles kNetTimeWait = Ms(5);         // short TIME_WAIT (virtual time)
+constexpr Cycles kNetRtoInitial = Ms(50);      // RTO toward a host never measured
 constexpr std::uint32_t kNetMaxRetries = 8;    // RTO expiries before reset
 constexpr std::uint32_t kNetSoMaxConn = 512;   // listen backlog hard cap
+// RFC 6298's clock granularity G in RTO = SRTT + max(G, 4·RTTVAR). The stack
+// stamps sends and arms timers with clock_.now(), the machine-loop window
+// start, and a window runs up to one tick: an ACK already on the wire can be
+// processed up to a tick (plus the IRQ coalescing window) after it arrived.
+// One tick of G still fired spurious retransmits on the clean link; two fire
+// none. G is a term, not a floor: on a deterministic link RTTVAR decays to 0,
+// and SRTT alone would then sit inside that skew.
+constexpr Cycles kNetRtoGranularity = 2 * kTickInterval;
 // Boot values of the link knobs /proc/netstat retunes: an RX IRQ after 8
 // frames or 50 µs, whichever comes first, over a 20 µs one-way wire.
 constexpr std::uint32_t kNetIrqCoalesceFrames = 8;
@@ -121,6 +131,31 @@ enum class TcpState : int {
 
 const char* TcpStateName(TcpState s);
 
+// RFC 6298 round-trip estimator, in integer cycles. The stack keeps one per
+// peer IP (NetStack::peer_rtt_), so a new connection, its SYN included,
+// starts from what earlier connections to that host measured (RFC 9040's
+// temporal sharing).
+struct RttEstimator {
+  Cycles srtt = 0;    // smoothed RTT
+  Cycles rttvar = 0;  // RTT variation
+  std::uint64_t samples = 0;
+
+  void Sample(Cycles r) {
+    if (samples == 0) {
+      srtt = r;
+      rttvar = r / 2;
+    } else {
+      rttvar = (3 * rttvar + (srtt > r ? srtt - r : r - srtt)) / 4;
+      srtt = (7 * srtt + r) / 8;
+    }
+    ++samples;
+  }
+  // Before backoff; no cap, so a link slower than the initial RTO still works.
+  Cycles Rto() const {
+    return samples == 0 ? kNetRtoInitial : srtt + std::max(kNetRtoGranularity, 4 * rttvar);
+  }
+};
+
 class Socket;
 
 // One TCP connection endpoint. All fields are guarded by the stack's "net"
@@ -139,6 +174,7 @@ struct Tcb {
   std::uint32_t iss = 0;
   std::uint32_t snd_una = 0;
   std::uint32_t snd_nxt = 0;
+  std::uint32_t snd_max = 0;      // highest sequence sent (go-back-N rewinds snd_nxt)
   std::uint32_t snd_wnd = 0;      // peer's advertised window
   std::uint32_t sndq_seq = 0;     // sequence number of sndq.front()
   std::deque<std::uint8_t> sndq;
@@ -154,10 +190,15 @@ struct Tcb {
   bool peer_fin = false;          // FIN received and sequenced
   bool rcv_shutdown = false;      // shutdown(RD): drop further payload
 
-  // Retransmission.
+  // Retransmission. At most one segment is timed at once, and only on its
+  // first transmission (Karn's rule); its ACK feeds the peer's estimator.
   bool rto_armed = false;
   EventId rto_event = 0;
   std::uint32_t retries = 0;
+  RttEstimator* rtt = nullptr;    // NetStack::peer_rtt_ entry for remote_ip
+  bool rtt_timing = false;
+  std::uint32_t rtt_seq = 0;      // the timed segment's first sequence number
+  Cycles rtt_sent = 0;
 
   // Lifecycle.
   Socket* listener = nullptr;     // embryo: the listening socket that owns us
@@ -316,17 +357,24 @@ class NetStack {
   };
   void TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles* burn);
   void TcpPassiveOpen(Socket* listener, const TcpSeg& seg, Cycles* burn);
-  void TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, const std::uint8_t* data,
-                  std::size_t len, Cycles* burn);
+  // Sends one segment; its `len` payload bytes are sndq's from `seq` on. A
+  // first transmission (seq == snd_max) is timed when nothing else is.
+  void TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, std::size_t len, Cycles* burn);
   void TcpSendRstFor(const TcpSeg& seg, Cycles* burn);
   // Sends whatever the window allows from sndq (plus a queued FIN).
-  void TcpPushSend(Tcb& t, Cycles* burn);
+  void TcpPushSend(const std::shared_ptr<Tcb>& tcb, Cycles* burn);
+  // An ACK past the timed segment feeds the peer's estimator.
+  void TcpRttAck(Tcb& t, std::uint32_t ack);
   void TcpArmRto(const std::shared_ptr<Tcb>& t);
   void TcpDisarmRto(Tcb& t);
   void TcpOnRto(const std::shared_ptr<Tcb>& t);
   void TcpEnterTimeWait(const std::shared_ptr<Tcb>& t);
   // RST/failure teardown: sticky error, wake all waiters, drop from table.
   void TcpKill(const std::shared_ptr<Tcb>& t, std::int64_t err);
+  // A new tcb toward (rip, rport) from lport, in the table and bound to the
+  // peer's RTT estimator.
+  std::shared_ptr<Tcb> NewTcb(std::uint32_t rip, std::uint16_t rport, std::uint16_t lport,
+                              TcpState state);
   void RemoveTcb(const std::shared_ptr<Tcb>& t);
   void CloseTcbHalf(const std::shared_ptr<Tcb>& t, Cycles* burn);  // shutdown(WR) logic
 
@@ -358,6 +406,8 @@ class NetStack {
       arp_pending_;                                            // racedet: shared (guarded by lock_)
 
   std::unordered_map<std::uint64_t, std::shared_ptr<Tcb>> tcbs_;  // racedet: shared (guarded by lock_)
+  // Per-peer RTT estimators; never erased, so a Tcb keeps a pointer to its own.
+  std::unordered_map<std::uint32_t, RttEstimator> peer_rtt_;      // racedet: shared (guarded by lock_)
   std::unordered_map<std::uint16_t, Socket*> listeners_;          // racedet: shared (guarded by lock_)
   std::unordered_map<std::uint16_t, Socket*> udp_binds_;          // racedet: shared (guarded by lock_)
   std::uint32_t next_ephemeral_ = 32768;                          // racedet: shared (guarded by lock_)

@@ -121,24 +121,13 @@ std::int64_t NetStack::Connect(Task* cur, Socket& s, std::uint32_t ip, std::uint
     if (RD_READ(tcbs_).count(TcbKey(ip, port, lp)) != 0) {
       return kErrExist;
     }
-    auto t = std::make_shared<Tcb>();
-    t->local_ip = cfg_.net_ip;
-    t->remote_ip = ip;
-    t->local_port = lp;
-    t->remote_port = port;
-    t->state = TcpState::kSynSent;
-    t->iss = RD_READ(next_iss_);
-    RD_WRITE(next_iss_) = RD_READ(next_iss_) + 64000;
-    t->snd_una = t->iss;
-    t->snd_nxt = t->iss + 1;
-    t->sndq_seq = t->iss + 1;
+    std::shared_ptr<Tcb> t = NewTcb(ip, port, lp, TcpState::kSynSent);
     t->sock_attached = true;
-    RD_WRITE(tcbs_)[KeyOf(*t)] = t;
     s.bound = true;
     s.local_port = lp;
     s.tcb = t;
     ++stats_.tcp_active_open;
-    TcpSendSeg(*t, kTcpSyn, t->iss, nullptr, 0, burn);
+    TcpSendSeg(*t, kTcpSyn, t->iss, 0, burn);
     TcpArmRto(t);
   }
   std::shared_ptr<Tcb> t = s.tcb;
@@ -221,7 +210,7 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
     t->sndq.insert(t->sndq.end(), buf + done, buf + done + take);
     done += take;
     Charge(burn, static_cast<Cycles>(static_cast<double>(take) * cfg_.cost.net_copy_per_byte));
-    TcpPushSend(*t, burn);
+    TcpPushSend(t, burn);
   }
   return static_cast<std::int64_t>(done);
 }
@@ -334,7 +323,7 @@ void NetStack::CloseSocket(const std::shared_ptr<Socket>& s) {
     for (const auto& t : orphans) {
       ++stats_.tcp_rst_tx;
       ++stats_.tcp_seg_tx;
-      TcpSendSeg(*t, kTcpRst | kTcpAck, t->snd_nxt, nullptr, 0, nullptr);
+      TcpSendSeg(*t, kTcpRst | kTcpAck, t->snd_nxt, 0, nullptr);
       TcpKill(t, kErrIo);
     }
     sched_.Wakeup(&s->accept_chan);

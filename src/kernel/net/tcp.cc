@@ -1,9 +1,9 @@
-// TCP: segment I/O, the connection state machine, go-back-N retransmission,
-// and passive-open (listen backlog) handling. All entered with the net lock
-// held — from the IRQ input path, from socket syscalls, or from RTO timer
-// callbacks on the event queue.
+// TCP: segment I/O, the connection state machine, go-back-N retransmission
+// on an RTT-sized timer (RFC 6298, one estimator per peer), and passive-open
+// (listen backlog) handling. All entered with the net lock held — from the
+// IRQ input path, from socket syscalls, or from RTO timer callbacks on the
+// event queue.
 #include <algorithm>
-#include <cstring>
 
 #include "src/base/assert.h"
 #include "src/base/status.h"
@@ -25,8 +25,8 @@ std::uint32_t TcpPseudoSeed(std::uint32_t src, std::uint32_t dst, std::size_t tc
 
 // --- Segment output ---------------------------------------------------------
 
-void NetStack::TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, const std::uint8_t* data,
-                          std::size_t len, Cycles* burn) {
+void NetStack::TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, std::size_t len,
+                          Cycles* burn) {
   std::vector<std::uint8_t> seg(kTcpHdrLen + len);
   std::uint8_t* h = seg.data();
   Put16(h + 0, t.local_port);
@@ -39,11 +39,23 @@ void NetStack::TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, const s
   Put16(h + 16, 0);  // checksum placeholder
   Put16(h + 18, 0);  // urgent
   if (len > 0) {
-    std::memcpy(seg.data() + kTcpHdrLen, data, len);
+    auto from = t.sndq.begin() + static_cast<std::ptrdiff_t>(seq - t.sndq_seq);
+    std::copy(from, from + static_cast<std::ptrdiff_t>(len), seg.begin() + kTcpHdrLen);
     Charge(burn, static_cast<Cycles>(static_cast<double>(len) * cfg_.cost.net_copy_per_byte));
   }
   Put16(h + 16, InetChecksum(seg.data(), seg.size(),
                              TcpPseudoSeed(t.local_ip, t.remote_ip, seg.size())));
+  // Karn's rule: time only a first transmission, one segment at a time.
+  std::uint32_t end = seq + static_cast<std::uint32_t>(len) + ((flags & kTcpSyn) != 0 ? 1 : 0) +
+                      ((flags & kTcpFin) != 0 ? 1 : 0);
+  if ((flags & kTcpRst) == 0 && SeqLt(t.snd_max, end)) {
+    if (seq == t.snd_max && !t.rtt_timing) {
+      t.rtt_timing = true;
+      t.rtt_seq = seq;
+      t.rtt_sent = clock_.now();
+    }
+    t.snd_max = end;
+  }
   ++stats_.tcp_seg_tx;
   SendIp(t.remote_ip, kIpProtoTcp, seg.data(), seg.size(), burn);
 }
@@ -75,7 +87,8 @@ void NetStack::TcpSendRstFor(const TcpSeg& seg, Cycles* burn) {
   SendIp(seg.src_ip, kIpProtoTcp, h, kTcpHdrLen, burn);
 }
 
-void NetStack::TcpPushSend(Tcb& t, Cycles* burn) {
+void NetStack::TcpPushSend(const std::shared_ptr<Tcb>& tcb, Cycles* burn) {
+  Tcb& t = *tcb;
   std::size_t mss = kNetMtu - kIpHdrLen - kTcpHdrLen;
   for (;;) {
     std::uint32_t inflight = t.snd_nxt - t.snd_una;
@@ -90,30 +103,33 @@ void NetStack::TcpPushSend(Tcb& t, Cycles* burn) {
         t.fin_seq = t.snd_nxt;
         t.fin_sent = true;
         ++t.snd_nxt;
-        TcpSendSeg(t, kTcpFin | kTcpAck, t.fin_seq, nullptr, 0, burn);
-        TcpArmRto(RD_READ(tcbs_).at(KeyOf(t)));  // racedet: ok (lookup only)
+        TcpSendSeg(t, kTcpFin | kTcpAck, t.fin_seq, 0, burn);
+        TcpArmRto(tcb);
       }
       return;
     }
     std::size_t take = std::min<std::size_t>({avail, mss, wnd - inflight});
-    std::vector<std::uint8_t> chunk(take);
-    std::size_t off = t.snd_nxt - t.sndq_seq;
-    std::copy(t.sndq.begin() + static_cast<std::ptrdiff_t>(off),
-              t.sndq.begin() + static_cast<std::ptrdiff_t>(off + take), chunk.begin());
-    TcpSendSeg(t, kTcpAck | kTcpPsh, t.snd_nxt, chunk.data(), take, burn);
+    TcpSendSeg(t, kTcpAck | kTcpPsh, t.snd_nxt, take, burn);
     t.snd_nxt += static_cast<std::uint32_t>(take);
-    TcpArmRto(RD_READ(tcbs_).at(KeyOf(t)));  // racedet: ok (lookup only)
+    TcpArmRto(tcb);
   }
 }
 
 // --- Retransmission timer ---------------------------------------------------
+
+void NetStack::TcpRttAck(Tcb& t, std::uint32_t ack) {
+  if (t.rtt_timing && SeqLt(t.rtt_seq, ack)) {
+    t.rtt_timing = false;
+    t.rtt->Sample(clock_.now() - t.rtt_sent);
+  }
+}
 
 void NetStack::TcpArmRto(const std::shared_ptr<Tcb>& t) {
   if (t->rto_armed) {
     return;
   }
   t->rto_armed = true;
-  Cycles rto = Ms(cfg_.net_rto_ms) << std::min<std::uint32_t>(t->retries, 10);
+  Cycles rto = t->rtt->Rto() << std::min<std::uint32_t>(t->retries, 10);
   std::shared_ptr<Tcb> keep = t;
   t->rto_event = events_.Schedule(clock_.now() + rto, [this, keep] {
     SpinGuard g(lock_);
@@ -139,6 +155,7 @@ void NetStack::TcpOnRto(const std::shared_ptr<Tcb>& t) {
   if (t->snd_una == t->snd_nxt && !(t->fin_queued && !t->fin_sent)) {
     return;  // everything acked in the meantime
   }
+  t->rtt_timing = false;  // Karn: the ACK may answer either transmission
   ++t->retries;
   if (t->retries > kNetMaxRetries) {
     // Peer unreachable: reset the connection locally.
@@ -151,12 +168,12 @@ void NetStack::TcpOnRto(const std::shared_ptr<Tcb>& t) {
   switch (t->state) {
     case TcpState::kSynSent:
       t->snd_nxt = t->iss;
-      TcpSendSeg(*t, kTcpSyn, t->iss, nullptr, 0, nullptr);
+      TcpSendSeg(*t, kTcpSyn, t->iss, 0, nullptr);
       t->snd_nxt = t->iss + 1;
       TcpArmRto(t);
       break;
     case TcpState::kSynRcvd:
-      TcpSendSeg(*t, kTcpSyn | kTcpAck, t->iss, nullptr, 0, nullptr);
+      TcpSendSeg(*t, kTcpSyn | kTcpAck, t->iss, 0, nullptr);
       t->snd_nxt = t->iss + 1;  // the SYN occupies iss; undo the rewind
       TcpArmRto(t);
       break;
@@ -164,7 +181,7 @@ void NetStack::TcpOnRto(const std::shared_ptr<Tcb>& t) {
       if (t->fin_sent && !SeqLt(t->fin_seq, t->snd_una)) {
         t->fin_sent = false;  // FIN unacked: resend it after the data
       }
-      TcpPushSend(*t, nullptr);
+      TcpPushSend(t, nullptr);
       // A bare FIN retransmit may find the window full; keep the timer alive
       // so the probe retries.
       TcpArmRto(t);
@@ -173,6 +190,25 @@ void NetStack::TcpOnRto(const std::shared_ptr<Tcb>& t) {
 }
 
 // --- Lifecycle helpers ------------------------------------------------------
+
+std::shared_ptr<Tcb> NetStack::NewTcb(std::uint32_t rip, std::uint16_t rport,
+                                      std::uint16_t lport, TcpState state) {
+  auto t = std::make_shared<Tcb>();
+  t->local_ip = cfg_.net_ip;
+  t->remote_ip = rip;
+  t->local_port = lport;
+  t->remote_port = rport;
+  t->state = state;
+  t->iss = RD_READ(next_iss_);
+  RD_WRITE(next_iss_) = RD_READ(next_iss_) + 64000;  // deterministic ISS stepping
+  t->snd_una = t->iss;
+  t->snd_nxt = t->iss + 1;
+  t->snd_max = t->iss;
+  t->sndq_seq = t->iss + 1;
+  t->rtt = &RD_WRITE(peer_rtt_)[rip];  // map nodes are stable
+  RD_WRITE(tcbs_)[KeyOf(*t)] = t;
+  return t;
+}
 
 void NetStack::RemoveTcb(const std::shared_ptr<Tcb>& t) {
   TcpDisarmRto(*t);
@@ -275,25 +311,14 @@ void NetStack::TcpPassiveOpen(Socket* listener, const TcpSeg& seg, Cycles* burn)
     ++stats_.tcp_accept_drop;
     return;
   }
-  auto t = std::make_shared<Tcb>();
-  t->local_ip = cfg_.net_ip;
-  t->remote_ip = seg.src_ip;
-  t->local_port = seg.dport;
-  t->remote_port = seg.sport;
-  t->state = TcpState::kSynRcvd;
-  t->iss = RD_READ(next_iss_);
-  RD_WRITE(next_iss_) = RD_READ(next_iss_) + 64000;  // deterministic ISS stepping
-  t->snd_una = t->iss;
-  t->snd_nxt = t->iss + 1;
-  t->sndq_seq = t->iss + 1;
+  std::shared_ptr<Tcb> t = NewTcb(seg.src_ip, seg.sport, seg.dport, TcpState::kSynRcvd);
   t->irs = seg.seq;
   t->rcv_nxt = seg.seq + 1;
   t->snd_wnd = seg.wnd;
   t->listener = listener;
   ++listener->embryos;
-  RD_WRITE(tcbs_)[KeyOf(*t)] = t;
   ++stats_.tcp_passive_open;
-  TcpSendSeg(*t, kTcpSyn | kTcpAck, t->iss, nullptr, 0, burn);
+  TcpSendSeg(*t, kTcpSyn | kTcpAck, t->iss, 0, burn);
   TcpArmRto(t);
 }
 
@@ -307,6 +332,7 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
   if (t->state == TcpState::kSynSent) {
     if ((seg.flags & (kTcpSyn | kTcpAck)) == (kTcpSyn | kTcpAck) && seg.ack == t->iss + 1) {
       t->snd_una = seg.ack;
+      TcpRttAck(*t, seg.ack);
       t->irs = seg.seq;
       t->rcv_nxt = seg.seq + 1;
       t->snd_wnd = seg.wnd;
@@ -314,16 +340,16 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
       ++stats_.tcp_established;
       TcpDisarmRto(*t);
       t->retries = 0;
-      TcpSendSeg(*t, kTcpAck, t->snd_nxt, nullptr, 0, burn);
+      TcpSendSeg(*t, kTcpAck, t->snd_nxt, 0, burn);
       sched_.Wakeup(&t->rcv_chan);  // connect() waits here
-      TcpPushSend(*t, burn);
+      TcpPushSend(t, burn);
     }
     return;
   }
   if (t->state == TcpState::kTimeWait) {
     // A retransmitted FIN: re-ack it.
     if ((seg.flags & kTcpFin) != 0) {
-      TcpSendSeg(*t, kTcpAck, t->snd_nxt, nullptr, 0, burn);
+      TcpSendSeg(*t, kTcpAck, t->snd_nxt, 0, burn);
     }
     return;
   }
@@ -333,6 +359,7 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
     std::uint32_t ack = seg.ack;
     if (SeqLt(t->snd_una, ack) && SeqLe(ack, t->snd_nxt)) {
       t->snd_una = ack;
+      TcpRttAck(*t, ack);
       t->snd_wnd = seg.wnd;
       t->retries = 0;
       if (SeqLt(t->sndq_seq, ack)) {
@@ -382,7 +409,6 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
   }
 
   // --- Payload (in-order only; everything else relies on go-back-N) ---
-  bool advanced = false;
   if (seg.len > 0) {
     if (seg.seq == t->rcv_nxt && !t->rcv_shutdown &&
         t->rcvq.size() + seg.len <= kNetRcvBuf && !t->peer_fin) {
@@ -390,12 +416,10 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
       t->rcv_nxt += static_cast<std::uint32_t>(seg.len);
       Charge(burn,
              static_cast<Cycles>(static_cast<double>(seg.len) * cfg_.cost.net_copy_per_byte));
-      advanced = true;
       sched_.Wakeup(&t->rcv_chan);
     } else if (seg.seq == t->rcv_nxt && t->rcv_shutdown) {
       // Read side shut down: sequence the bytes but discard them.
       t->rcv_nxt += static_cast<std::uint32_t>(seg.len);
-      advanced = true;
     } else {
       ++stats_.tcp_ooo_drop;
     }
@@ -407,7 +431,6 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
     if (fin_seq == t->rcv_nxt) {
       ++t->rcv_nxt;
       t->peer_fin = true;
-      advanced = true;
       sched_.Wakeup(&t->rcv_chan);  // recv() returns 0 at EOF
       switch (t->state) {
         case TcpState::kEstablished:
@@ -418,7 +441,7 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
           t->state = TcpState::kClosing;
           break;
         case TcpState::kFinWait2:
-          TcpSendSeg(*t, kTcpAck, t->snd_nxt, nullptr, 0, burn);
+          TcpSendSeg(*t, kTcpAck, t->snd_nxt, 0, burn);
           TcpEnterTimeWait(t);
           return;
         default:
@@ -430,12 +453,11 @@ void NetStack::TcpInput(const std::shared_ptr<Tcb>& t, const TcpSeg& seg, Cycles
   if (seg.len > 0 || (seg.flags & kTcpFin) != 0) {
     // Ack data (fresh or duplicate — the cumulative ack tells the sender
     // where we really are).
-    (void)advanced;
-    TcpSendSeg(*t, kTcpAck, t->snd_nxt, nullptr, 0, burn);
+    TcpSendSeg(*t, kTcpAck, t->snd_nxt, 0, burn);
   }
   // New window/ack state may unblock queued data or a pending FIN.
   if (t->state != TcpState::kClosed) {
-    TcpPushSend(*t, burn);
+    TcpPushSend(t, burn);
   }
 }
 
@@ -460,7 +482,7 @@ void NetStack::CloseTcbHalf(const std::shared_ptr<Tcb>& t, Cycles* burn) {
       return;  // already closing on our side
   }
   t->fin_queued = true;
-  TcpPushSend(*t, burn);  // sends the FIN now if sndq is drained
+  TcpPushSend(t, burn);  // sends the FIN now if sndq is drained
 }
 
 }  // namespace vos

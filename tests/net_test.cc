@@ -1,10 +1,12 @@
-// Networking tests: checksum/sequence arithmetic units, UDP and TCP loopback
-// end-to-end through the simulated NIC, socket edge cases (nonblocking
-// accept, recv-after-shutdown, EINTR while parked in accept, backlog
-// overflow), lossy-link retransmission, /proc/netstat, and the kvserver app —
-// all on a booted Prototype-5 system with the virtual ethernet link.
+// Networking tests: checksum/sequence arithmetic and RTT-estimator units, UDP
+// and TCP loopback end-to-end through the simulated NIC, socket edge cases
+// (nonblocking accept, recv-after-shutdown, EINTR while parked in accept,
+// backlog overflow), lossy-link retransmission and the RTT-sized RTO,
+// /proc/netstat, and the kvserver app — all on a booted Prototype-5 system
+// with the virtual ethernet link.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -25,6 +27,65 @@ class NetTest : public ::testing::Test {
   System sys_;
 };
 
+// One kvserver connection on this host: connect, send `req`, read the reply
+// to EOF into *resp, close. Returns 0, or <0 when a step fails.
+int KvRequest(AppEnv& env, std::uint16_t port, const std::string& req, std::string* resp) {
+  std::uint32_t ip = env.kernel->config().net_ip;
+  std::int64_t fd = usocket(env, 0);
+  if (fd < 0 || uconnect(env, static_cast<int>(fd), ip, port) < 0) {
+    return -1;
+  }
+  if (usend_all(env, static_cast<int>(fd), req.data(), static_cast<std::uint32_t>(req.size())) !=
+      static_cast<std::int64_t>(req.size())) {
+    return -2;
+  }
+  char buf[256];
+  for (;;) {
+    std::int64_t n = urecv(env, static_cast<int>(fd), buf, sizeof(buf));
+    if (n == kErrIntr) {
+      continue;
+    }
+    if (n <= 0) {
+      break;
+    }
+    resp->append(buf, static_cast<std::size_t>(n));
+  }
+  uclose(env, static_cast<int>(fd));
+  return 0;
+}
+
+// Writes one /proc/netstat command. Returns 0, or <0 when it is refused.
+int NetstatCommand(AppEnv& env, const std::string& cmd) {
+  std::int64_t fd = uopen(env, "/proc/netstat", kOWronly);
+  if (fd < 0) {
+    return -1;
+  }
+  std::int64_t n =
+      uwrite(env, static_cast<int>(fd), cmd.data(), static_cast<std::uint32_t>(cmd.size()));
+  uclose(env, static_cast<int>(fd));
+  return n < 0 ? -2 : 0;
+}
+
+std::string ReadNetstat(AppEnv& env) {
+  std::vector<std::uint8_t> text;
+  uread_file(env, "/proc/netstat", &text);
+  return std::string(text.begin(), text.end());
+}
+
+// A field of /proc/netstat's first `rtt <ip> ...` line; -1 when absent.
+long long RttField(const std::string& netstat, const std::string& field) {
+  std::size_t line = netstat.find("\nrtt ");
+  if (line == std::string::npos) {
+    return -1;
+  }
+  std::size_t eol = netstat.find('\n', line + 1);
+  std::size_t at = netstat.find(" " + field + " ", line);
+  if (at == std::string::npos || at > eol) {
+    return -1;
+  }
+  return std::stoll(netstat.substr(at + field.size() + 2));
+}
+
 // --- Pure units --------------------------------------------------------------
 
 TEST(NetUnits, InetChecksumSelfVerifies) {
@@ -39,6 +100,44 @@ TEST(NetUnits, InetChecksumSelfVerifies) {
   // Odd-length buffers pad with a zero byte, not garbage.
   std::uint8_t odd[3] = {0xab, 0xcd, 0xef};
   EXPECT_EQ(InetChecksum(odd, 3), InetChecksum((const std::uint8_t[4]){0xab, 0xcd, 0xef, 0x00}, 4));
+}
+
+TEST(NetUnits, RttEstimatorFollowsRfc6298) {
+  EXPECT_EQ(kNetRtoInitial, Ms(50));
+  EXPECT_EQ(kNetRtoGranularity, Ms(2));
+  RttEstimator e;
+  EXPECT_EQ(e.Rto(), kNetRtoInitial);  // a peer never measured
+  // The first sample R: SRTT R, RTTVAR R/2, RTO R + max(G, 2R).
+  e.Sample(Us(300));
+  EXPECT_EQ(e.srtt, Us(300));
+  EXPECT_EQ(e.rttvar, Us(150));
+  EXPECT_EQ(e.Rto(), Us(300) + kNetRtoGranularity);  // 2R = 600 µs < G
+  RttEstimator slow;
+  slow.Sample(Ms(10));
+  EXPECT_EQ(slow.rttvar, Ms(5));
+  EXPECT_EQ(slow.Rto(), Ms(30));  // 2R = 20 ms > G
+  // Later samples: RTTVAR = (3·RTTVAR + |SRTT − R|)/4, then SRTT = (7·SRTT + R)/8.
+  slow.Sample(Ms(2));
+  EXPECT_EQ(slow.rttvar, Us(5750));
+  EXPECT_EQ(slow.srtt, Ms(9));
+  EXPECT_EQ(slow.Rto(), Ms(32));
+  EXPECT_EQ(slow.samples, 2u);
+  // A run of identical samples keeps SRTT and decays RTTVAR to 0, so the RTO
+  // falls to SRTT + G: G is a term, not a floor under SRTT + 4·RTTVAR.
+  RttEstimator steady;
+  steady.Sample(Ms(10));
+  steady.Sample(Ms(10));
+  EXPECT_EQ(steady.rttvar, Us(3750));
+  EXPECT_EQ(steady.Rto(), Ms(25));
+  for (int i = 0; i < 98; ++i) {
+    Cycles before = steady.rttvar;
+    steady.Sample(Ms(10));
+    EXPECT_LE(steady.rttvar, before);
+  }
+  EXPECT_EQ(steady.srtt, Ms(10));
+  EXPECT_EQ(steady.rttvar, 0u);
+  EXPECT_EQ(steady.Rto(), Ms(10) + kNetRtoGranularity);
+  EXPECT_EQ(steady.samples, 100u);
 }
 
 TEST(NetUnits, SequenceComparisonWraps) {
@@ -353,7 +452,6 @@ class LossyNetTest : public ::testing::Test {
           opt.config_hook = [](KernelConfig& cfg) {
             cfg.net_link_loss_ppm = 80000;  // 8% frame loss
             cfg.net_link_seed = 12345;
-            cfg.net_rto_ms = 5;  // keep the test fast
           };
           return opt;
         }()) {}
@@ -423,10 +521,127 @@ TEST_F(LossyNetTest, RetransmitsHealFrameLoss) {
   EXPECT_EQ(rc, 0);
   const NetStack* net = sys_.kernel().net();
   ASSERT_NE(net, nullptr);
-  // A 4% lossy link over ~hundreds of frames must have dropped and healed.
+  // An 8% lossy link over ~hundreds of frames must have dropped and healed.
   EXPECT_GT(net->stats().tcp_retransmit, 0u);
   // The NIC counted the shed frames.
   EXPECT_GT(sys_.board().nic()->link_dropped(), 0u);
+}
+
+// A warm peer heals a loss within its measured RTO: on a 2% lossy link, no
+// connection after the first few waits out the initial RTO, as every one that
+// lost a segment did when the RTO was a fixed 50 ms.
+TEST(LossyRto, WarmPeerHealsWithinTheLinkSizedRto) {
+  SystemOptions opt = OptionsForStage(Stage::kProto5);
+  opt.config_hook = [](KernelConfig& cfg) {
+    cfg.net_link_loss_ppm = 20000;
+    cfg.net_link_seed = 4242;
+  };
+  System sys(opt);
+  constexpr int kConns = 300;
+  constexpr int kWarm = 20;
+  Task* server = sys.Start("kvserver", {"8090", "1", std::to_string(kConns)});
+  ASSERT_NE(server, nullptr);
+  Cycles worst = 0;
+  int rc = RunInOs(sys, "warm-rto", [&worst](AppEnv& env) -> int {
+    for (int i = 0; i < kConns; ++i) {
+      Cycles start = env.kernel->Now();
+      std::string resp;
+      if (KvRequest(env, 8090, "GET /k\r\n", &resp) != 0 ||
+          resp.find("404") == std::string::npos) {
+        return 1;
+      }
+      if (i >= kWarm) {
+        worst = std::max(worst, env.kernel->Now() - start);
+      }
+    }
+    return 0;
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(sys.WaitProgram(server), 0);
+  EXPECT_GT(sys.kernel().net()->stats().tcp_retransmit, 0u);  // the link did drop
+  EXPECT_LT(worst, kNetRtoInitial);
+}
+
+// --- RTT estimation ------------------------------------------------------------
+
+TEST_F(NetTest, SlowLinkSizesTheRto) {
+  // A 10 ms round trip, over 20x the default link's: the estimator sizes the RTO
+  // above it, so nothing is sent twice. A fixed RTO near the fast link's
+  // round trip, or one without the G term, retransmits here.
+  constexpr int kConns = 30;
+  Task* server = sys_.Start("kvserver", {"8091", "1", std::to_string(kConns)});
+  ASSERT_NE(server, nullptr);
+  std::string netstat;
+  int rc = RunInOs(sys_, "slow-rtt", [&netstat](AppEnv& env) -> int {
+    if (NetstatCommand(env, "latency_us 5000") != 0) {
+      return 1;
+    }
+    for (int i = 0; i < kConns; ++i) {
+      std::string resp;
+      if (KvRequest(env, 8091, "GET /k\r\n", &resp) != 0 ||
+          resp.find("404") == std::string::npos) {
+        return 2;
+      }
+    }
+    netstat = ReadNetstat(env);
+    return 0;
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(sys_.WaitProgram(server), 0);
+  EXPECT_EQ(sys_.kernel().net()->stats().tcp_retransmit, 0u);
+  long long srtt = RttField(netstat, "srtt_us");
+  EXPECT_GE(srtt, 10000) << netstat;
+  EXPECT_LE(srtt, 11000) << netstat;
+}
+
+TEST_F(NetTest, RetransmittedSegmentsAreNotTimed) {
+  // Karn's rule: a SYN that had to be resent says nothing about the round
+  // trip, since its SYN-ACK may answer either copy. Timing the first copy
+  // would fold the ~17 ms of backoff into SRTT.
+  Task* server = sys_.Start("kvserver", {"8092", "1", "5"});
+  ASSERT_NE(server, nullptr);
+  std::string warm;
+  std::string after;
+  int rc = RunInOs(sys_, "karn", [&warm, &after](AppEnv& env) -> int {
+    for (int i = 0; i < 4; ++i) {
+      std::string resp;
+      if (KvRequest(env, 8092, "GET /k\r\n", &resp) != 0) {
+        return 1;
+      }
+    }
+    usleep_ms(env, 10);  // the last teardown settles on the clean link
+    warm = ReadNetstat(env);
+    std::int64_t fd = usocket(env, 0, /*flags=*/1);
+    if (fd < 0 || NetstatCommand(env, "loss 1000000") != 0) {
+      return 2;
+    }
+    std::uint32_t ip = env.kernel->config().net_ip;
+    if (uconnect(env, static_cast<int>(fd), ip, 8092) != kErrAgain) {
+      return 3;
+    }
+    usleep_ms(env, 10);  // the SYN and its first resends are all lost
+    if (NetstatCommand(env, "loss 0") != 0) {
+      return 4;
+    }
+    std::int64_t r = kErrAgain;
+    for (int spin = 0; spin < 200 && r == kErrAgain; ++spin) {
+      usleep_ms(env, 1);
+      r = uconnect(env, static_cast<int>(fd), ip, 8092);
+    }
+    if (r != 0) {
+      return 5;
+    }
+    after = ReadNetstat(env);
+    uclose(env, static_cast<int>(fd));
+    return 0;
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_EQ(sys_.WaitProgram(server), 0);
+  EXPECT_GT(sys_.kernel().net()->stats().tcp_retransmit, 0u);
+  long long before = RttField(warm, "srtt_us");
+  EXPECT_GT(before, 0) << warm;
+  EXPECT_LT(before, 1000) << warm;
+  EXPECT_LT(RttField(after, "srtt_us"), 1000) << after;
 }
 
 // --- Observability + app -----------------------------------------------------
@@ -465,42 +680,18 @@ TEST_F(NetTest, KvServerServesHttpRequests) {
   Task* server = sys_.Start("kvserver", {"8080", "2", "3"});
   ASSERT_NE(server, nullptr);
   int rc = RunInOs(sys_, "kv-client", [](AppEnv& env) -> int {
-    std::uint32_t ip = env.kernel->config().net_ip;
-    auto request = [&env, ip](const std::string& req, std::string* resp) -> int {
-      std::int64_t fd = usocket(env, 0);
-      if (fd < 0 || uconnect(env, static_cast<int>(fd), ip, 8080) < 0) {
-        return -1;
-      }
-      if (usend_all(env, static_cast<int>(fd), req.data(),
-                    static_cast<std::uint32_t>(req.size())) !=
-          static_cast<std::int64_t>(req.size())) {
-        return -2;
-      }
-      char buf[256];
-      for (;;) {
-        std::int64_t n = urecv(env, static_cast<int>(fd), buf, sizeof(buf));
-        if (n == kErrIntr) {
-          continue;
-        }
-        if (n <= 0) {
-          break;
-        }
-        resp->append(buf, static_cast<std::size_t>(n));
-      }
-      uclose(env, static_cast<int>(fd));
-      return 0;
-    };
     std::string resp;
-    if (request("PUT /color blue\r\n", &resp) != 0 || resp.find("200 OK") == std::string::npos) {
+    if (KvRequest(env, 8080, "PUT /color blue\r\n", &resp) != 0 ||
+        resp.find("200 OK") == std::string::npos) {
       return 1;
     }
     resp.clear();
-    if (request("GET /color\r\n", &resp) != 0 || resp.find("200 OK") == std::string::npos ||
-        resp.find("blue") == std::string::npos) {
+    if (KvRequest(env, 8080, "GET /color\r\n", &resp) != 0 ||
+        resp.find("200 OK") == std::string::npos || resp.find("blue") == std::string::npos) {
       return 2;
     }
     resp.clear();
-    if (request("GET /nope\r\n", &resp) != 0 || resp.find("404") == std::string::npos) {
+    if (KvRequest(env, 8080, "GET /nope\r\n", &resp) != 0 || resp.find("404") == std::string::npos) {
       return 3;
     }
     return 0;
