@@ -191,9 +191,7 @@ LoadResult RunLoad(int clients, int per_client, int server_workers, std::uint32_
     out.retransmits = net->stats().tcp_retransmit;
     out.accept_drops = net->stats().tcp_accept_drop;
   }
-  if (const Nic* nic = sys.board().nic()) {
-    out.link_dropped = nic->link_dropped();
-  }
+  out.link_dropped = sys.board().nic().link_dropped();
   out.racedet_reports = Racedet::Instance().total_reports();
   out.ok = out.conns == static_cast<long long>(clients) * per_client && out.failures == 0;
   return out;

@@ -31,10 +31,7 @@ Board::Board(const BoardConfig& config) : config_(config) {
   if (config.usb_storage_present) {
     usb_storage_ = std::make_unique<UsbMassStorage>(config.usb_storage_capacity);
   }
-  if (config.nic_present) {
-    nic_ = std::make_unique<Nic>(clock_, events_, *intc_, kIrqEth, config.nic_timings,
-                                 config.nic_tx_ring, config.nic_rx_ring);
-  }
+  nic_ = std::make_unique<Nic>(clock_, events_, *intc_, kIrqEth);
   power_ = std::make_unique<PowerMeter>();
 }
 

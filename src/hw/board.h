@@ -37,10 +37,6 @@ struct BoardConfig {
   bool game_hat_present = true;             // HAT display/buttons/speaker
   std::uint64_t scramble_seed = 0xb0a7d00d;
   SdTimings sd_timings{};
-  bool nic_present = true;                  // ethernet MAC with DMA rings
-  NicTimings nic_timings{};
-  std::size_t nic_tx_ring = 256;
-  std::size_t nic_rx_ring = 256;
 };
 
 class Board {
@@ -65,7 +61,7 @@ class Board {
   UsbHostController& usb() { return *usb_; }
   UsbKeyboard& keyboard() { return *keyboard_; }
   UsbMassStorage* usb_storage() { return usb_storage_.get(); }
-  Nic* nic() { return nic_.get(); }
+  Nic& nic() { return *nic_; }
   PowerMeter& power() { return *power_; }
 
  private:

@@ -6,17 +6,8 @@
 
 namespace vos {
 
-Nic::Nic(VirtualClock& clock, EventQueue& events, Intc& intc, unsigned irq,
-         NicTimings timings, std::size_t tx_ring_entries, std::size_t rx_ring_entries)
-    : clock_(clock),
-      events_(events),
-      intc_(intc),
-      irq_(irq),
-      timings_(timings),
-      tx_ring_entries_(tx_ring_entries),
-      rx_ring_entries_(rx_ring_entries) {
-  VOS_CHECK(tx_ring_entries_ > 0 && rx_ring_entries_ > 0);
-}
+Nic::Nic(VirtualClock& clock, EventQueue& events, Intc& intc, unsigned irq)
+    : clock_(clock), events_(events), intc_(intc), irq_(irq) {}
 
 std::uint64_t Nic::NextRand() {
   // xorshift64: cheap, deterministic, good enough for a loss coin flip.
@@ -26,18 +17,15 @@ std::uint64_t Nic::NextRand() {
   return rng_;
 }
 
-bool Nic::PostTx(const std::uint8_t* data, std::size_t len, Cycles* burn) {
-  *burn += timings_.reg_access;
-  if (tx_ring_.size() >= tx_ring_entries_) {
+bool Nic::PostTx(NicFrame&& frame, Cycles* burn) {
+  *burn += kNicRegAccess;
+  if (tx_ring_.size() >= kNicRingSlots) {
     ++tx_ring_full_;
     return false;
   }
-  *burn += timings_.dma_setup +
-           static_cast<Cycles>(static_cast<double>(len) * timings_.dma_per_byte);
-  NicFrame frame;
-  frame.bytes.assign(data, data + len);
+  *burn += kNicDmaSetup + static_cast<Cycles>(static_cast<double>(frame.size()) * kNicDmaPerByte);
   ++tx_frames_;
-  tx_bytes_ += len;
+  tx_bytes_ += frame.size();
 
   // The MAC drains its TX ring in order; the wire preserves that order even
   // when per-frame latency varies, so deliveries never overtake each other.
@@ -45,7 +33,7 @@ bool Nic::PostTx(const std::uint8_t* data, std::size_t len, Cycles* burn) {
     ++link_dropped_;
     return true;  // the sender spent the DMA time; the wire ate the frame
   }
-  Cycles depart = clock_.now() + timings_.link_latency + extra_latency_;
+  Cycles depart = clock_.now() + link_latency_;
   if (depart < last_delivery_) {
     depart = last_delivery_;
   }
@@ -53,32 +41,20 @@ bool Nic::PostTx(const std::uint8_t* data, std::size_t len, Cycles* burn) {
   tx_ring_.push_back(std::move(frame));
   events_.Schedule(depart, [this] {
     VOS_CHECK(!tx_ring_.empty());
-    NicFrame f = std::move(tx_ring_.front());
+    Receive(std::move(tx_ring_.front()));
     tx_ring_.pop_front();
-    Deliver(std::move(f));
   });
   return true;
 }
 
-void Nic::Deliver(NicFrame frame) {
-  if (link_sink_) {
-    link_sink_(frame);
-    return;
-  }
-  // Loopback: the frame lands on our own RX ring.
-  InjectRx(frame.bytes.data(), frame.bytes.size());
-}
-
-void Nic::InjectRx(const std::uint8_t* data, std::size_t len) {
-  if (rx_ring_.size() >= rx_ring_entries_) {
+void Nic::Receive(NicFrame&& frame) {
+  if (rx_ring_.size() >= kNicRingSlots) {
     ++rx_ring_full_;
     return;
   }
-  NicFrame frame;
-  frame.bytes.assign(data, data + len);
-  rx_ring_.push_back(std::move(frame));
   ++rx_frames_;
-  rx_bytes_ += len;
+  rx_bytes_ += frame.size();
+  rx_ring_.push_back(std::move(frame));
   ++uncoalesced_rx_;
   MaybeRaiseIrq(/*window_expired=*/false);
 }
@@ -125,14 +101,13 @@ void Nic::AckIrq() {
 }
 
 bool Nic::PopRx(NicFrame* out, Cycles* burn) {
-  *burn += timings_.reg_access;
+  *burn += kNicRegAccess;
   if (rx_ring_.empty()) {
     return false;
   }
   *out = std::move(rx_ring_.front());
   rx_ring_.pop_front();
-  *burn += timings_.dma_setup + static_cast<Cycles>(static_cast<double>(out->bytes.size()) *
-                                                    timings_.dma_per_byte);
+  *burn += kNicDmaSetup + static_cast<Cycles>(static_cast<double>(out->size()) * kNicDmaPerByte);
   return true;
 }
 
@@ -141,9 +116,8 @@ void Nic::SetIrqCoalesce(std::uint32_t frames, Cycles window) {
   coalesce_window_ = window;
 }
 
-void Nic::SetLinkFaults(std::uint32_t loss_ppm, Cycles extra_latency, std::uint64_t seed) {
+void Nic::SetLinkFaults(std::uint32_t loss_ppm, std::uint64_t seed) {
   loss_ppm_ = loss_ppm;
-  extra_latency_ = extra_latency;
   rng_ = seed | 1;  // xorshift must not start at zero
 }
 

@@ -7,16 +7,16 @@
 //
 // The virtual link is a frame pipe with configurable one-way latency and a
 // deterministic seeded loss process (the FaultInjector idiom: same seed, same
-// drops). By default the link is looped back onto the NIC's own RX ring — the
-// kernel's TCP/IP stack talks to itself over a real wire model, so handshakes,
-// data, retransmissions and teardown all traverse the descriptor rings. Tests
-// install a LinkSink to play the remote host instead.
+// drops). It loops back onto the NIC's own RX ring — the kernel's TCP/IP stack
+// talks to itself over a real wire model, so handshakes, data,
+// retransmissions and teardown all traverse the descriptor rings. A frame is
+// one buffer the whole way: PostTx takes the sender's, the link moves it onto
+// the RX ring, and PopRx hands that same buffer to the receiver.
 #ifndef VOS_SRC_HW_NIC_H_
 #define VOS_SRC_HW_NIC_H_
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
 #include "src/base/units.h"
@@ -26,35 +26,28 @@
 
 namespace vos {
 
-struct NicFrame {
-  std::vector<std::uint8_t> bytes;
-};
+// One ethernet frame, laid out as on the wire.
+using NicFrame = std::vector<std::uint8_t>;
 
-struct NicTimings {
-  Cycles reg_access = 90;        // one MMIO register read/write
-  Cycles dma_setup = 500;        // descriptor fetch + DMA engine kick, per frame
-  double dma_per_byte = 0.25;    // DMA copy between DRAM and MAC FIFO
-  Cycles link_latency = Us(20);  // one-way wire propagation
-};
+constexpr Cycles kNicRegAccess = 90;        // one MMIO register read/write
+constexpr Cycles kNicDmaSetup = 500;        // descriptor fetch + DMA engine kick, per frame
+constexpr double kNicDmaPerByte = 0.25;     // DMA copy between DRAM and MAC FIFO
+constexpr std::size_t kNicRingSlots = 256;  // descriptors in each of the TX and RX rings
 
 class Nic {
  public:
-  using LinkSinkFn = std::function<void(const NicFrame&)>;
-
-  Nic(VirtualClock& clock, EventQueue& events, Intc& intc, unsigned irq,
-      NicTimings timings = NicTimings{}, std::size_t tx_ring_entries = 256,
-      std::size_t rx_ring_entries = 256);
+  Nic(VirtualClock& clock, EventQueue& events, Intc& intc, unsigned irq);
 
   // --- Driver-facing side (what the MMIO/descriptor interface would do) ---
 
-  // Posts one frame on the TX descriptor ring. Returns false when the ring is
-  // full (the frame is NOT queued; the driver drops or backpressures). `burn`
-  // accrues the register + DMA setup time the posting CPU spends.
-  bool PostTx(const std::uint8_t* data, std::size_t len, Cycles* burn);
+  // Posts one frame on the TX descriptor ring and takes its buffer. Returns
+  // false when the ring is full (the frame is NOT queued; the driver drops or
+  // backpressures). `burn` accrues the register + DMA setup time the posting
+  // CPU spends.
+  bool PostTx(NicFrame&& frame, Cycles* burn);
 
   // Pops the oldest frame off the RX descriptor ring; false when empty.
   bool PopRx(NicFrame* out, Cycles* burn);
-  std::size_t rx_pending() const { return rx_ring_.size(); }
 
   // Interrupt coalescing: the RX IRQ fires when `frames` frames are waiting,
   // or `window` cycles after the first undelivered frame — whichever is
@@ -63,22 +56,13 @@ class Nic {
   // Driver IRQ half acks the line before draining the ring.
   void AckIrq();
 
-  // --- Link side (host / test harness) ---
+  // --- Link side ---
 
-  // Replaces the default loopback: transmitted frames (post-latency,
-  // post-loss) are handed to `sink` instead of the local RX ring. The sink
-  // plays the remote host and can inject replies with InjectRx.
-  void SetLinkSink(LinkSinkFn sink) { link_sink_ = std::move(sink); }
-
-  // A frame arrives from the wire: lands on the RX ring (or is dropped when
-  // the ring is full) and drives the coalescing logic.
-  void InjectRx(const std::uint8_t* data, std::size_t len);
-
-  // Link fault model, FaultInjector-style: deterministic per-frame loss (in
-  // drops per million frames) and additional one-way latency. Reseeding
-  // restarts the loss sequence, so a failure replays exactly.
-  void SetLinkFaults(std::uint32_t loss_ppm, Cycles extra_latency, std::uint64_t seed);
-  void SetLinkLatency(Cycles l) { timings_.link_latency = l; }
+  // Link fault model, FaultInjector-style: deterministic per-frame loss in
+  // drops per million frames. Reseeding restarts the loss sequence, so a
+  // failure replays exactly.
+  void SetLinkFaults(std::uint32_t loss_ppm, std::uint64_t seed);
+  void SetLinkLatency(Cycles l) { link_latency_ = l; }
 
   // --- Stats (token-serialized snapshots; gauges read these) ---
   std::uint64_t tx_frames() const { return tx_frames_; }
@@ -92,8 +76,9 @@ class Nic {
   std::uint64_t irqs_coalesced() const { return irqs_coalesced_; }
 
  private:
-  // The wire delivers a TX frame after latency/loss (event-queue callback).
-  void Deliver(NicFrame frame);
+  // A frame arrives from the wire: lands on the RX ring (or is dropped when
+  // the ring is full) and drives the coalescing logic.
+  void Receive(NicFrame&& frame);
   void MaybeRaiseIrq(bool window_expired);
   std::uint64_t NextRand();
 
@@ -101,9 +86,7 @@ class Nic {
   EventQueue& events_;
   Intc& intc_;
   unsigned irq_;
-  NicTimings timings_;
-  std::size_t tx_ring_entries_;
-  std::size_t rx_ring_entries_;
+  Cycles link_latency_ = Us(20);  // one-way wire propagation
 
   // Descriptor rings. Modeled as bounded frame queues: a slot == one
   // descriptor owning one frame buffer.
@@ -111,10 +94,8 @@ class Nic {
   std::deque<NicFrame> rx_ring_;
 
   // Wire serialization: a frame may not overtake the one posted before it,
-  // even when a latency fault stretches the earlier one.
+  // even when the link latency shrinks between the two posts.
   Cycles last_delivery_ = 0;
-
-  LinkSinkFn link_sink_;  // empty = loopback to own RX
 
   // IRQ coalescing state.
   std::uint32_t coalesce_frames_ = 1;
@@ -126,7 +107,6 @@ class Nic {
 
   // Link fault process (xorshift64, FaultInjector-style determinism).
   std::uint32_t loss_ppm_ = 0;
-  Cycles extra_latency_ = 0;
   std::uint64_t rng_ = 0x9e3779b97f4a7c15ull;
 
   std::uint64_t tx_frames_ = 0;

@@ -63,7 +63,7 @@ bool Kernel::Has(SysNeed need) const {
     case SysNeed::kThreads:
       return cfg_.HasThreads();
     case SysNeed::kNet:
-      return net_ != nullptr;  // booted only with HasNet() and a NIC
+      return net_ != nullptr;  // booted only with HasNet()
   }
   return false;
 }
@@ -514,9 +514,9 @@ Kernel::BootReport Kernel::Boot() {
   }
 
   // Network stack (proto5): the NIC driver + TCP/IP over the simulated MAC.
-  if (cfg_.HasNet() && board_.nic() != nullptr) {
+  if (cfg_.HasNet()) {
     net_ = std::make_unique<NetStack>(cfg_, sched_, board_.clock(), board_.events(), trace_,
-                                      metrics_, *board_.nic());
+                                      metrics_, board_.nic());
     net_->Init();
     board_.intc().Enable(kIrqEth);
     vfs_->SetSocketCloser([this](const std::shared_ptr<Socket>& s) { net_->CloseSocket(s); });

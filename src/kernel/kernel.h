@@ -75,7 +75,7 @@ class WindowManager;
 
 // What a syscall needs from the booted kernel (Table 1): VM arrives with
 // Prototype 3, files with 4, threads with 5. The network stack boots with 5
-// when net_enabled is set and the board has a NIC.
+// when net_enabled is set.
 enum class SysNeed : std::uint8_t { kNothing, kVm, kFiles, kThreads, kNet };
 
 enum class Sys : int {

@@ -14,6 +14,9 @@ namespace vos {
 namespace {
 
 constexpr MacAddr kBroadcastMac = {0xff, 0xff, 0xff, 0xff, 0xff, 0xff};
+constexpr std::uint16_t kArpRequest = 1;
+constexpr std::uint16_t kArpReply = 2;
+constexpr std::size_t kArpLen = 28;
 
 MacAddr MacForIp(std::uint32_t ip) {
   // Locally-administered MAC derived from the IP, the way the board would
@@ -106,48 +109,47 @@ void NetStack::Init() {
 
 // --- Output path ------------------------------------------------------------
 
-void NetStack::TxFrame(const std::uint8_t* frame, std::size_t len, Cycles* burn) {
+void NetStack::TxFrame(const MacAddr& dst, std::uint16_t ethertype, NicFrame frame,
+                       Cycles* burn) {
+  std::memcpy(frame.data(), dst.data(), 6);
+  std::memcpy(frame.data() + 6, mac_.data(), 6);
+  Put16(frame.data() + 12, ethertype);
+  std::size_t len = frame.size();  // PostTx takes the buffer
   Cycles local = 0;
   bool ok;
   {
     SpinGuard g(nic_lock_);  // net -> nic hierarchy edge
-    ok = nic_.PostTx(frame, len, &local);
+    ok = nic_.PostTx(std::move(frame), &local);
   }
   Charge(burn, local);
-  if (!ok) {
-    ++stats_.tx_drop;
-    return;
+  if (ok) {
+    trace_.Emit(clock_.now(), 0, TraceEvent::kNetTx, 0, len);
   }
-  trace_.Emit(clock_.now(), 0, TraceEvent::kNetTx, 0, len);
 }
 
-void NetStack::SendArpRequest(std::uint32_t ip, Cycles* burn) {
-  std::uint8_t f[kEthHdrLen + 28];
-  std::memcpy(f, kBroadcastMac.data(), 6);
-  std::memcpy(f + 6, mac_.data(), 6);
-  Put16(f + 12, kEthTypeArp);
-  std::uint8_t* a = f + kEthHdrLen;
+void NetStack::SendArp(std::uint16_t op, const MacAddr& dst, const MacAddr& target_mac,
+                       std::uint32_t target_ip, Cycles* burn) {
+  NicFrame f(kEthHdrLen + kArpLen);
+  std::uint8_t* a = f.data() + kEthHdrLen;
   Put16(a + 0, 1);       // htype: ethernet
   Put16(a + 2, kEthTypeIpv4);
   a[4] = 6;              // hlen
   a[5] = 4;              // plen
-  Put16(a + 6, 1);       // op: request
+  Put16(a + 6, op);
   std::memcpy(a + 8, mac_.data(), 6);
   Put32(a + 14, cfg_.net_ip);
-  std::memset(a + 18, 0, 6);
-  Put32(a + 24, ip);
+  std::memcpy(a + 18, target_mac.data(), 6);
+  Put32(a + 24, target_ip);
   ++stats_.arp_tx;
-  TxFrame(f, sizeof(f), burn);
+  TxFrame(dst, kEthTypeArp, std::move(f), burn);
 }
 
-void NetStack::SendIp(std::uint32_t dst_ip, std::uint8_t proto, const std::uint8_t* payload,
-                      std::size_t len, Cycles* burn) {
+void NetStack::SendIp(std::uint32_t dst_ip, std::uint8_t proto, NicFrame frame, Cycles* burn) {
   Charge(burn, cfg_.cost.net_proto_per_seg);
-  std::vector<std::uint8_t> pkt(kIpHdrLen + len);
-  std::uint8_t* h = pkt.data();
+  std::uint8_t* h = frame.data() + kEthHdrLen;
   h[0] = 0x45;  // IPv4, 20-byte header
   h[1] = 0;
-  Put16(h + 2, static_cast<std::uint16_t>(pkt.size()));
+  Put16(h + 2, static_cast<std::uint16_t>(frame.size() - kEthHdrLen));
   Put16(h + 4, 0);  // id (no fragmentation in this stack)
   Put16(h + 6, 0x4000);  // DF
   h[8] = 64;  // ttl
@@ -156,28 +158,22 @@ void NetStack::SendIp(std::uint32_t dst_ip, std::uint8_t proto, const std::uint8
   Put32(h + 12, cfg_.net_ip);
   Put32(h + 16, dst_ip);
   Put16(h + 10, InetChecksum(h, kIpHdrLen));
-  std::memcpy(pkt.data() + kIpHdrLen, payload, len);
   ++stats_.ip_tx;
 
   auto it = RD_READ(arp_cache_).find(dst_ip);
   if (it == RD_READ(arp_cache_).end()) {
-    // Park the packet behind ARP resolution; re-ask every time so a lost
+    // Park the frame behind ARP resolution; re-ask every time so a lost
     // request heals (requests are idempotent).
     auto& q = RD_WRITE(arp_pending_)[dst_ip];
     if (q.size() < 64) {
-      q.push_back(std::move(pkt));
+      q.push_back(std::move(frame));
     } else {
       ++stats_.ip_drop;
     }
-    SendArpRequest(dst_ip, burn);
+    SendArp(kArpRequest, kBroadcastMac, MacAddr{}, dst_ip, burn);
     return;
   }
-  std::vector<std::uint8_t> frame(kEthHdrLen + pkt.size());
-  std::memcpy(frame.data(), it->second.data(), 6);
-  std::memcpy(frame.data() + 6, mac_.data(), 6);
-  Put16(frame.data() + 12, kEthTypeIpv4);
-  std::memcpy(frame.data() + kEthHdrLen, pkt.data(), pkt.size());
-  TxFrame(frame.data(), frame.size(), burn);
+  TxFrame(it->second, kEthTypeIpv4, std::move(frame), burn);
 }
 
 // --- Input path -------------------------------------------------------------
@@ -195,18 +191,18 @@ Cycles NetStack::OnNicIrq(Cycles now) {
   }
   SpinGuard g(lock_);
   for (const NicFrame& f : frames) {
-    trace_.Emit(now, 0, TraceEvent::kNetRx, 0, f.bytes.size());
+    trace_.Emit(now, 0, TraceEvent::kNetRx, 0, f.size());
     HandleFrame(f, &burn);
   }
   return burn;
 }
 
 void NetStack::HandleFrame(const NicFrame& f, Cycles* burn) {
-  if (f.bytes.size() < kEthHdrLen) {
+  if (f.size() < kEthHdrLen) {
     ++stats_.ip_drop;
     return;
   }
-  const std::uint8_t* p = f.bytes.data();
+  const std::uint8_t* p = f.data();
   // Accept our unicast MAC and broadcast (promiscuous otherwise: drop).
   if (std::memcmp(p, mac_.data(), 6) != 0 &&
       std::memcmp(p, kBroadcastMac.data(), 6) != 0) {
@@ -215,16 +211,16 @@ void NetStack::HandleFrame(const NicFrame& f, Cycles* burn) {
   }
   std::uint16_t type = Get16(p + 12);
   if (type == kEthTypeArp) {
-    HandleArp(p + kEthHdrLen, f.bytes.size() - kEthHdrLen, burn);
+    HandleArp(p + kEthHdrLen, f.size() - kEthHdrLen, burn);
   } else if (type == kEthTypeIpv4) {
-    HandleIp(p + kEthHdrLen, f.bytes.size() - kEthHdrLen, burn);
+    HandleIp(p + kEthHdrLen, f.size() - kEthHdrLen, burn);
   } else {
     ++stats_.ip_drop;
   }
 }
 
 void NetStack::HandleArp(const std::uint8_t* p, std::size_t len, Cycles* burn) {
-  if (len < 28) {
+  if (len < kArpLen) {
     return;
   }
   ++stats_.arp_rx;
@@ -233,40 +229,20 @@ void NetStack::HandleArp(const std::uint8_t* p, std::size_t len, Cycles* burn) {
   std::memcpy(sha.data(), p + 8, 6);
   std::uint32_t spa = Get32(p + 14);
   std::uint32_t tpa = Get32(p + 24);
-  // Learn the sender unconditionally (gratuitous-friendly), then drain any
-  // packets that were parked on this resolution.
+  // Learn the sender unconditionally (gratuitous-friendly), then send any
+  // frames that were parked on this resolution.
   RD_WRITE(arp_cache_)[spa] = sha;
   auto pend = RD_WRITE(arp_pending_).find(spa);
   if (pend != RD_WRITE(arp_pending_).end()) {
     auto queue = std::move(pend->second);
     RD_WRITE(arp_pending_).erase(pend);
-    for (auto& pkt : queue) {
-      std::vector<std::uint8_t> frame(kEthHdrLen + pkt.size());
-      std::memcpy(frame.data(), sha.data(), 6);
-      std::memcpy(frame.data() + 6, mac_.data(), 6);
-      Put16(frame.data() + 12, kEthTypeIpv4);
-      std::memcpy(frame.data() + kEthHdrLen, pkt.data(), pkt.size());
-      TxFrame(frame.data(), frame.size(), burn);
+    for (NicFrame& frame : queue) {
+      TxFrame(sha, kEthTypeIpv4, std::move(frame), burn);
     }
   }
-  if (op == 1 && tpa == cfg_.net_ip) {
+  if (op == kArpRequest && tpa == cfg_.net_ip) {
     // Request for us: reply unicast.
-    std::uint8_t f[kEthHdrLen + 28];
-    std::memcpy(f, sha.data(), 6);
-    std::memcpy(f + 6, mac_.data(), 6);
-    Put16(f + 12, kEthTypeArp);
-    std::uint8_t* a = f + kEthHdrLen;
-    Put16(a + 0, 1);
-    Put16(a + 2, kEthTypeIpv4);
-    a[4] = 6;
-    a[5] = 4;
-    Put16(a + 6, 2);  // reply
-    std::memcpy(a + 8, mac_.data(), 6);
-    Put32(a + 14, cfg_.net_ip);
-    std::memcpy(a + 18, sha.data(), 6);
-    Put32(a + 24, spa);
-    ++stats_.arp_tx;
-    TxFrame(f, sizeof(f), burn);
+    SendArp(kArpReply, sha, sha, spa, burn);
   }
 }
 
@@ -299,7 +275,7 @@ void NetStack::HandleIp(const std::uint8_t* p, std::size_t len, Cycles* burn) {
       HandleTcp(src, payload, plen, burn);
       break;
     case kIpProtoUdp:
-      HandleUdp(src, payload, plen, burn);
+      HandleUdp(payload, plen, burn);
       break;
     default:
       ++stats_.ip_drop;
@@ -407,7 +383,7 @@ std::int64_t NetStack::Control(const std::string& text) {
 void NetStack::ApplyLinkFaultsLocked() {
   SpinGuard n(nic_lock_);
   nic_.SetLinkLatency(Us(latency_us_override_));
-  nic_.SetLinkFaults(loss_ppm_override_, 0, seed_override_);
+  nic_.SetLinkFaults(loss_ppm_override_, seed_override_);
 }
 
 }  // namespace vos

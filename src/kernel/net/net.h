@@ -15,7 +15,10 @@
 // what bench_net drives by the hundred thousand — goes out through the NIC's
 // TX DMA ring, crosses the virtual link (latency + seeded loss), and comes
 // back through RX descriptors and a coalesced IRQ. There is no loopback
-// shortcut; ARP resolution, DMA costs and retransmissions are all real.
+// shortcut; ARP resolution, DMA costs and retransmissions are all real. A
+// packet is built once, at its wire size, by the layer that knows its payload;
+// each layer below fills its header in place (kL4Off) and hands the buffer on
+// by move, so the frame the receiver pops is the buffer the sender filled.
 #ifndef VOS_SRC_KERNEL_NET_NET_H_
 #define VOS_SRC_KERNEL_NET_NET_H_
 
@@ -53,6 +56,8 @@ constexpr std::size_t kEthHdrLen = 14;
 constexpr std::size_t kIpHdrLen = 20;
 constexpr std::size_t kTcpHdrLen = 20;
 constexpr std::size_t kUdpHdrLen = 8;
+// In a frame's one buffer, TCP/UDP write at kL4Off, SendIp at kEthHdrLen, TxFrame at 0.
+constexpr std::size_t kL4Off = kEthHdrLen + kIpHdrLen;
 
 // TCP header flags.
 constexpr std::uint8_t kTcpFin = 0x01;
@@ -211,12 +216,6 @@ struct Tcb {
   char snd_chan = 0;
 };
 
-struct UdpDatagram {
-  std::uint32_t src_ip = 0;
-  std::uint16_t src_port = 0;
-  std::vector<std::uint8_t> bytes;
-};
-
 // The object a FileKind::kSocket File points at. Guarded by the "net" lock.
 class Socket {
  public:
@@ -240,7 +239,7 @@ class Socket {
   bool udp_connected = false;
   std::uint32_t udp_peer_ip = 0;
   std::uint16_t udp_peer_port = 0;
-  std::deque<UdpDatagram> udpq;
+  std::deque<std::vector<std::uint8_t>> udpq;  // datagram payloads
   std::size_t udpq_bytes = 0;
   char udp_chan = 0;
 };
@@ -268,7 +267,6 @@ struct NetStats {
   std::uint64_t tcp_rst_rx = 0;
   std::uint64_t tcp_accept_drop = 0;  // SYN dropped: backlog full
   std::uint64_t tcp_ooo_drop = 0;     // out-of-order/overflow payload dropped
-  std::uint64_t tx_drop = 0;          // NIC TX ring full
 };
 
 // --- The stack --------------------------------------------------------------
@@ -317,8 +315,6 @@ class NetStack {
   std::uint32_t ip() const { return cfg_.net_ip; }
 
  private:
-  friend class NetTestPeer;
-
   // 4-tuple demux key; local_ip is fixed so (remote ip, remote port, local
   // port) identifies a connection.
   static std::uint64_t TcbKey(std::uint32_t rip, std::uint16_t rport, std::uint16_t lport) {
@@ -329,18 +325,21 @@ class NetStack {
     return TcbKey(t.remote_ip, t.remote_port, t.local_port);
   }
 
-  // Frame/packet output (net lock held; takes the nic lock: the net->nic
-  // lockdep edge). `burn` may be nullptr in timer context.
-  void TxFrame(const std::uint8_t* frame, std::size_t len, Cycles* burn);
-  void SendIp(std::uint32_t dst_ip, std::uint8_t proto, const std::uint8_t* payload,
-              std::size_t len, Cycles* burn);
-  void SendArpRequest(std::uint32_t ip, Cycles* burn);
+  // Frame/packet output (net lock held; TxFrame takes the nic lock: the
+  // net->nic lockdep edge). TxFrame and SendIp take a frame built at its wire
+  // size and fill their own header in place. `burn` may be nullptr in timer
+  // context.
+  void TxFrame(const MacAddr& dst, std::uint16_t ethertype, NicFrame frame, Cycles* burn);
+  void SendIp(std::uint32_t dst_ip, std::uint8_t proto, NicFrame frame, Cycles* burn);
+  // op 1 = request (broadcast, target MAC unknown), 2 = reply.
+  void SendArp(std::uint16_t op, const MacAddr& dst, const MacAddr& target_mac,
+               std::uint32_t target_ip, Cycles* burn);
 
   // Input path (net lock held).
   void HandleFrame(const NicFrame& f, Cycles* burn);
   void HandleArp(const std::uint8_t* p, std::size_t len, Cycles* burn);
   void HandleIp(const std::uint8_t* p, std::size_t len, Cycles* burn);
-  void HandleUdp(std::uint32_t src_ip, const std::uint8_t* p, std::size_t len, Cycles* burn);
+  void HandleUdp(const std::uint8_t* p, std::size_t len, Cycles* burn);
   void HandleTcp(std::uint32_t src_ip, const std::uint8_t* p, std::size_t len, Cycles* burn);
 
   // TCP machinery (tcp.cc; net lock held).
@@ -400,9 +399,9 @@ class NetStack {
   mutable SpinLock lock_{"net"};      // the stack monitor
   mutable SpinLock nic_lock_{"nic"};  // leaf: NIC descriptor rings only
 
-  // ARP: resolved neighbours plus packets parked awaiting resolution.
+  // ARP: resolved neighbours plus frames parked awaiting resolution.
   std::unordered_map<std::uint32_t, MacAddr> arp_cache_;       // racedet: shared (guarded by lock_)
-  std::unordered_map<std::uint32_t, std::deque<std::vector<std::uint8_t>>>
+  std::unordered_map<std::uint32_t, std::deque<NicFrame>>
       arp_pending_;                                            // racedet: shared (guarded by lock_)
 
   std::unordered_map<std::uint64_t, std::shared_ptr<Tcb>> tcbs_;  // racedet: shared (guarded by lock_)

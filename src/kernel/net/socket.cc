@@ -156,15 +156,16 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
     }
     std::size_t mtu_payload = kNetMtu - kIpHdrLen - kUdpHdrLen;
     std::size_t take = std::min(n, mtu_payload);
-    std::vector<std::uint8_t> dgram(kUdpHdrLen + take);
-    Put16(dgram.data() + 0, s.local_port);
-    Put16(dgram.data() + 2, s.udp_peer_port);
-    Put16(dgram.data() + 4, static_cast<std::uint16_t>(dgram.size()));
-    Put16(dgram.data() + 6, 0);  // checksum optional in IPv4 UDP
-    std::memcpy(dgram.data() + kUdpHdrLen, buf, take);
+    NicFrame frame(kL4Off + kUdpHdrLen + take);
+    std::uint8_t* u = frame.data() + kL4Off;
+    Put16(u + 0, s.local_port);
+    Put16(u + 2, s.udp_peer_port);
+    Put16(u + 4, static_cast<std::uint16_t>(kUdpHdrLen + take));
+    Put16(u + 6, 0);  // checksum optional in IPv4 UDP
+    std::memcpy(u + kUdpHdrLen, buf, take);
     ++stats_.udp_tx;
     Charge(burn, static_cast<Cycles>(static_cast<double>(take) * cfg_.cost.net_copy_per_byte));
-    SendIp(s.udp_peer_ip, kIpProtoUdp, dgram.data(), dgram.size(), burn);
+    SendIp(s.udp_peer_ip, kIpProtoUdp, std::move(frame), burn);
     return static_cast<std::int64_t>(take);
   }
 
@@ -229,11 +230,11 @@ std::int64_t NetStack::Recv(Task* cur, Socket& s, std::uint8_t* buf, std::size_t
       }
       sched_.SleepOn(cur, &s.udp_chan, lock_);
     }
-    UdpDatagram d = std::move(s.udpq.front());
+    std::vector<std::uint8_t> d = std::move(s.udpq.front());
     s.udpq.pop_front();
-    s.udpq_bytes -= d.bytes.size();
-    std::size_t take = std::min(n, d.bytes.size());
-    std::memcpy(buf, d.bytes.data(), take);
+    s.udpq_bytes -= d.size();
+    std::size_t take = std::min(n, d.size());
+    std::memcpy(buf, d.data(), take);
     Charge(burn, static_cast<Cycles>(static_cast<double>(take) * cfg_.cost.net_copy_per_byte));
     return static_cast<std::int64_t>(take);  // excess datagram bytes are dropped
   }
@@ -322,22 +323,19 @@ void NetStack::CloseSocket(const std::shared_ptr<Socket>& s) {
     }
     for (const auto& t : orphans) {
       ++stats_.tcp_rst_tx;
-      ++stats_.tcp_seg_tx;
       TcpSendSeg(*t, kTcpRst | kTcpAck, t->snd_nxt, 0, nullptr);
       TcpKill(t, kErrIo);
     }
     sched_.Wakeup(&s->accept_chan);
     return;
   }
-  if (s->tcb != nullptr) {
-    std::shared_ptr<Tcb> t = s->tcb;
-    t->sock_attached = false;
-    // POSIX close: no more reads, send FIN after buffered data. The tcb
-    // lingers as an orphan in the table until its handshake finishes.
-    t->rcv_shutdown = true;
-    t->rcvq.clear();
-    CloseTcbHalf(t, nullptr);
-  }
+  std::shared_ptr<Tcb> t = s->tcb;
+  t->sock_attached = false;
+  // POSIX close: no more reads, send FIN after buffered data. The tcb
+  // lingers as an orphan in the table until its handshake finishes.
+  t->rcv_shutdown = true;
+  t->rcvq.clear();
+  CloseTcbHalf(t, nullptr);
 }
 
 }  // namespace vos

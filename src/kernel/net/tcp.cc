@@ -27,8 +27,9 @@ std::uint32_t TcpPseudoSeed(std::uint32_t src, std::uint32_t dst, std::size_t tc
 
 void NetStack::TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, std::size_t len,
                           Cycles* burn) {
-  std::vector<std::uint8_t> seg(kTcpHdrLen + len);
-  std::uint8_t* h = seg.data();
+  std::size_t seg_len = kTcpHdrLen + len;
+  NicFrame frame(kL4Off + seg_len);
+  std::uint8_t* h = frame.data() + kL4Off;
   Put16(h + 0, t.local_port);
   Put16(h + 2, t.remote_port);
   Put32(h + 4, seq);
@@ -40,11 +41,10 @@ void NetStack::TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, std::si
   Put16(h + 18, 0);  // urgent
   if (len > 0) {
     auto from = t.sndq.begin() + static_cast<std::ptrdiff_t>(seq - t.sndq_seq);
-    std::copy(from, from + static_cast<std::ptrdiff_t>(len), seg.begin() + kTcpHdrLen);
+    std::copy(from, from + static_cast<std::ptrdiff_t>(len), h + kTcpHdrLen);
     Charge(burn, static_cast<Cycles>(static_cast<double>(len) * cfg_.cost.net_copy_per_byte));
   }
-  Put16(h + 16, InetChecksum(seg.data(), seg.size(),
-                             TcpPseudoSeed(t.local_ip, t.remote_ip, seg.size())));
+  Put16(h + 16, InetChecksum(h, seg_len, TcpPseudoSeed(t.local_ip, t.remote_ip, seg_len)));
   // Karn's rule: time only a first transmission, one segment at a time.
   std::uint32_t end = seq + static_cast<std::uint32_t>(len) + ((flags & kTcpSyn) != 0 ? 1 : 0) +
                       ((flags & kTcpFin) != 0 ? 1 : 0);
@@ -57,13 +57,14 @@ void NetStack::TcpSendSeg(Tcb& t, std::uint8_t flags, std::uint32_t seq, std::si
     t.snd_max = end;
   }
   ++stats_.tcp_seg_tx;
-  SendIp(t.remote_ip, kIpProtoTcp, seg.data(), seg.size(), burn);
+  SendIp(t.remote_ip, kIpProtoTcp, std::move(frame), burn);
 }
 
 void NetStack::TcpSendRstFor(const TcpSeg& seg, Cycles* burn) {
   // RFC 793 reset generation for a segment with no connection: echo enough
   // to convince the peer. Built by hand since there is no tcb.
-  std::uint8_t h[kTcpHdrLen];
+  NicFrame frame(kL4Off + kTcpHdrLen);
+  std::uint8_t* h = frame.data() + kL4Off;
   Put16(h + 0, seg.dport);
   Put16(h + 2, seg.sport);
   std::uint8_t flags = kTcpRst;
@@ -84,7 +85,7 @@ void NetStack::TcpSendRstFor(const TcpSeg& seg, Cycles* burn) {
   Put16(h + 16, InetChecksum(h, kTcpHdrLen, TcpPseudoSeed(cfg_.net_ip, seg.src_ip, kTcpHdrLen)));
   ++stats_.tcp_rst_tx;
   ++stats_.tcp_seg_tx;
-  SendIp(seg.src_ip, kIpProtoTcp, h, kTcpHdrLen, burn);
+  SendIp(seg.src_ip, kIpProtoTcp, std::move(frame), burn);
 }
 
 void NetStack::TcpPushSend(const std::shared_ptr<Tcb>& tcb, Cycles* burn) {

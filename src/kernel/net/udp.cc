@@ -6,14 +6,12 @@
 
 namespace vos {
 
-void NetStack::HandleUdp(std::uint32_t src_ip, const std::uint8_t* p, std::size_t len,
-                         Cycles* burn) {
+void NetStack::HandleUdp(const std::uint8_t* p, std::size_t len, Cycles* burn) {
   Charge(burn, cfg_.cost.net_proto_per_seg);
   if (len < kUdpHdrLen) {
     ++stats_.udp_drop;
     return;
   }
-  std::uint16_t sport = Get16(p + 0);
   std::uint16_t dport = Get16(p + 2);
   std::uint16_t ulen = Get16(p + 4);
   if (ulen < kUdpHdrLen || ulen > len) {
@@ -31,12 +29,8 @@ void NetStack::HandleUdp(std::uint32_t src_ip, const std::uint8_t* p, std::size_
     ++stats_.udp_drop;
     return;
   }
-  UdpDatagram d;
-  d.src_ip = src_ip;
-  d.src_port = sport;
-  d.bytes.assign(p + kUdpHdrLen, p + kUdpHdrLen + payload);
   s->udpq_bytes += payload;
-  s->udpq.push_back(std::move(d));
+  s->udpq.emplace_back(p + kUdpHdrLen, p + kUdpHdrLen + payload);
   ++stats_.udp_rx;
   Charge(burn, static_cast<Cycles>(static_cast<double>(payload) * cfg_.cost.net_copy_per_byte));
   sched_.Wakeup(&s->udp_chan);

@@ -528,5 +528,132 @@ TEST(PowerMeter, EnergyIntegration) {
   EXPECT_LT(PowerMeter::BatteryHours(4.2), 2.8);
 }
 
+// The NIC with the machine loop's part played by hand: RunTo steps the clock
+// from event to event up to `t`, so each link delivery and coalescing window
+// runs at its own time.
+struct NicRig {
+  VirtualClock clock;
+  EventQueue events;
+  Intc intc{1};
+  Nic nic{clock, events, intc, kIrqEth};
+
+  void RunTo(Cycles t) {
+    for (auto next = events.NextTime(); next && *next <= t; next = events.NextTime()) {
+      clock.AdvanceTo(*next);
+      events.RunDue(*next);
+    }
+    clock.AdvanceTo(t);
+  }
+};
+
+TEST(Nic, FramesArriveOneLatencyLaterInOrderAsTheBufferPosted) {
+  NicRig r;
+  r.nic.SetLinkLatency(Us(100));
+  std::vector<const std::uint8_t*> posted;
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    if (i == 2) {
+      r.nic.SetLinkLatency(Us(20));  // a faster wire must not let this one overtake
+    }
+    NicFrame f(60 + i, i);
+    posted.push_back(f.data());
+    Cycles burn = 0;
+    ASSERT_TRUE(r.nic.PostTx(std::move(f), &burn));
+    EXPECT_EQ(burn, kNicRegAccess + kNicDmaSetup + (60 + i) / 4);  // 0.25 cycles per byte
+  }
+  NicFrame got;
+  Cycles burn = 0;
+  r.RunTo(Us(100) - 1);
+  EXPECT_FALSE(r.nic.PopRx(&got, &burn));
+  r.RunTo(Us(100));
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    ASSERT_TRUE(r.nic.PopRx(&got, &burn));
+    EXPECT_EQ(got, NicFrame(60 + i, i));
+    EXPECT_EQ(got.data(), posted[i]);  // moved along the wire, never copied
+  }
+  EXPECT_FALSE(r.nic.PopRx(&got, &burn));
+  EXPECT_EQ(r.nic.tx_frames(), 3u);
+  EXPECT_EQ(r.nic.rx_frames(), 3u);
+  EXPECT_EQ(r.nic.rx_bytes(), 183u);
+}
+
+TEST(Nic, FullTxRingRefusesAndCounts) {
+  NicRig r;
+  Cycles burn = 0;
+  for (std::size_t i = 0; i < kNicRingSlots; ++i) {
+    ASSERT_TRUE(r.nic.PostTx(NicFrame(64), &burn));
+  }
+  Cycles before = burn;
+  EXPECT_FALSE(r.nic.PostTx(NicFrame(64), &burn));  // the 257th frame in flight
+  EXPECT_EQ(burn - before, kNicRegAccess);          // the ring-state read, no DMA
+  EXPECT_EQ(r.nic.tx_ring_full(), 1u);
+  EXPECT_EQ(r.nic.tx_frames(), kNicRingSlots);
+  r.RunTo(Us(20));  // the wire drains the ring
+  EXPECT_TRUE(r.nic.PostTx(NicFrame(64), &burn));
+}
+
+TEST(Nic, SameLossSeedDropsTheSameFrames) {
+  // The indices of the frames, out of 1,000 posted at 30% loss, that arrive.
+  auto survivors = [](std::uint64_t seed) {
+    NicRig r;
+    r.nic.SetLinkFaults(300000, seed);
+    std::vector<int> got;
+    Cycles burn = 0;
+    NicFrame out;
+    for (int i = 0; i < 1000; ++i) {
+      NicFrame f(64);
+      f[0] = static_cast<std::uint8_t>(i);
+      f[1] = static_cast<std::uint8_t>(i >> 8);
+      r.nic.PostTx(std::move(f), &burn);
+      r.RunTo(r.clock.now() + Us(20));
+      while (r.nic.PopRx(&out, &burn)) {
+        got.push_back(out[0] | out[1] << 8);
+      }
+    }
+    EXPECT_EQ(r.nic.link_dropped(), 1000 - got.size());
+    return got;
+  };
+  std::vector<int> a = survivors(7);
+  EXPECT_GT(a.size(), 600u);
+  EXPECT_LT(a.size(), 800u);
+  EXPECT_EQ(a, survivors(7));
+  EXPECT_NE(a, survivors(8));
+}
+
+TEST(Nic, RxIrqRisesAtTheFrameThresholdOrWhenTheWindowExpires) {
+  NicRig r;
+  r.intc.Enable(kIrqEth);
+  r.nic.SetIrqCoalesce(4, Us(50));
+  Cycles burn = 0;
+  NicFrame f;
+  // A lone frame lands at 20 µs and waits out the 50 µs window.
+  r.nic.PostTx(NicFrame(64), &burn);
+  r.RunTo(Us(70) - 1);
+  EXPECT_FALSE(r.intc.IsPending(kIrqEth));
+  r.RunTo(Us(70));
+  EXPECT_TRUE(r.intc.IsPending(kIrqEth));
+  r.nic.AckIrq();
+  while (r.nic.PopRx(&f, &burn)) {
+  }
+  EXPECT_FALSE(r.intc.IsPending(kIrqEth));
+  // Four frames land at 90 µs: the fourth reaches the threshold at once.
+  for (int i = 0; i < 4; ++i) {
+    r.nic.PostTx(NicFrame(64), &burn);
+  }
+  r.RunTo(Us(90));
+  EXPECT_TRUE(r.intc.IsPending(kIrqEth));
+  EXPECT_EQ(r.nic.irqs_raised(), 2u);
+  // A fifth lands at 110 µs, after the raise and before the ack. The ack
+  // lowers the line and re-arms the window for it.
+  r.nic.PostTx(NicFrame(64), &burn);
+  r.RunTo(Us(110));
+  r.nic.AckIrq();
+  EXPECT_FALSE(r.intc.IsPending(kIrqEth));
+  r.RunTo(Us(160) - 1);
+  EXPECT_FALSE(r.intc.IsPending(kIrqEth));
+  r.RunTo(Us(160));
+  EXPECT_TRUE(r.intc.IsPending(kIrqEth));
+  EXPECT_EQ(r.nic.irqs_raised(), 3u);
+}
+
 }  // namespace
 }  // namespace vos

@@ -1,9 +1,9 @@
 // Networking tests: checksum/sequence arithmetic and RTT-estimator units, UDP
-// and TCP loopback end-to-end through the simulated NIC, socket edge cases
-// (nonblocking accept, recv-after-shutdown, EINTR while parked in accept,
-// backlog overflow), lossy-link retransmission and the RTT-sized RTO,
-// /proc/netstat, and the kvserver app — all on a booted Prototype-5 system
-// with the virtual ethernet link.
+// and TCP loopback end-to-end through the simulated NIC, ARP parking behind an
+// unresolved peer, socket edge cases (nonblocking accept, recv-after-shutdown,
+// EINTR while parked in accept, backlog overflow), lossy-link retransmission
+// and the RTT-sized RTO, /proc/netstat, and the kvserver app — all on a
+// booted Prototype-5 system with the virtual ethernet link.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -440,6 +440,52 @@ TEST_F(NetTest, BacklogOverflowDropsSyn) {
   const NetStack* net = sys_.kernel().net();
   ASSERT_NE(net, nullptr);
   EXPECT_GE(net->stats().tcp_accept_drop, 1u);
+  // Closing the listener resets its queued connection; that RST is one
+  // segment, counted once.
+  EXPECT_EQ(net->stats().tcp_seg_tx + net->stats().udp_tx, net->stats().ip_tx);
+}
+
+TEST_F(NetTest, ArpParksFramesUntilResolved) {
+  // Over a 5 ms wire, 70 datagrams leave before the first ARP answer can
+  // land. ARP parks 64 frames for the unresolved peer and drops the rest;
+  // the parked ones go out in order once it resolves.
+  int rc = RunInOs(sys_, "arp-park", [](AppEnv& env) -> int {
+    std::uint32_t ip = env.kernel->config().net_ip;
+    if (NetstatCommand(env, "latency_us 5000") != 0) {
+      return 1;
+    }
+    std::int64_t a = usocket(env, /*type=*/1);
+    std::int64_t b = usocket(env, /*type=*/1);
+    if (a < 0 || b < 0 || ubind(env, static_cast<int>(a), 5200) < 0 ||
+        ubind(env, static_cast<int>(b), 5201) < 0 ||
+        uconnect(env, static_cast<int>(a), ip, 5201) < 0) {
+      return 2;
+    }
+    Cycles start = env.kernel->Now();
+    for (std::uint32_t i = 0; i < 70; ++i) {
+      if (usend(env, static_cast<int>(a), &i, 4) != 4) {
+        return 3;
+      }
+    }
+    if (env.kernel->Now() - start >= Ms(5)) {
+      return 4;  // the sends did not all beat the first answer
+    }
+    for (std::uint32_t i = 0; i < 64; ++i) {
+      std::uint32_t got = ~0u;
+      if (urecv(env, static_cast<int>(b), &got, 4) != 4 || got != i) {
+        return 5;
+      }
+    }
+    usleep_ms(env, 20);  // anything else in flight lands meanwhile
+    uclose(env, static_cast<int>(a));
+    uclose(env, static_cast<int>(b));
+    return 0;
+  });
+  EXPECT_EQ(rc, 0);
+  const NetStack* net = sys_.kernel().net();
+  ASSERT_NE(net, nullptr);
+  EXPECT_EQ(net->stats().ip_drop, 6u);
+  EXPECT_EQ(net->stats().udp_rx, 64u);
 }
 
 // --- Fault injection ---------------------------------------------------------
@@ -524,7 +570,7 @@ TEST_F(LossyNetTest, RetransmitsHealFrameLoss) {
   // An 8% lossy link over ~hundreds of frames must have dropped and healed.
   EXPECT_GT(net->stats().tcp_retransmit, 0u);
   // The NIC counted the shed frames.
-  EXPECT_GT(sys_.board().nic()->link_dropped(), 0u);
+  EXPECT_GT(sys_.board().nic().link_dropped(), 0u);
 }
 
 // A warm peer heals a loss within its measured RTO: on a 2% lossy link, no
