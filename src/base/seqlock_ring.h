@@ -1,5 +1,5 @@
 // Per-core single-producer seqlock ring: the lock-free record buffer behind
-// the trace ring (src/kernel/trace.h) and the profiler's sample rings.
+// the trace ring (src/kernel/trace.h).
 //
 // Each core owns a fixed-capacity ring with exactly one producer (the
 // simulator's token serialization guarantees one per core; bench_trace drives

@@ -67,6 +67,9 @@ void ScaleCompute(CostModel& c, double s) {
   c.ipc_create = Cycles(c.ipc_create * s);
   c.ipc_map = Cycles(c.ipc_map * s);
   c.ipc_ring_op = Cycles(c.ipc_ring_op * s);
+  c.sock_op = Cycles(c.sock_op * s);
+  c.net_proto_per_seg = Cycles(c.net_proto_per_seg * s);
+  c.net_copy_per_byte *= s;
   c.memcpy_per_byte *= s;
   c.memcpy_naive_per_byte *= s;
   c.blit_per_byte *= s;
@@ -79,6 +82,7 @@ void ScaleCompute(CostModel& c, double s) {
   c.fat_chain_step = Cycles(c.fat_chain_step * s);
   c.irq_entry = Cycles(c.irq_entry * s);
   c.timer_tick_work = Cycles(c.timer_tick_work * s);
+  c.prof_sample_capture = Cycles(c.prof_sample_capture * s);
   c.event_poll = Cycles(c.event_poll * s);
   c.libc_compute_scale *= s;
 }

@@ -102,8 +102,9 @@ struct CostModel {
   Cycles irq_entry = 900;
   Cycles timer_tick_work = 1400;
   // Profiler: cost of capturing one stack sample (walk the shadow stack,
-  // hash frames, publish a ring record). Charged as IRQ debt per sample so
-  // profiling overhead is real in virtual time (bench_prof measures it).
+  // hash frames, fold the stack and emit its trace record). Charged as IRQ
+  // debt per sample so profiling overhead is real in virtual time (bench_prof
+  // measures it).
   Cycles prof_sample_capture = 2200;
   // Per-frame baseline poll work in SDL-style event loops.
   Cycles event_poll = 2500;

@@ -26,16 +26,18 @@ std::vector<ProcTaskLine> ProcTaskRows(const std::map<Pid, std::unique_ptr<Task>
   for (const auto& [pid, t] : tasks) {
     const Cycles* dom = t->time_by_domain;
     // stime = kernel domain; utime = user + user-lib (the split Machine
-    // charges per activation).
+    // charges per activation); CPU time is their sum.
+    const Cycles stime = dom[static_cast<int>(TimeDomain::kKernel)];
+    const Cycles utime =
+        dom[static_cast<int>(TimeDomain::kUser)] + dom[static_cast<int>(TimeDomain::kUserLib)];
     rows.push_back(ProcTaskLine{
         .pid = pid,
         .name = t->name(),
         .state = TaskStateName(t->state),
-        .cpu_ms = ms(t->cpu_time),
+        .cpu_ms = ms(stime + utime),
         .level = t->mlfq_level,
-        .utime_ms = ms(dom[static_cast<int>(TimeDomain::kUser)] +
-                       dom[static_cast<int>(TimeDomain::kUserLib)]),
-        .stime_ms = ms(dom[static_cast<int>(TimeDomain::kKernel)]),
+        .utime_ms = ms(utime),
+        .stime_ms = ms(stime),
         .syscalls = t->syscall_count,
         .blocked_ms = ms(t->blocked_time)});
   }
@@ -116,21 +118,12 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
   irq_counter_ = metrics_.Counter("irq.count");
   sched_.SetNowFn([this] { return Now(); });
   sched_.SetLatencyHists(metrics_.Hist("sched.runq_wait"), metrics_.Hist("sched.slice_len"));
-  // Profiler wiring: the machine reports every execution span; each captured
-  // sample charges its capture cost to the sampled core as IRQ debt, so
-  // profiling overhead is real virtual time (bench_prof's ≤5% contract).
-  machine_.SetSpanHook([this](unsigned c, Task* t, Cycles t0, Cycles t1) {
-    unsigned n = profiler_.OnSpan(c, t, t0, t1);
-    if (n > 0) {
-      machine_.ChargeIrq(c, Cycles(n) * cfg_.cost.prof_sample_capture);
-    }
-  });
-  sched_.SetProfHooks([this](Task* t) { profiler_.OnSleep(t); },
-                      [this](Task* t, Cycles blocked) { profiler_.OnWake(t, blocked); });
+  // Profiler wiring: the machine reports every execution span (OnSpan); the
+  // scheduler reports every wakeup with its blocked time.
+  sched_.SetProfWakeHook([this](Task* t, Cycles blocked) { profiler_.OnWake(t, blocked); });
   metrics_.Gauge("prof.samples", [this] { return profiler_.samples(); });
   metrics_.Gauge("prof.offcpu_samples", [this] { return profiler_.offcpu_samples(); });
   metrics_.Gauge("prof.symbolized", [this] { return profiler_.symbolized(); });
-  metrics_.Gauge("prof.dropped", [this] { return profiler_.dropped(); });
   watchdog_bark_counter_ = metrics_.Counter("watchdog.barks");
   metrics_.Gauge("trace.emitted", [this] { return trace_.total_emitted(); });
   metrics_.Gauge("trace.dropped", [this] { return trace_.total_dropped(); });
@@ -814,6 +807,16 @@ void Kernel::OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r) {
   sched_.OnTaskStopped(core, t, r);
 }
 
+void Kernel::OnSpan(unsigned core, Task* t, Cycles t0, Cycles t1) {
+  // Each captured sample charges its capture cost to the sampled core as IRQ
+  // debt, so profiling overhead is real virtual time (bench_prof's ≤5%
+  // contract).
+  unsigned n = profiler_.OnSpan(core, t, t0, t1);
+  if (n > 0) {
+    machine_.ChargeIrq(core, Cycles(n) * cfg_.cost.prof_sample_capture);
+  }
+}
+
 void Kernel::DebugWedgeCore(unsigned core, bool wedged) {
   if (core >= cfg_.EffectiveCores()) {
     return;
@@ -893,9 +896,6 @@ void Kernel::TickHandler(unsigned core, Cycles now) {
   // MLFQ periodic boost runs off each core's own tick, against its own
   // runqueue lock only.
   sched_.OnTick(core, now);
-  if (core == 0) {
-    timekeeping_.Tick();
-  }
 }
 
 void Kernel::OnIrq(unsigned core, unsigned irq) {

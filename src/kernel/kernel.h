@@ -150,7 +150,6 @@ class Kernel final : public MachineClient {
   WindowManager* wm() { return wm_.get(); }
   NetStack* net() { return net_.get(); }
   UsbStorageDriver* usb_storage_driver() { return usb_storage_driver_.get(); }
-  Timekeeping& timekeeping() { return timekeeping_; }
   const std::string& last_panic_dump() const { return last_panic_dump_; }
 
   // Test-only seeded-race hook: increments a racedet-annotated counter with
@@ -259,6 +258,7 @@ class Kernel final : public MachineClient {
   void OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r) override;
   void OnIrq(unsigned core, unsigned irq) override;
   void OnFiq(unsigned core) override;
+  void OnSpan(unsigned core, Task* t, Cycles t0, Cycles t1) override;
 
  private:
   friend class WindowManager;
@@ -318,7 +318,6 @@ class Kernel final : public MachineClient {
   TraceRing trace_;
   Metrics metrics_;
   DebugMonitor dbg_;
-  Timekeeping timekeeping_;
   Sched sched_;
   FrameRefs frame_refs_;
   Profiler profiler_;

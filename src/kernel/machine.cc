@@ -102,13 +102,12 @@ void Machine::Run(Cycles until) {
           t[c] += rr.consumed;
           busy_[c] += rr.consumed;
           power.AddActive(PowerComponent::kSocCoreBusy, rr.consumed);
-          task->cpu_time += rr.consumed;
           task->time_by_domain[static_cast<int>(task->domain)] += rr.consumed;
           task->slice_used += rr.consumed;
           any_ran = true;
           progress = true;
-          if (span_hook_ && rr.consumed > 0) {
-            span_hook_(c, task, t[c] - rr.consumed, t[c]);
+          if (rr.consumed > 0) {
+            client_->OnSpan(c, task, t[c] - rr.consumed, t[c]);
           }
           client_->OnTaskStopped(c, task, rr.reason);
           if (rr.consumed == 0) {
@@ -124,9 +123,7 @@ void Machine::Run(Cycles until) {
       if (t[c] < wend) {
         idle_[c] += wend - t[c];
         power.AddActive(PowerComponent::kSocCoreIdle, wend - t[c]);
-        if (span_hook_) {
-          span_hook_(c, nullptr, t[c], wend);
-        }
+        client_->OnSpan(c, nullptr, t[c], wend);
       }
     }
 

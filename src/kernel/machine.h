@@ -7,7 +7,6 @@
 #define VOS_SRC_KERNEL_MACHINE_H_
 
 #include <array>
-#include <functional>
 
 #include "src/hw/board.h"
 #include "src/kernel/task.h"
@@ -28,6 +27,15 @@ class MachineClient {
   virtual void OnIrq(unsigned core, unsigned irq) = 0;
   // FIQ (panic button).
   virtual void OnFiq(unsigned core) = 0;
+  // Called after every execution span on `core`: a task activation ([t0,t1)
+  // of virtual time, task != nullptr) or an idle stretch (task == nullptr).
+  // Runs on the machine thread while the fiber is parked, so the task's
+  // shadow call stack is stable — this is how the sampling profiler sees
+  // "what was on-CPU when the profiling timer fired" without a task ever
+  // being current at IRQ-delivery time (the machine's running task is
+  // cleared before interrupts dispatch). Spans arrive in nondecreasing time
+  // order per core, so period-boundary bookkeeping here is exact.
+  virtual void OnSpan(unsigned core, Task* task, Cycles t0, Cycles t1) = 0;
 };
 
 class Machine {
@@ -60,17 +68,6 @@ class Machine {
   unsigned cores() const { return cores_; }
   Board& board() { return board_; }
 
-  // Observation hook invoked after every execution span on a core: a task
-  // activation ([t0,t1) of virtual time, task != nullptr) or an idle stretch
-  // (task == nullptr). Runs on the machine thread while the fiber is parked,
-  // so the task's shadow call stack is stable — this is how the sampling
-  // profiler sees "what was on-CPU when the profiling timer fired" without a
-  // task ever being current at IRQ-delivery time (running_ is nulled before
-  // interrupts dispatch). Spans are reported in nondecreasing time order per
-  // core, so period-boundary bookkeeping in the hook is exact.
-  using SpanHook = std::function<void(unsigned core, Task* task, Cycles t0, Cycles t1)>;
-  void SetSpanHook(SpanHook h) { span_hook_ = std::move(h); }
-
   // Core utilization in [0,1] since construction (Fig 10's ">95%" check).
   double Utilization(unsigned core) const {
     Cycles tot = busy_[core] + idle_[core];
@@ -88,7 +85,6 @@ class Machine {
   std::array<Cycles, kMaxCores> busy_{};
   std::array<Cycles, kMaxCores> idle_{};
   std::array<Task*, kMaxCores> running_{};
-  SpanHook span_hook_;
 };
 
 }  // namespace vos

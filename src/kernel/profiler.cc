@@ -26,8 +26,7 @@ Profiler::Profiler(const KernelConfig& cfg, TraceRing* trace)
       trace_(trace),
       period_(cfg.prof_hz == 0 ? kCyclesPerSec : kCyclesPerSec / cfg.prof_hz),
       max_frames_(std::min(cfg.prof_max_frames == 0 ? 1u : cfg.prof_max_frames,
-                           kProfMaxFrames)),
-      ring_(kProfRingCapacity) {}
+                           kProfMaxFrames)) {}
 
 void Profiler::Start(Cycles now) {
   if (running_) {
@@ -42,7 +41,6 @@ void Profiler::Start(Cycles now) {
 void Profiler::Stop() { running_ = false; }
 
 void Profiler::Reset() {
-  ring_.Clear();
   samples_.store(0, std::memory_order_relaxed);
   offcpu_samples_.store(0, std::memory_order_relaxed);
   symbolized_.store(0, std::memory_order_relaxed);
@@ -65,7 +63,7 @@ std::int64_t Profiler::Command(const std::string& text, Cycles now) {
   });
 }
 
-void Profiler::CaptureFrames(const std::vector<const char*>& stack, ProfSample* s) const {
+void Profiler::CaptureFrames(const std::vector<const char*>& stack, Sample* s) const {
   // Root-first copy, truncated to the configured depth — a fresh fork's
   // shallow stack and an over-deep stack both yield a valid frame list.
   std::size_t n = std::min<std::size_t>(stack.size(), max_frames_);
@@ -75,7 +73,7 @@ void Profiler::CaptureFrames(const std::vector<const char*>& stack, ProfSample* 
   s->nframes = static_cast<std::uint8_t>(n);
 }
 
-std::uint64_t Profiler::HashStack(const ProfSample& s) {
+std::uint64_t Profiler::HashStack(const Sample& s) {
   std::uint64_t h = kFnvOffset;
   h = FnvMix(h, static_cast<std::uint64_t>(s.pid));
   h = FnvMix(h, s.offcpu ? 1 : 0);
@@ -85,7 +83,7 @@ std::uint64_t Profiler::HashStack(const ProfSample& s) {
   return h;
 }
 
-void Profiler::FoldLocked(const ProfSample& s, const std::string& name) {
+void Profiler::FoldLocked(const Sample& s, const std::string& name) {
   Fold& f = RD_WRITE(folds_)[s.stack_hash];
   if (f.count == 0) {
     f.pid = s.pid;
@@ -98,8 +96,7 @@ void Profiler::FoldLocked(const ProfSample& s, const std::string& name) {
   ++f.count;
 }
 
-void Profiler::EmitSample(const ProfSample& s, const std::string& name) {
-  ring_.Push(s.core, s);
+void Profiler::EmitSample(const Sample& s, const std::string& name) {
   samples_.fetch_add(1, std::memory_order_relaxed);
   if (s.offcpu) {
     offcpu_samples_.fetch_add(1, std::memory_order_relaxed);
@@ -130,7 +127,7 @@ unsigned Profiler::OnSpan(unsigned core, Task* task, Cycles t0, Cycles t1) {
   if (hits == 0) {
     return 0;
   }
-  ProfSample s;
+  Sample s;
   s.ts = t1;
   s.core = static_cast<std::uint16_t>(core);
   s.weight = hits;
@@ -151,22 +148,11 @@ unsigned Profiler::OnSpan(unsigned core, Task* task, Cycles t0, Cycles t1) {
   return 1;
 }
 
-void Profiler::OnSleep(Task* t) {
-  if (!running_) {
-    return;
-  }
-  t->sleep_stack = t->call_stack;
-  if (t->sleep_stack.size() > max_frames_) {
-    t->sleep_stack.resize(max_frames_);
-  }
-}
-
 void Profiler::OnWake(Task* t, Cycles blocked) {
   if (!running_) {
-    t->sleep_stack.clear();
     return;
   }
-  ProfSample s;
+  Sample s;
   s.ts = t->sleep_since + blocked;
   s.pid = t->pid();
   s.core = static_cast<std::uint16_t>(t->core);
@@ -174,8 +160,7 @@ void Profiler::OnWake(Task* t, Cycles blocked) {
   // Off-CPU weight is blocked time in microseconds (≥1 so even sub-µs parks
   // register), keeping the folded numbers human-scale next to sample counts.
   s.weight = std::max<std::uint64_t>(blocked / kCyclesPerUs, 1);
-  CaptureFrames(t->sleep_stack, &s);
-  t->sleep_stack.clear();
+  CaptureFrames(t->call_stack, &s);
   s.stack_hash = HashStack(s);
   EmitSample(s, t->name());
 }
@@ -188,8 +173,8 @@ std::string Profiler::ExportText() const {
   char hdr[192];
   std::snprintf(hdr, sizeof(hdr),
                 "# prof running %d hz %u samples %" PRIu64 " offcpu %" PRIu64
-                " dropped %" PRIu64 " symbolized_pct %.1f\n",
-                running_ ? 1 : 0, cfg_.prof_hz, total, offcpu_samples(), dropped(), sym_pct);
+                " symbolized_pct %.1f\n",
+                running_ ? 1 : 0, cfg_.prof_hz, total, offcpu_samples(), sym_pct);
   std::string out = hdr;
 
   std::vector<Fold> folds;

@@ -3,23 +3,23 @@
 // folded into flamegraph-ready stacks served by /proc/profile.
 //
 // Sampling model: the machine loop reports every execution span — a task
-// activation or an idle stretch — through Machine's span hook. The profiler
+// activation or an idle stretch — through MachineClient::OnSpan. The profiler
 // counts how many prof_hz period boundaries the span crossed (exactly the
 // samples a profiling timer IRQ would have taken in that window) and captures
 // the parked fiber's shadow call stack once per span with the crossing count
-// as the sample weight. Because the span hook runs on the machine thread
-// while every fiber is parked, the capture is consistent without stopping
-// anything — the simulator's equivalent of NMI-safe unwinding. Boundaries
-// that land in unreported gaps (IRQ-debt payoff) are attributed to the next
-// span on that core, like coalesced timer ticks after a masked section.
+// as the sample weight. Because OnSpan runs on the machine thread while every
+// fiber is parked, the capture is consistent without stopping anything — the
+// simulator's equivalent of NMI-safe unwinding. Boundaries that land in
+// unreported gaps (IRQ-debt payoff) are attributed to the next span on that
+// core, like coalesced timer ticks after a masked section.
 //
-// Each sample goes three places: a per-core lock-free SeqlockRing (the trace
-// ring's template, for raw inspection), the folded aggregation table
-// keyed by (task, stack-hash) under the "profiler" spinlock, and a
-// kProfSample trace event (so tools/trace2perfetto.py can render sample
-// density per core). Capture cost is charged to the sampled core as IRQ debt
-// (cost.prof_sample_capture) so profiling overhead is real in virtual time;
-// bench_prof asserts it stays ≤5% at the default prof_hz.
+// Each sample goes two places: the folded aggregation table keyed by
+// (task, stack-hash) under the "profiler" spinlock, which keeps its frames,
+// and a kProfSample trace event carrying its time, core, pid, hash and weight
+// (so tools/trace2perfetto.py can render sample density per core). Capture
+// cost is charged to the sampled core as IRQ debt (cost.prof_sample_capture)
+// so profiling overhead is real in virtual time; bench_prof asserts it stays
+// ≤5% at the default prof_hz.
 #ifndef VOS_SRC_KERNEL_PROFILER_H_
 #define VOS_SRC_KERNEL_PROFILER_H_
 
@@ -30,7 +30,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/base/seqlock_ring.h"
 #include "src/base/units.h"
 #include "src/hw/intc.h"
 #include "src/kernel/kconfig.h"
@@ -43,22 +42,6 @@ class TraceRing;
 
 // Hard cap on frames kept per sample; cfg.prof_max_frames clamps to this.
 constexpr unsigned kProfMaxFrames = 32;
-// Sample records kept per core.
-constexpr std::size_t kProfRingCapacity = 8192;
-
-// One captured sample. Frames are root-first (call_stack order), truncated
-// to the configured depth; a truncated capture is still a valid stack.
-struct ProfSample {
-  Cycles ts = 0;
-  std::int32_t pid = 0;
-  std::uint16_t core = 0;
-  bool offcpu = false;
-  std::uint8_t nframes = 0;
-  // On-CPU: prof periods covered (1 = one timer sample). Off-CPU: µs blocked.
-  std::uint64_t weight = 0;
-  std::uint64_t stack_hash = 0;
-  std::array<const char*, kProfMaxFrames> frames{};
-};
 
 class Profiler {
  public:
@@ -73,22 +56,18 @@ class Profiler {
   // syntax); 0 or kErrInval.
   std::int64_t Command(const std::string& text, Cycles now);
 
-  // Machine span hook (machine thread, fibers parked). Returns the number of
-  // samples captured so the caller can charge capture cost to the core.
+  // Machine span report (machine thread, fibers parked). Returns the number
+  // of samples captured so the caller can charge capture cost to the core.
   unsigned OnSpan(unsigned core, Task* task, Cycles t0, Cycles t1);
 
-  // Sched hooks. OnSleep runs on the sleeping task's fiber just before it
-  // parks (captures the blocked stack); OnWake runs under the sched lock with
-  // the blocked duration already accounted to the task.
-  void OnSleep(Task* t);
+  // Sched wake hook: runs under the sched lock with the blocked duration
+  // already accounted to the task, which is still parked in Sched::Sleep, so
+  // its call stack is the one that blocked.
   void OnWake(Task* t, Cycles blocked);
 
   // /proc/profile body: status header ('#' lines) + folded stacks, one per
   // line, "mode;task;frame;...;frame weight", heaviest first.
   std::string ExportText() const;
-
-  // Raw ring snapshot (seqlock read side), newest-window records per core.
-  std::vector<ProfSample> DumpSamples() const { return ring_.Snapshot(); }
 
   // Counters for metrics gauges. Token-serialized or relaxed-atomic reads.
   std::uint64_t samples() const { return samples_.load(std::memory_order_relaxed); }
@@ -96,9 +75,23 @@ class Profiler {
     return offcpu_samples_.load(std::memory_order_relaxed);
   }
   std::uint64_t symbolized() const { return symbolized_.load(std::memory_order_relaxed); }
-  std::uint64_t dropped() const { return ring_.dropped(); }
 
  private:
+  // One captured sample on its way to the fold table and the trace ring.
+  // Frames are root-first (call_stack order), truncated to the configured
+  // depth; a truncated capture is still a valid stack.
+  struct Sample {
+    Cycles ts = 0;
+    std::int32_t pid = 0;
+    std::uint16_t core = 0;
+    bool offcpu = false;
+    std::uint8_t nframes = 0;
+    // On-CPU: prof periods covered (1 = one timer sample). Off-CPU: µs blocked.
+    std::uint64_t weight = 0;
+    std::uint64_t stack_hash = 0;
+    std::array<const char*, kProfMaxFrames> frames{};
+  };
+
   // Folded aggregation entry: everything needed to print one collapsed stack.
   struct Fold {
     std::int32_t pid = 0;
@@ -116,10 +109,10 @@ class Profiler {
     Cycles next_due = 0;
   };
 
-  void CaptureFrames(const std::vector<const char*>& stack, ProfSample* s) const;
-  void EmitSample(const ProfSample& s, const std::string& name);
-  void FoldLocked(const ProfSample& s, const std::string& name);
-  static std::uint64_t HashStack(const ProfSample& s);
+  void CaptureFrames(const std::vector<const char*>& stack, Sample* s) const;
+  void EmitSample(const Sample& s, const std::string& name);
+  void FoldLocked(const Sample& s, const std::string& name);
+  static std::uint64_t HashStack(const Sample& s);
 
   const KernelConfig& cfg_;
   TraceRing* trace_;
@@ -127,7 +120,6 @@ class Profiler {
   unsigned max_frames_;
   bool running_ = false;
 
-  SeqlockRing<ProfSample, kMaxCores> ring_;
   std::array<CoreClock, kMaxCores> clocks_;
 
   // Sample counters: relaxed atomics so gauges read them wait-free.

@@ -221,14 +221,12 @@ void Sched::Sleep(Task* cur, void* chan) {
   // released first (SleepOn does) — interrupts stay conceptually off only
   // while inside a lock, never across a park.
   Lockdep::Instance().OnSleep(chan);
-  // Blocked-time accounting starts here; the profiler hook snapshots the
-  // call stack (including this frame) so off-CPU samples attribute the wait
-  // to the code path that parked, not to the waker.
+  // Blocked-time accounting starts here. This frame stays pushed while the
+  // task is parked, so the profiler's wake hook reads the stack that blocked
+  // and off-CPU samples attribute the wait to the code path that parked, not
+  // to the waker.
   StackFrame sleep_frame(cur, "Sched::Sleep");
   cur->sleep_since = NowStamp();
-  if (prof_sleep_hook_) {
-    prof_sleep_hook_(cur);
-  }
   {
     SpinGuard g(lock_);
     cur->sleep_chan = chan;
@@ -257,7 +255,6 @@ void Sched::Sleep(Task* cur, void* chan) {
     cur->sleep_chan = nullptr;
     cur->state = TaskState::kRunning;
     cur->sleep_since = 0;
-    cur->sleep_stack.clear();
     return;
   }
   // Woken (Wakeup cleared the channel and re-enqueued us).
@@ -317,7 +314,7 @@ void Sched::WakeTaskLocked(Task* t) {
   t->state = TaskState::kRunnable;
   // Blocked-time accounting (always on): sleep→wakeup wall time, surfaced in
   // /proc/schedstat. The profiler hook turns the same interval into an
-  // off-CPU sample against the stack captured at Sleep.
+  // off-CPU sample against the stack the task parked with.
   Cycles now = NowStamp();
   Cycles blocked = t->sleep_since != 0 && now > t->sleep_since ? now - t->sleep_since : 0;
   t->blocked_time += blocked;

@@ -115,12 +115,10 @@ class Sched {
     runq_wait_hist_ = runq_wait;
     slice_hist_ = slice;
   }
-  // Profiler off-CPU hooks: `on_sleep` runs on the parking task's fiber just
-  // before BlockAndSwitch (stack capture); `on_wake` runs under lock_ with
-  // the blocked duration already added to Task::blocked_time.
-  void SetProfHooks(std::function<void(Task*)> on_sleep,
-                    std::function<void(Task*, Cycles)> on_wake) {
-    prof_sleep_hook_ = std::move(on_sleep);
+  // Profiler off-CPU hook: runs under lock_ with the blocked duration already
+  // added to Task::blocked_time, while the woken task is still parked in
+  // Sleep with its call stack as it blocked.
+  void SetProfWakeHook(std::function<void(Task*, Cycles)> on_wake) {
     prof_wake_hook_ = std::move(on_wake);
   }
 
@@ -192,7 +190,6 @@ class Sched {
   std::function<Cycles()> now_fn_;
   Histogram* runq_wait_hist_ = nullptr;
   Histogram* slice_hist_ = nullptr;
-  std::function<void(Task*)> prof_sleep_hook_;
   std::function<void(Task*, Cycles)> prof_wake_hook_;
   bool wedged_[kMaxCores] = {};  // racedet: ok (test-only flag, token-serialized)
 };

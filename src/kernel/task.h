@@ -140,21 +140,18 @@ class Task {
   Cycles slice_used = 0;        // for rotation/demotion decisions
   int mlfq_level = 0;           // MLFQ queue level (0 = highest priority)
   bool yielded = false;         // slice burned voluntarily: rotate, don't demote
-  Cycles cpu_time = 0;          // total CPU consumed (for /proc and sysmon)
   Cycles runnable_since = 0;    // enqueue stamp, for the runqueue-wait histogram
   Cycles syscall_enter_ts = 0;  // entry stamp, for the syscall-latency histogram
-  Cycles time_by_domain[3] = {0, 0, 0};
+  Cycles time_by_domain[3] = {0, 0, 0};  // CPU consumed, split by TimeDomain
   TimeDomain domain = TimeDomain::kKernel;
   TimeDomain saved_domain = TimeDomain::kUser;  // domain to restore at syscall exit
 
-  // Per-task accounting (profiler PR): syscall count, total blocked time, and
-  // the stack captured at Sched::Sleep for off-CPU attribution at wakeup.
+  // Per-task accounting (profiler PR): syscall count and total blocked time.
   // All token-serialized (written on the task's own fiber or under the sched
   // lock while the task is parked).
   std::uint64_t syscall_count = 0;
   Cycles blocked_time = 0;      // cumulative sleep->wakeup time
   Cycles sleep_since = 0;       // stamp at Sched::Sleep (0 = not sleeping)
-  std::vector<const char*> sleep_stack;  // call_stack snapshot at Sleep
   Cycles last_scheduled = 0;    // last dispatch stamp (watchdog starvation check)
   bool watchdog_barked = false; // bark-once latch; reset when scheduled again
 

@@ -1,7 +1,6 @@
 // Virtual timers (Prototype 1): many software timers multiplexed onto one
-// physical system-timer compare channel, plus kernel timekeeping (ticks,
-// uptime). The donut animation, sleep(), USB timeouts and the WM composition
-// cadence all run on these.
+// physical system-timer compare channel. The donut animation, sleep(), USB
+// timeouts and the WM composition cadence all run on these.
 #ifndef VOS_SRC_KERNEL_TIMER_H_
 #define VOS_SRC_KERNEL_TIMER_H_
 
@@ -45,17 +44,6 @@ class VirtualTimers {
   SysTimer& st_;
   std::map<TimerId, Timer> timers_;
   TimerId next_id_ = 1;
-};
-
-// Kernel timekeeping: tick counting and uptime, fed by the core-0 scheduler
-// tick (as in xv6's ticks variable).
-class Timekeeping {
- public:
-  void Tick() { ++ticks_; }
-  std::uint64_t ticks() const { return ticks_; }
-
- private:
-  std::uint64_t ticks_ = 0;
 };
 
 }  // namespace vos

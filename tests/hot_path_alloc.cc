@@ -1,9 +1,10 @@
 // The always-on checkers, the event queue and the fiber switch allocate
-// nothing once warm.
-// This binary replaces the global operator new with one that counts (and
-// forwards to malloc, so sanitizers still see every block); vos_tests keeps
-// the real allocator. Each test warms a hot path up, then asserts that 10k
-// more trips through it took no allocation at all.
+// nothing once warm, and a profiler nobody starts costs almost nothing to
+// build.
+// This binary replaces the global operator new with one that counts calls and
+// bytes (and forwards to malloc, so sanitizers still see every block);
+// vos_tests keeps the real allocator. Each hot-path test warms a path up,
+// then asserts that 10k more trips through it took no allocation at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,19 +16,23 @@
 
 #include "src/base/units.h"
 #include "src/hw/event_queue.h"
+#include "src/kernel/kconfig.h"
 #include "src/kernel/lockdep.h"
+#include "src/kernel/profiler.h"
 #include "src/kernel/racedet.h"
 #include "src/kernel/spinlock.h"
 #include "src/kernel/task.h"
 
 namespace {
 std::atomic<std::size_t> g_allocs{0};
+std::atomic<std::size_t> g_alloc_bytes{0};
 }  // namespace
 
 // Out of line, so GCC does not pair an inlined free() with the `new` call
 // site and warn of a mismatch (-Wmismatched-new-delete).
 [[gnu::noinline]] void* operator new(std::size_t n) {
   g_allocs.fetch_add(1, std::memory_order_relaxed);
+  g_alloc_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n != 0 ? n : 1)) {
     return p;
   }
@@ -42,6 +47,7 @@ namespace {
 constexpr int kTrips = 10000;
 
 std::size_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
+std::size_t AllocBytes() { return g_alloc_bytes.load(std::memory_order_relaxed); }
 
 class HotPathAllocTest : public ::testing::Test {
  protected:
@@ -170,6 +176,17 @@ TEST_F(HotPathAllocTest, FiberRoundTripsAllocateNothing) {
   EXPECT_EQ(Allocs() - before, 0u);
   stop = true;
   EXPECT_EQ(fiber.Run(Us(10), 0).reason, TaskFiber::StopReason::kExited);
+}
+
+// Every Kernel builds a Profiler, and perfbench's workloads never start it:
+// the profiler's own state must stay small. Samples live in the fold table
+// and the trace ring, which grow only with what is sampled.
+TEST(ProfilerAllocTest, ConstructionAllocatesUnder64KiB) {
+  KernelConfig cfg;
+  std::size_t before = AllocBytes();
+  Profiler prof(cfg, nullptr);
+  EXPECT_LT(AllocBytes() - before, std::size_t{64} << 10);
+  EXPECT_FALSE(prof.running());
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests for kernel subsystems not covered at the syscall level: the
 // buffer cache, virtual timers, klog wire timing, the semaphore table, pipe
-// edge cases, and task fibers (budget slicing, exception and floating-point
-// state, first-frame alignment, unwinding).
+// edge cases, task fibers (budget slicing, exception and floating-point
+// state, first-frame alignment, unwinding), and platform cost scaling.
 #include <gtest/gtest.h>
 
 #include <cfenv>
@@ -124,6 +124,20 @@ TEST(VirtualTimers, PeriodicAndCancel) {
     }
   }
   EXPECT_EQ(ticks, 4);
+}
+
+// A QEMU platform profile runs the same kernel code on a faster CPU, so every
+// CPU cost scales by the platform's one factor; a cost left out keeps its
+// Pi3 value.
+TEST(PlatformCost, QemuWslScalesEveryCpuCostAlike) {
+  const CostModel pi3 = MakeConfig(Stage::kProto5, Platform::kPi3).cost;
+  const CostModel wsl = MakeConfig(Stage::kProto5, Platform::kQemuWsl).cost;
+  EXPECT_EQ(wsl.syscall_entry, Cycles(pi3.syscall_entry * 0.70));
+  EXPECT_DOUBLE_EQ(wsl.memcpy_per_byte, pi3.memcpy_per_byte * 0.70);
+  EXPECT_EQ(wsl.sock_op, Cycles(pi3.sock_op * 0.70));
+  EXPECT_EQ(wsl.net_proto_per_seg, Cycles(pi3.net_proto_per_seg * 0.70));
+  EXPECT_DOUBLE_EQ(wsl.net_copy_per_byte, pi3.net_copy_per_byte * 0.70);
+  EXPECT_EQ(wsl.prof_sample_capture, Cycles(pi3.prof_sample_capture * 0.70));
 }
 
 TEST(Klog, SynchronousTxCostsWireTime) {

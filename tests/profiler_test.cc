@@ -1,14 +1,16 @@
-// Profiler & watchdog tests: span-hook sampling math (unit level), the
-// /proc/profile control plane and folded dump, off-CPU attribution via the
-// sched sleep/wake hooks, per-task accounting in /proc/schedstat, unwinder
-// edge cases (mid-syscall, freshly-forked, idle), raw histogram bucket
-// export, the prof2flame.py converter, and the hung-task watchdog's
-// exactly-one-bark contract under a wedged core.
+// Profiler & watchdog tests: span sampling math (unit level), the
+// /proc/profile control plane and folded dump, off-CPU attribution at
+// wakeup, per-task accounting in /proc/schedstat, unwinder edge cases
+// (mid-syscall, freshly-forked, idle), raw histogram bucket export, the
+// prof2flame.py converter, and the hung-task watchdog's exactly-one-bark
+// contract under a wedged core.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,6 +29,36 @@
 namespace vos {
 namespace {
 
+// One folded stack of the /proc/profile body: "mode;task;frame;...;frame
+// weight". The '#' header lines are skipped.
+struct FoldLine {
+  std::string mode;
+  std::string task;
+  std::vector<std::string> frames;
+  std::uint64_t weight = 0;
+};
+
+std::vector<FoldLine> ParseFolds(const std::string& text) {
+  std::vector<FoldLine> folds;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (line.empty() || line[0] == '#') {
+      continue;
+    }
+    const std::size_t sp = line.rfind(' ');
+    FoldLine f;
+    f.weight = std::stoull(line.substr(sp + 1));
+    std::istringstream fields(line.substr(0, sp));
+    std::getline(fields, f.mode, ';');
+    std::getline(fields, f.task, ';');
+    for (std::string frame; std::getline(fields, frame, ';');) {
+      f.frames.push_back(frame);
+    }
+    folds.push_back(f);
+  }
+  return folds;
+}
+
 // --- Unit level: sampling math against synthetic spans ----------------------
 
 TEST(ProfilerUnitTest, IdleSpansSampleAtConfiguredRate) {
@@ -40,12 +72,20 @@ TEST(ProfilerUnitTest, IdleSpansSampleAtConfiguredRate) {
   // A 10 ms idle span crosses ten 1 ms boundaries: one capture, weight 10.
   EXPECT_EQ(prof.OnSpan(0, nullptr, 0, Ms(10)), 1u);
   EXPECT_EQ(prof.samples(), 1u);
-  std::vector<ProfSample> samples = prof.DumpSamples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].weight, 10u);
-  EXPECT_EQ(samples[0].pid, 0);
-  ASSERT_EQ(samples[0].nframes, 1u);
-  EXPECT_STREQ(samples[0].frames[0], "<idle>");
+  // The trace record carries when, where, whose and how heavy...
+  std::vector<TraceRecord> recs = ring.DumpEvent(TraceEvent::kProfSample);
+  ASSERT_EQ(recs.size(), 1u);
+  EXPECT_EQ(recs[0].ts, Ms(10));
+  EXPECT_EQ(recs[0].core, 0u);
+  EXPECT_EQ(recs[0].pid, 0);
+  EXPECT_EQ(recs[0].b, 10u);
+  // ...and the fold keeps the frames.
+  std::vector<FoldLine> folds = ParseFolds(prof.ExportText());
+  ASSERT_EQ(folds.size(), 1u);
+  EXPECT_EQ(folds[0].mode, "oncpu");
+  EXPECT_EQ(folds[0].task, "idle");
+  EXPECT_EQ(folds[0].frames, std::vector<std::string>{"<idle>"});
+  EXPECT_EQ(folds[0].weight, 10u);
 
   // A span that crosses no boundary takes no sample.
   EXPECT_EQ(prof.OnSpan(0, nullptr, Ms(10), Ms(10) + Us(100)), 0u);
@@ -86,8 +126,7 @@ TEST(ProfilerUnitTest, ResetClearsSamplesAndFolds) {
   EXPECT_GT(prof.samples(), 0u);
   prof.Reset();
   EXPECT_EQ(prof.samples(), 0u);
-  EXPECT_TRUE(prof.DumpSamples().empty());
-  EXPECT_EQ(prof.ExportText().find("oncpu;"), std::string::npos);
+  EXPECT_TRUE(ParseFolds(prof.ExportText()).empty()) << prof.ExportText();
   // Still running after a reset; sampling resumes.
   EXPECT_TRUE(prof.running());
   EXPECT_EQ(prof.OnSpan(1, nullptr, Ms(5), Ms(10)), 1u);
@@ -190,6 +229,36 @@ TEST(ProfilerBootTest, OffCpuSamplesBlameTheSleepingStack) {
   EXPECT_NE(dump.find("sleep"), std::string::npos) << dump;
 }
 
+TEST(ProfilerBootTest, SleeperParkedBeforeStartIsSymbolizedAtWakeup) {
+  System sys(OptionsForStage(Stage::kProto5));  // profiler off at boot
+  ASSERT_FALSE(sys.kernel().profiler().running());
+  Task* sleeper = StartInOs(sys, "prof_early", [](AppEnv& env) -> int {
+    usleep_ms(env, 300);
+    return 0;
+  });
+  const std::string name = sleeper->name();
+  sys.Run(Ms(20));
+  ASSERT_EQ(sleeper->state, TaskState::kSleeping);
+  // `prof start` writes "start" to /proc/profile while the sleeper is parked.
+  EXPECT_EQ(sys.RunProgram("prof", {"start"}), 0);
+  ASSERT_TRUE(sys.kernel().profiler().running());
+  ASSERT_EQ(sleeper->state, TaskState::kSleeping);
+  EXPECT_EQ(sys.WaitProgram(sleeper), 0);
+  // Its off-CPU sample is taken at wakeup from the stack it parked with, so
+  // it blames the sleep even though sampling began after the task blocked.
+  const std::string dump = sys.kernel().profiler().ExportText();
+  bool found = false;
+  for (const FoldLine& f : ParseFolds(dump)) {
+    if (f.mode == "offcpu" && f.task == name) {
+      found = true;
+      EXPECT_NE(std::find(f.frames.begin(), f.frames.end(), "Sched::Sleep"), f.frames.end())
+          << dump;
+    }
+  }
+  EXPECT_TRUE(found) << dump;
+  EXPECT_NE(dump.find("symbolized_pct 100.0"), std::string::npos) << dump;
+}
+
 // --- Per-task accounting in /proc/schedstat ---------------------------------
 
 TEST(ProfilerBootTest, SchedstatCarriesPerTaskAccounting) {
@@ -260,33 +329,40 @@ TEST(ProfilerEdgeTest, MidSyscallFreshForkAndIdleSamplesAreValid) {
               return 0;
             }),
             0);
-  const std::vector<ProfSample> samples = sys.kernel().profiler().DumpSamples();
-  ASSERT_FALSE(samples.empty());
+  const std::string dump = sys.kernel().profiler().ExportText();
+  const std::vector<FoldLine> folds = ParseFolds(dump);
+  ASSERT_FALSE(folds.empty());
   bool saw_idle = false, saw_task = false, saw_syscall_frame = false;
-  for (const ProfSample& s : samples) {
-    // Truncated-but-valid: within the configured cap, every frame non-null.
-    ASSERT_LE(s.nframes, 4u);
-    for (unsigned i = 0; i < s.nframes; ++i) {
-      ASSERT_NE(s.frames[i], nullptr);
-      ASSERT_NE(s.frames[i][0], '\0');
+  for (const FoldLine& f : folds) {
+    // Truncated-but-valid: within the configured cap, every frame named.
+    ASSERT_LE(f.frames.size(), 4u) << dump;
+    for (const std::string& frame : f.frames) {
+      ASSERT_FALSE(frame.empty()) << dump;
     }
-    if (s.pid == 0) {
+    if (f.task == "idle") {
       saw_idle = true;
-      EXPECT_STREQ(s.frames[0], "<idle>");
+      EXPECT_EQ(f.frames, std::vector<std::string>{"<idle>"}) << dump;
     } else {
       saw_task = true;
       // Task samples always symbolize at least to the trampoline root.
-      EXPECT_GE(s.nframes, 1u);
-      for (unsigned i = 0; i < s.nframes; ++i) {
-        if (std::string(s.frames[i]) == "sleep") {
-          saw_syscall_frame = true;  // sampled mid-syscall
-        }
+      EXPECT_GE(f.frames.size(), 1u) << dump;
+      if (std::find(f.frames.begin(), f.frames.end(), "sleep") != f.frames.end()) {
+        saw_syscall_frame = true;  // sampled mid-syscall
       }
     }
   }
   EXPECT_TRUE(saw_idle);
   EXPECT_TRUE(saw_task);
-  EXPECT_TRUE(saw_syscall_frame);
+  EXPECT_TRUE(saw_syscall_frame) << dump;
+  // The trace ring carries the same samples: idle ones as pid 0, task ones
+  // under their pid, each weighing at least one period.
+  bool traced_idle = false, traced_task = false;
+  for (const TraceRecord& r : sys.kernel().trace().DumpEvent(TraceEvent::kProfSample)) {
+    (r.pid == 0 ? traced_idle : traced_task) = true;
+    EXPECT_GE(r.b, 1u);
+  }
+  EXPECT_TRUE(traced_idle);
+  EXPECT_TRUE(traced_task);
 }
 
 // --- Raw histogram bucket export (satellite) --------------------------------
@@ -344,8 +420,7 @@ TEST(ProfilerToolTest, Prof2FlameProducesCollapsedStacks) {
   const std::filesystem::path tmp = ::testing::TempDir();
   const std::filesystem::path in = tmp / "vos_prof_folded.txt";
   const std::filesystem::path out = tmp / "vos_prof_flame.txt";
-  std::ofstream(in) << "# prof running 0 hz 100 samples 7 offcpu 1 dropped 0 "
-                       "symbolized_pct 100.0\n"
+  std::ofstream(in) << "# prof running 0 hz 100 samples 7 offcpu 1 symbolized_pct 100.0\n"
                        "oncpu;sh;user_main;read 4\n"
                        "oncpu;sh;user_main;read 2\n"
                        "oncpu;idle;<idle> 1\n"
