@@ -4,15 +4,21 @@
 // (b) Input latency: a USB key event traced from the driver IRQ to the app's
 //     event loop, frame rate capped at 60 FPS; the event indirection of
 //     mario-proc (pipe IPC) and mario-sdl (window manager) shows up.
+// Writes the raw counts behind both to bench/out/BENCH_fig11.json.
+#include <fstream>
+
+#include "bench/bench_out.h"
 #include "bench/bench_util.h"
 #include "src/wm/wm.h"
 
 namespace vos {
 namespace {
 
+// The app's CPU burned in each domain over the measured window.
 struct Breakdown {
-  double k_ms = 0, u_ms = 0, l_ms = 0;
-  double frames = 0;
+  Cycles k = 0, u = 0, l = 0;
+  std::uint64_t frames = 0;
+  double PerFrameMs(Cycles c) const { return frames > 0 ? ToMs(c) * (1.0 / double(frames)) : 0; }
 };
 
 Breakdown RenderBreakdown(const std::string& app, std::vector<std::string> args,
@@ -28,9 +34,9 @@ Breakdown RenderBreakdown(const std::string& app, std::vector<std::string> args,
   System sys(opt);
   Task* t = sys.Start(app, args);
   sys.Run(Sec(2));  // warm-up
-  Cycles k0 = t->time_by_domain[static_cast<int>(TimeDomain::kKernel)];
-  Cycles u0 = t->time_by_domain[static_cast<int>(TimeDomain::kUser)];
-  Cycles l0 = t->time_by_domain[static_cast<int>(TimeDomain::kUserLib)];
+  Cycles k0 = t->cpu_time(TimeDomain::kKernel);
+  Cycles u0 = t->cpu_time(TimeDomain::kUser);
+  Cycles l0 = t->cpu_time(TimeDomain::kUserLib);
   sys.kernel().trace().Clear();
   Cycles t0 = sys.board().clock().now();
   sys.Run(Sec(4));
@@ -39,14 +45,8 @@ Breakdown RenderBreakdown(const std::string& app, std::vector<std::string> args,
   for (const TraceRecord& r : sys.kernel().trace().DumpEvent(TraceEvent::kUserMark)) {
     frames += (r.a == 1 && r.ts >= t0 && r.ts <= t1);
   }
-  Breakdown b;
-  if (frames > 0) {
-    double inv = 1.0 / double(frames);
-    b.k_ms = ToMs(t->time_by_domain[0] - k0) * inv;
-    b.u_ms = ToMs(t->time_by_domain[1] - u0) * inv;
-    b.l_ms = ToMs(t->time_by_domain[2] - l0) * inv;
-    b.frames = double(frames);
-  }
+  Breakdown b{t->cpu_time(TimeDomain::kKernel) - k0, t->cpu_time(TimeDomain::kUser) - u0,
+              t->cpu_time(TimeDomain::kUserLib) - l0, frames};
   sys.kernel().KillFromHost(t->pid());
   sys.Run(Ms(200));
   return b;
@@ -54,13 +54,13 @@ Breakdown RenderBreakdown(const std::string& app, std::vector<std::string> args,
 
 // Input latency: inject keys while the app runs capped at ~60 FPS; measure
 // driver-push -> app-seen deltas from the trace (kKeyEvent b==0 at driver
-// [time_ms stamp], b==2 when the app consumed it).
-MeanStd InputLatency(const std::string& app, std::vector<std::string> args) {
+// [time_ms stamp], b==2 when the app consumed it). One delta per key press.
+std::vector<Cycles> InputLatency(const std::string& app, std::vector<std::string> args) {
   SystemOptions opt = OptionsForStage(Stage::kProto5);
   System sys(opt);
   Task* t = sys.Start(app, args);
   sys.Run(Sec(2));
-  std::vector<double> samples;
+  std::vector<Cycles> samples;
   for (int i = 0; i < 25; ++i) {
     sys.kernel().trace().Clear();
     std::uint8_t key = (i % 2) ? kHidRight : kHidLeft;
@@ -89,12 +89,12 @@ MeanStd InputLatency(const std::string& app, std::vector<std::string> args) {
       }
     }
     if (seen && pushed && *seen > *pushed) {
-      samples.push_back(ToMs(*seen - *pushed));
+      samples.push_back(*seen - *pushed);
     }
   }
   sys.kernel().KillFromHost(t->pid());
   sys.Run(Ms(200));
-  return Stats(samples);
+  return samples;
 }
 
 void Run() {
@@ -112,30 +112,51 @@ void Run() {
       {"mario-sdl", RenderBreakdown("mario-sdl", {"--bench", "--frames", "100000"})},
   };
   std::printf("%-15s %9s %9s %9s %9s\n", "app", "K (ms)", "U (ms)", "L (ms)", "total");
+  std::ofstream json(BenchOutPath("BENCH_fig11.json"));
+  json << "{\n  \"render\": [";
+  const char* sep = "\n";
   for (const auto& r : rows) {
-    std::printf("%-15s %9.2f %9.2f %9.2f %9.2f\n", r.name, r.b.k_ms, r.b.u_ms, r.b.l_ms,
-                r.b.k_ms + r.b.u_ms + r.b.l_ms);
+    double k = r.b.PerFrameMs(r.b.k), u = r.b.PerFrameMs(r.b.u), l = r.b.PerFrameMs(r.b.l);
+    std::printf("%-15s %9.2f %9.2f %9.2f %9.2f\n", r.name, k, u, l, k + u + l);
+    json << sep << "    {\"app\": \"" << r.name << "\", \"frames\": " << r.b.frames
+         << ", \"k_cycles\": " << r.b.k << ", \"u_cycles\": " << r.b.u
+         << ", \"l_cycles\": " << r.b.l << "}";
+    sep = ",\n";
   }
+  json << "\n  ],\n";
   std::printf("paper shape: app logic (U) dominates; kernel (K) small; mario-sdl's L/U\n"
               "inflated by the full C library (§6.3).\n");
 
   PrintHeader("Figure 11(b): input latency, driver IRQ -> app event loop (ms, 60 FPS cap)");
   struct {
     const char* name;
-    MeanStd m;
+    std::vector<Cycles> samples;
   } input_rows[] = {
       {"DOOM (direct poll)", InputLatency("doomlike", {"--frames", "100000"})},
       {"mario-proc (pipe IPC)", InputLatency("mario-proc", {"--frames", "100000"})},
       {"mario-sdl (WM route)", InputLatency("mario-sdl", {"--frames", "100000"})},
   };
+  json << "  \"input\": [";
+  sep = "\n";
   for (const auto& r : input_rows) {
-    std::printf("%-24s %7.2f +- %5.2f ms\n", r.name, r.m.mean, r.m.stddev);
+    std::vector<double> ms;
+    json << sep << "    {\"path\": \"" << r.name << "\", \"latency_cycles\": [";
+    for (Cycles c : r.samples) {
+      ms.push_back(ToMs(c));
+      json << (ms.size() == 1 ? "" : ", ") << c;
+    }
+    json << "]}";
+    sep = ",\n";
+    MeanStd m = Stats(ms);
+    std::printf("%-24s %7.2f +- %5.2f ms\n", r.name, m.mean, m.stddev);
   }
+  json << "\n  ]\n}\n";
   std::printf(
       "paper shape: 1-2 game frames (16-33 ms) end to end, dominated by the apps'\n"
       "polling intervals; the WM route (mario-sdl) carries the largest indirection\n"
       "cost. Exact ordering between the direct-poll and pipe variants is sensitive\n"
       "to loop phase relative to the USB 8 ms frame polling.\n");
+  std::printf("wrote bench/out/BENCH_fig11.json\n");
 }
 
 }  // namespace

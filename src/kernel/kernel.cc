@@ -24,12 +24,10 @@ std::vector<ProcTaskLine> ProcTaskRows(const std::map<Pid, std::unique_ptr<Task>
   auto ms = [](Cycles c) { return static_cast<std::uint64_t>(ToMs(c)); };
   std::vector<ProcTaskLine> rows;
   for (const auto& [pid, t] : tasks) {
-    const Cycles* dom = t->time_by_domain;
-    // stime = kernel domain; utime = user + user-lib (the split Machine
-    // charges per activation); CPU time is their sum.
-    const Cycles stime = dom[static_cast<int>(TimeDomain::kKernel)];
-    const Cycles utime =
-        dom[static_cast<int>(TimeDomain::kUser)] + dom[static_cast<int>(TimeDomain::kUserLib)];
+    // stime = kernel domain; utime = user + user-lib (each burn's own
+    // domain); CPU time is their sum.
+    const Cycles stime = t->cpu_time(TimeDomain::kKernel);
+    const Cycles utime = t->cpu_time(TimeDomain::kUser) + t->cpu_time(TimeDomain::kUserLib);
     rows.push_back(ProcTaskLine{
         .pid = pid,
         .name = t->name(),
@@ -799,7 +797,6 @@ Task* Kernel::PickNext(unsigned core) { return sched_.PickNext(core); }
 void Kernel::OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r) {
   // Watchdog bookkeeping: the task just ran, so it is not hung; remember it
   // as the core's last occupant (the prime suspect if the core stalls).
-  t->last_scheduled = board_.clock().now();
   t->watchdog_barked = false;
   if (core < kMaxCores) {
     wd_last_dispatched_[core] = t->pid();
@@ -821,7 +818,6 @@ void Kernel::DebugWedgeCore(unsigned core, bool wedged) {
   if (core >= cfg_.EffectiveCores()) {
     return;
   }
-  wedged_core_[core] = wedged;
   sched_.SetCoreWedged(core, wedged);
   if (!wedged) {
     // Recovery: freshen the stamp so the just-ended stall is not barked at
@@ -885,7 +881,7 @@ void Kernel::WatchdogBody() {
 void Kernel::TickHandler(unsigned core, Cycles now) {
   board_.core_timer(core).ClearIrq();
   board_.core_timer(core).Arm(now, kTickInterval);
-  if (wedged_core_[core]) {
+  if (sched_.CoreWedged(core)) {
     // Debug wedge: the core runs with IRQs "masked" — the tick is acked and
     // re-armed (the hardware keeps firing) but not serviced, so the watchdog
     // sees the stamp go stale. No work, no charge.

@@ -374,7 +374,6 @@ class Kernel final : public MachineClient {
   Cycles wd_last_tick_[kMaxCores] = {};     // last serviced timer tick per core
   bool wd_core_barked_[kMaxCores] = {};     // bark-once latch per stalled core
   Pid wd_last_dispatched_[kMaxCores] = {};  // last task to run on each core
-  bool wedged_core_[kMaxCores] = {};        // DebugWedgeCore state
 
   std::vector<std::uint8_t> ramdisk_image_;
   std::map<std::string, std::vector<std::uint8_t>> boot_blobs_;

@@ -102,7 +102,6 @@ void Machine::Run(Cycles until) {
           t[c] += rr.consumed;
           busy_[c] += rr.consumed;
           power.AddActive(PowerComponent::kSocCoreBusy, rr.consumed);
-          task->time_by_domain[static_cast<int>(task->domain)] += rr.consumed;
           task->slice_used += rr.consumed;
           any_ran = true;
           progress = true;

@@ -131,6 +131,9 @@ class Sched {
       wedged_[core] = wedged;  // racedet: ok (test-only flag, token-serialized)
     }
   }
+  bool CoreWedged(unsigned core) const {
+    return wedged_[core];  // racedet: ok (test-only flag, token-serialized)
+  }
 
  private:
   // One per-core shard: its own lock class plus the MLFQ level queues.

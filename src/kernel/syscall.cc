@@ -31,8 +31,6 @@ Task* Kernel::SyscallEnter(Sys num) {
   if (cur->killed && std::uncaught_exceptions() == 0) {
     DoExit(cur, -1);  // the xv6 pattern: kills take effect at the next trap
   }
-  cur->saved_domain = cur->domain;
-  cur->domain = TimeDomain::kKernel;
   ++cur->syscall_count;
   // Shadow-stack frame for the syscall body, popped by SyscallExit. Manual
   // push/pop instead of RAII because entry and exit are separate calls; a
@@ -60,7 +58,6 @@ std::int64_t Kernel::SyscallExit(Sys num, std::int64_t ret) {
   if (!cur->call_stack.empty()) {
     cur->call_stack.pop_back();
   }
-  cur->domain = cur->saved_domain;
   return ret;
 }
 
@@ -308,7 +305,6 @@ std::int64_t Kernel::SysExec(const std::string& path, const std::vector<std::str
   env.kernel = this;
   env.task = CurrentTask();
   env.argv = argv;
-  env.task->domain = TimeDomain::kUser;
   int rc = (*entry)(env);
   SysExit(rc);
 }

@@ -108,7 +108,8 @@ void TaskFiber::CheckKilled() {
   }
 }
 
-void TaskFiber::Burn(Cycles c) {
+void TaskFiber::Burn(Cycles c, TimeDomain d) {
+  Cycles& charged = cpu_time_[static_cast<int>(d)];
   while (c > 0) {
     CheckKilled();
     Cycles avail = budget_ > consumed_ ? budget_ - consumed_ : 0;
@@ -117,6 +118,7 @@ void TaskFiber::Burn(Cycles c) {
         // Parking is over for this fiber, so the budget cannot be renewed:
         // charge the rest to its last activation.
         consumed_ += c;
+        charged += c;
         return;
       }
       SwitchOut(StopReason::kBudget);
@@ -124,6 +126,7 @@ void TaskFiber::Burn(Cycles c) {
     }
     Cycles take = c < avail ? c : avail;
     consumed_ += take;
+    charged += take;
     c -= take;
   }
 }

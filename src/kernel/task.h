@@ -34,6 +34,10 @@ class Task;
 struct TaskExitUnwind {};
 struct TaskKilledUnwind {};
 
+// Whose code a burn pays for, the split Fig 11 reports: kernel (K), app
+// logic (U) or user library (L).
+enum class TimeDomain : int { kKernel = 0, kUser = 1, kUserLib = 2 };
+
 class TaskFiber {
  public:
   enum class StopReason { kBudget, kBlocked, kExited };
@@ -59,9 +63,9 @@ class TaskFiber {
   bool finished() const { return finished_; }
 
   // --- Fiber side ---
-  // Charges `c` cycles of CPU, switching back to the resumer (and later
-  // resuming) whenever the activation budget runs out.
-  void Burn(Cycles c);
+  // Charges `c` cycles of CPU to domain `d`, switching back to the resumer
+  // (and later resuming) whenever the activation budget runs out.
+  void Burn(Cycles c, TimeDomain d = TimeDomain::kKernel);
   // Parks the fiber as blocked; returns when rescheduled.
   void BlockAndSwitch();
   // Voluntary yield: hands the core back as if the budget expired; the
@@ -69,6 +73,9 @@ class TaskFiber {
   void YieldToMachine();
   // Virtual time as seen by code running on this fiber right now.
   Cycles Now() const { return start_time_ + consumed_; }
+  // CPU burned in domain `d` over the fiber's life. Burn is the only writer:
+  // every cycle an activation consumes lands in exactly one domain.
+  Cycles cpu_time(TimeDomain d) const { return cpu_time_[static_cast<int>(d)]; }
 
   // The fiber currently executing on this host thread (nullptr outside any).
   static TaskFiber* Current() { return Ctx().fiber; }
@@ -87,6 +94,7 @@ class TaskFiber {
   Cycles budget_ = 0;
   Cycles consumed_ = 0;
   Cycles start_time_ = 0;
+  Cycles cpu_time_[3] = {};
   StopReason reason_ = StopReason::kExited;
   bool kill_requested_ = false;
   bool finished_ = false;
@@ -117,10 +125,6 @@ inline const char* TaskStateName(TaskState s) {
   return kNames[static_cast<int>(s)];
 }
 
-// Why Fig 11 latency samples attribute to K/U/L: tasks carry an attribution
-// mode that ulib flips around library code.
-enum class TimeDomain : int { kKernel = 0, kUser = 1, kUserLib = 2 };
-
 class Task {
  public:
   Task(Pid pid, std::string name, bool kernel_task);
@@ -142,9 +146,6 @@ class Task {
   bool yielded = false;         // slice burned voluntarily: rotate, don't demote
   Cycles runnable_since = 0;    // enqueue stamp, for the runqueue-wait histogram
   Cycles syscall_enter_ts = 0;  // entry stamp, for the syscall-latency histogram
-  Cycles time_by_domain[3] = {0, 0, 0};  // CPU consumed, split by TimeDomain
-  TimeDomain domain = TimeDomain::kKernel;
-  TimeDomain saved_domain = TimeDomain::kUser;  // domain to restore at syscall exit
 
   // Per-task accounting (profiler PR): syscall count and total blocked time.
   // All token-serialized (written on the task's own fiber or under the sched
@@ -152,7 +153,6 @@ class Task {
   std::uint64_t syscall_count = 0;
   Cycles blocked_time = 0;      // cumulative sleep->wakeup time
   Cycles sleep_since = 0;       // stamp at Sched::Sleep (0 = not sleeping)
-  Cycles last_scheduled = 0;    // last dispatch stamp (watchdog starvation check)
   bool watchdog_barked = false; // bark-once latch; reset when scheduled again
 
   // Address space; shared between CLONE_VM threads.
@@ -165,6 +165,9 @@ class Task {
 
   // Self-hosted debugging (§5.1): shadow call stack for the unwinder.
   std::vector<const char*> call_stack;
+
+  // CPU this task has burned in domain `d` (none before its fiber exists).
+  Cycles cpu_time(TimeDomain d) const { return fiber_ != nullptr ? fiber_->cpu_time(d) : 0; }
 
   TaskFiber& fiber() { return *fiber_; }
   void AttachFiber(std::unique_ptr<TaskFiber> f) { fiber_ = std::move(f); }

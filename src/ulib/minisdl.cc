@@ -21,7 +21,6 @@ MiniSdl::~MiniSdl() {
 
 bool MiniSdl::InitVideo(std::uint32_t w, std::uint32_t h, VideoMode mode, const char* title,
                         std::uint8_t alpha, int x, int y) {
-  DomainScope lib(env_, TimeDomain::kUserLib);
   mode_ = mode;
   w_ = w;
   h_ = h;
@@ -59,7 +58,6 @@ bool MiniSdl::InitVideo(std::uint32_t w, std::uint32_t h, VideoMode mode, const 
 void MiniSdl::Present() { PresentRows(0, h_); }
 
 void MiniSdl::PresentRows(std::uint32_t y0, std::uint32_t y1) {
-  DomainScope lib(env_, TimeDomain::kUserLib);
   if (y1 > h_) {
     y1 = h_;
   }
@@ -95,7 +93,6 @@ void MiniSdl::PresentRows(std::uint32_t y0, std::uint32_t y1) {
 }
 
 bool MiniSdl::PollEvent(KeyEvent* ev) {
-  DomainScope lib(env_, TimeDomain::kUserLib);
   LBurn(env_, env_.kernel->config().cost.event_poll);
   if (event_fd_ < 0) {
     return false;
@@ -105,7 +102,6 @@ bool MiniSdl::PollEvent(KeyEvent* ev) {
 }
 
 bool MiniSdl::WaitEvent(KeyEvent* ev) {
-  DomainScope lib(env_, TimeDomain::kUserLib);
   if (event_fd_ < 0) {
     return false;
   }
@@ -119,7 +115,6 @@ bool MiniSdl::WaitEvent(KeyEvent* ev) {
 }
 
 bool MiniSdl::OpenAudio(std::uint32_t sample_rate, AudioCallback cb) {
-  DomainScope lib(env_, TimeDomain::kUserLib);
   (void)sample_rate;  // the driver configured the PWM rate at boot
   auto stop = audio_stop_;
   auto paused = audio_paused_;
@@ -141,10 +136,7 @@ bool MiniSdl::OpenAudio(std::uint32_t sample_rate, AudioCallback cb) {
         usleep_ms(env, 5);
         continue;
       }
-      {
-        DomainScope app_scope(env, TimeDomain::kUser);
-        cb(buf.data(), kFrames);
-      }
+      cb(buf.data(), kFrames);
       LBurn(env, kFrames * 2.0);
       std::int64_t w = uwrite(env, static_cast<int>(fd), buf.data(),
                               static_cast<std::uint32_t>(buf.size() * 2));

@@ -7,22 +7,14 @@ namespace vos {
 // Burns always target the *current* task: clone'd threads share the parent's
 // AppEnv object, but their CPU time is their own.
 void UBurn(AppEnv& env, double cycles) {
-  Task* cur = env.kernel->CurrentTask();
-  cur->fiber().Burn(Cycles(cycles * env.kernel->config().cost.libc_compute_scale));
+  env.kernel->CurrentTask()->fiber().Burn(
+      Cycles(cycles * env.kernel->config().cost.libc_compute_scale), TimeDomain::kUser);
 }
 
 void LBurn(AppEnv& env, double cycles) {
-  DomainScope scope(env, TimeDomain::kUserLib);
   env.kernel->CurrentTask()->fiber().Burn(
-      Cycles(cycles * env.kernel->config().cost.libc_compute_scale));
+      Cycles(cycles * env.kernel->config().cost.libc_compute_scale), TimeDomain::kUserLib);
 }
-
-DomainScope::DomainScope(AppEnv& env, TimeDomain d)
-    : task_(env.kernel->CurrentTask()), prev_(task_->domain) {
-  task_->domain = d;
-}
-
-DomainScope::~DomainScope() { task_->domain = prev_; }
 
 void umark_frame(AppEnv& env) {
   Task* cur = env.kernel->CurrentTask();

@@ -19,26 +19,13 @@ namespace vos {
 
 // --- CPU charging -----------------------------------------------------------
 
-// Charges app-logic compute (the game engine, decoder math, ...). The cost
-// scales with the platform's CPU speed and the C library the app links
+// Charges app-logic compute (the game engine, decoder math, ...) to U. The
+// cost scales with the platform's CPU speed and the C library the app links
 // against (newlib vs musl vs glibc, §6.2).
 void UBurn(AppEnv& env, double cycles);
 
-// Charges user-library compute (minisdl, pixel conversion, string code).
+// Charges user-library compute (minisdl, pixel conversion, string code) to L.
 void LBurn(AppEnv& env, double cycles);
-
-// RAII: attribute time to a domain while in scope.
-class DomainScope {
- public:
-  DomainScope(AppEnv& env, TimeDomain d);
-  ~DomainScope();
-  DomainScope(const DomainScope&) = delete;
-  DomainScope& operator=(const DomainScope&) = delete;
-
- private:
-  Task* task_;
-  TimeDomain prev_;
-};
 
 // Marks "one frame presented" in the trace ring; FPS benches count these.
 void umark_frame(AppEnv& env);

@@ -229,8 +229,10 @@ TEST(Proto5Scenario, DesktopRunsConcurrentApps) {
   for (Task* t : sys.kernel().AllTasks()) {
     if (t->name() == "launcher" || t->name() == "sysmon" || t->name() == "mario-sdl") {
       ++running;
-      const Cycles* dom = t->time_by_domain;
-      EXPECT_GT(dom[0] + dom[1] + dom[2], 0u) << t->name();
+      EXPECT_GT(t->cpu_time(TimeDomain::kKernel) + t->cpu_time(TimeDomain::kUser) +
+                    t->cpu_time(TimeDomain::kUserLib),
+                0u)
+          << t->name();
     }
   }
   EXPECT_EQ(running, 3);

@@ -239,6 +239,28 @@ TEST(TaskFiberUnit, BudgetSlicingAcrossActivations) {
   EXPECT_EQ(total, Us(100));
 }
 
+TEST(TaskFiberUnit, EveryBurnedCycleLandsInItsBurnsDomain) {
+  // Burns cut by budget expiries still charge their own domain, and the
+  // domains together hold every cycle the activations consumed.
+  TaskFiber fiber([] {
+    TaskFiber::Current()->Burn(Us(70), TimeDomain::kUser);
+    TaskFiber::Current()->Burn(Us(45), TimeDomain::kUserLib);
+    TaskFiber::Current()->Burn(Us(25));
+  });
+  Cycles consumed = 0;
+  for (;;) {
+    auto rr = fiber.Run(Us(30), consumed);
+    consumed += rr.consumed;
+    if (rr.reason == TaskFiber::StopReason::kExited) {
+      break;
+    }
+  }
+  EXPECT_EQ(fiber.cpu_time(TimeDomain::kUser), Us(70));
+  EXPECT_EQ(fiber.cpu_time(TimeDomain::kUserLib), Us(45));
+  EXPECT_EQ(fiber.cpu_time(TimeDomain::kKernel), Us(25));
+  EXPECT_EQ(consumed, Us(140));
+}
+
 TEST(TaskFiberUnit, DeletingAFiberParkedMidBurnChargesItsDyingBurns) {
   // Deleting a fiber parked mid-Burn force-unwinds it. A destructor that
   // burns more than the leftover budget cannot park (nothing will resume the

@@ -302,6 +302,83 @@ TEST(ProfilerBootTest, SchedstatCarriesPerTaskAccounting) {
   EXPECT_TRUE(found) << out;
 }
 
+TEST(ProfilerBootTest, BurnsSharingAnActivationSplitExactly) {
+  // U, L and K work short enough to run in one activation: each domain gets
+  // exactly what was burned in it, and together they are the clock's advance.
+  System sys(OptionsForStage(Stage::kProto5));
+  const CostModel& cost = sys.kernel().config().cost;
+  constexpr int kCalls = 10;
+  Cycles k = 0, u = 0, l = 0, elapsed = 0;
+  ASSERT_EQ(RunInOs(sys, "split", [&](AppEnv& env) -> int {
+              const Task& self = *env.task;
+              const Cycles k0 = self.cpu_time(TimeDomain::kKernel);
+              const Cycles u0 = self.cpu_time(TimeDomain::kUser);
+              const Cycles l0 = self.cpu_time(TimeDomain::kUserLib);
+              const Cycles t0 = env.kernel->Now();
+              UBurn(env, 5000);
+              LBurn(env, 3000);
+              for (int i = 0; i < kCalls; ++i) {
+                ugetpid(env);
+              }
+              elapsed = env.kernel->Now() - t0;
+              k = self.cpu_time(TimeDomain::kKernel) - k0;
+              u = self.cpu_time(TimeDomain::kUser) - u0;
+              l = self.cpu_time(TimeDomain::kUserLib) - l0;
+              return 0;
+            }),
+            0);
+  EXPECT_EQ(u, Cycles(5000 * cost.libc_compute_scale));
+  EXPECT_EQ(l, Cycles(3000 * cost.libc_compute_scale));
+  EXPECT_EQ(k, kCalls * (cost.syscall_entry + cost.syscall_body + cost.syscall_exit));
+  EXPECT_EQ(k + u + l, elapsed);
+}
+
+TEST(ProfilerBootTest, ThreadAndForkedChildUserBurnsAreUtime) {
+  // The app work a cloned thread and a forked child burn shows as user time
+  // in /proc/schedstat; neither of them execs.
+  System sys(OptionsForStage(Stage::kProto5));
+  const std::size_t before = sys.SerialOutput().size();
+  std::int64_t tid = -1, child = -1;
+  int burned = 0;
+  EXPECT_EQ(RunInOs(sys, "acct_kids", [&](AppEnv& env) -> int {
+              Kernel* kernel = env.kernel;
+              auto burn = [kernel, &burned]() -> int {
+                AppEnv me = ChildEnv(kernel);
+                UBurn(me, 20e6);  // 20 ms of app work
+                ++burned;
+                return 0;
+              };
+              tid = uclone(env, burn);
+              child = ufork(env, burn);
+              while (burned < 2) {
+                usleep_ms(env, 5);
+              }
+              std::vector<std::uint8_t> raw;
+              if (uread_file(env, "/proc/schedstat", &raw) < 0) {
+                return 1;
+              }
+              uputs(env, std::string(raw.begin(), raw.end()));
+              int status = 0;
+              uwait(env, &status);
+              uwait(env, &status);
+              return 0;
+            }),
+            0);
+  const std::string out = sys.SerialOutput().substr(before);
+  std::vector<ProcTaskLine> tasks;
+  ASSERT_TRUE(ParseSchedTasks(out, &tasks)) << out;
+  int found = 0;
+  for (const ProcTaskLine& t : tasks) {
+    if (t.pid != tid && t.pid != child) {
+      continue;
+    }
+    ++found;
+    EXPECT_GE(t.utime_ms, 20u) << out;
+    EXPECT_EQ(t.stime_ms, 0u) << out;
+  }
+  EXPECT_EQ(found, 2) << out;
+}
+
 // --- Unwinder edge cases (satellite): mid-syscall, fresh fork, idle ---------
 
 TEST(ProfilerEdgeTest, MidSyscallFreshForkAndIdleSamplesAreValid) {

@@ -383,8 +383,9 @@ TEST(Prototype2, ConcurrentDonutsSpinAtTheirOwnPace) {
   for (Task* t : sys.kernel().AllTasks()) {
     if (t->name().rfind("donut", 0) == 0) {
       ++donuts;
-      const Cycles* dom = t->time_by_domain;
-      EXPECT_GT(dom[0] + dom[1] + dom[2], 0u);
+      EXPECT_GT(t->cpu_time(TimeDomain::kKernel) + t->cpu_time(TimeDomain::kUser) +
+                    t->cpu_time(TimeDomain::kUserLib),
+                0u);
     }
   }
   EXPECT_EQ(donuts, 3);
