@@ -1,38 +1,6 @@
-#include "src/base/log.h"
-
-#include <cstdio>
-
 #include "src/base/status.h"
 
 namespace vos {
-
-namespace {
-LogLevel g_level = LogLevel::kWarn;
-
-const char* LevelName(LogLevel l) {
-  switch (l) {
-    case LogLevel::kDebug:
-      return "D";
-    case LogLevel::kInfo:
-      return "I";
-    case LogLevel::kWarn:
-      return "W";
-    case LogLevel::kError:
-      return "E";
-  }
-  return "?";
-}
-}  // namespace
-
-void SetLogLevel(LogLevel level) { g_level = level; }
-LogLevel GetLogLevel() { return g_level; }
-
-void LogMessage(LogLevel level, const std::string& msg) {
-  if (static_cast<int>(level) < static_cast<int>(g_level)) {
-    return;
-  }
-  std::fprintf(stderr, "[vos %s] %s\n", LevelName(level), msg.c_str());
-}
 
 const char* ErrName(std::int64_t e) {
   if (e >= 0) {

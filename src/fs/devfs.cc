@@ -24,13 +24,10 @@ std::int64_t KeyEventDev::Read(Task* t, std::uint8_t* buf, std::uint32_t n, std:
     return kErrInval;
   }
   while (ring_.empty()) {
-    if (nonblock) {
-      return kErrWouldBlock;  // peeked an empty ring without waiting
+    std::int64_t r = sched_.Block(t, &chan_, nullptr, nonblock);
+    if (r < 0) {
+      return r;
     }
-    if (t == nullptr || t->killed) {
-      return kErrPerm;
-    }
-    sched_.Sleep(t, &chan_);
   }
   std::uint32_t max_events = n / sizeof(KeyEvent);
   std::uint32_t done = 0;

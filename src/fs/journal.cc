@@ -60,10 +60,6 @@ std::int64_t Journal::Init(const Xv6Superblock& sb, Cycles* burn) {
   return 0;
 }
 
-bool Journal::InTx() const {
-  return depth_ > 0;  // racedet: ok (token-serialized snapshot)
-}
-
 void Journal::BeginTx(Cycles* burn) {
   SpinGuard g(lock_);
   if (!active()) {

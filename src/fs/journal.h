@@ -118,7 +118,6 @@ class Journal {
   // (Writei calls this between data-block chunks so one big write cannot
   // exceed the ring). No-op unless this is the outermost scope.
   void TxBarrier(Cycles* burn);
-  bool InTx() const;
 
   // fsync path: seals and writes the open batch. Durable on return (or
   // returns kErrIo with the batch intact, so a later retry can succeed).

@@ -22,9 +22,6 @@ class SysTimer {
  public:
   SysTimer(EventQueue& eq, Intc& intc) : eq_(eq), intc_(intc) {}
 
-  // Free-running counter in microseconds (1 MHz, as on the real part).
-  std::uint64_t CounterUs(Cycles now) const { return now / kCyclesPerUs; }
-
   // Arms compare channel `ch` (0..3) to fire when the counter reaches
   // `compare_us`. Re-arming replaces the previous value.
   void SetCompare(unsigned ch, std::uint64_t compare_us);

@@ -43,7 +43,6 @@ class Uart {
 
   // Everything ever transmitted (the "serial console capture").
   const std::string& tx_log() const { return tx_log_; }
-  void ClearTxLog() { tx_log_.clear(); }
 
   // Injects host keystrokes into the RX FIFO at time `now`.
   void InjectRx(const std::string& s, Cycles now);

@@ -93,13 +93,10 @@ std::int64_t ConsoleDriver::Read(Task* t, std::uint8_t* buf, std::uint32_t n, st
                                  bool nonblock, Cycles* burn) {
   *burn += 300;
   while (rx_.empty()) {
-    if (nonblock) {
-      return kErrWouldBlock;
+    std::int64_t r = sched_.Block(t, &chan_, nullptr, nonblock);
+    if (r < 0) {
+      return r;
     }
-    if (t == nullptr || t->killed) {
-      return kErrPerm;
-    }
-    sched_.Sleep(t, &chan_);
   }
   return static_cast<std::int64_t>(rx_.PopMany(buf, n));
 }
@@ -314,13 +311,13 @@ std::int64_t AudioDriver::Write(Task* t, const std::uint8_t* buf, std::uint32_t 
   std::uint32_t done = 0;
   while (done < n) {
     while (ring_.full()) {
-      if (t == nullptr || t->killed) {
-        return done > 0 ? static_cast<std::int64_t>(done) : static_cast<std::int64_t>(kErrPerm);
-      }
       // Make sure the consumer is running before we sleep.
       PumpLocked(TaskFiber::Current() != nullptr ? TaskFiber::Current()->Now() : 0);
       if (ring_.full()) {
-        sched_.Sleep(t, &chan_);
+        std::int64_t r = sched_.Block(t, &chan_, nullptr, false);
+        if (r < 0) {
+          return done > 0 ? static_cast<std::int64_t>(done) : r;
+        }
       }
     }
     done += static_cast<std::uint32_t>(ring_.PushMany(buf + done, n - done));

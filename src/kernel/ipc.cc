@@ -97,9 +97,6 @@ std::int64_t IpcTable::Wait(Task* cur, int id, IpcSide side, std::uint64_t expec
     ++RD_WRITE(waits_immediate_);
     return 0;
   }
-  if (cur->killed) {
-    return kErrIntr;
-  }
   int s = static_cast<int>(side);
   ++RD_WRITE(waits_slept_);
   // Balance the waiter count even on kill-unwind (the fiber unwinds through
@@ -110,12 +107,12 @@ std::int64_t IpcTable::Wait(Task* cur, int id, IpcSide side, std::uint64_t expec
     ~WaiterScope() { --RD_WRITE(ring.waiters_[side]); }
   } scope{r, s};
   ++RD_WRITE(r.waiters_[s]);
-  sched_.SleepOn(cur, &r.chan_[s], lock_);
+  std::int64_t rc = sched_.Block(cur, &r.chan_[s], &lock_, false);
+  if (rc < 0) {
+    return rc;
+  }
   if (!slots_[id].used) {
     return kErrInval;  // destroyed while waiting
-  }
-  if (cur->killed) {
-    return kErrIntr;  // the kill took effect while parked
   }
   return 0;
 }

@@ -185,7 +185,6 @@ struct KernelConfig {
   bool HasUsb() const { return stage >= Stage::kProto4; }
   bool HasAudio() const { return stage >= Stage::kProto4; }
   bool HasThreads() const { return stage >= Stage::kProto5; }
-  bool HasMulticore() const { return stage >= Stage::kProto5; }
   bool HasSd() const { return stage >= Stage::kProto5; }
   bool HasFat32() const { return stage >= Stage::kProto5; }
   bool HasWm() const { return stage >= Stage::kProto5; }

@@ -3,7 +3,6 @@
 #include <cstdarg>
 #include <cstring>
 
-#include "src/base/log.h"
 #include "src/base/status.h"
 #include "src/apps/app_registry.h"
 #include "src/fs/procfs.h"
@@ -743,15 +742,21 @@ void Kernel::KSleepMs(std::uint64_t ms) {
   Task* cur = CurrentTask();
   VOS_CHECK_MSG(cur != nullptr, "KSleepMs outside task context");
   Cycles wake_at = Now() + Ms(ms);
-  // The timer names the sleeper by pid, which is never reused: a sleeper
-  // killed and reaped before its deadline has no Task left to wake, and its
-  // freed memory may already hold another task's.
-  vtimers_->AddAt(wake_at, [this, pid = cur->pid()] {
+  // Only this timer wakes the sleep's channel, `&wake_at`: no exit, wait or
+  // other sleeper can end the sleep early. It names the sleeper by pid,
+  // which is never reused: a task reaped before its deadline has no Task
+  // left to wake, and its freed memory may already hold another task's.
+  VirtualTimers::TimerId timer = vtimers_->AddAt(wake_at, [this, pid = cur->pid()] {
     if (Task* t = FindTask(pid)) {
       sched_.WakeTask(t);
     }
   });
-  sched_.Sleep(cur, cur);
+  do {
+    if (sched_.Block(cur, &wake_at, nullptr, false) < 0) {
+      vtimers_->Cancel(timer);  // a kill ended the sleep before its deadline
+      return;
+    }
+  } while (Now() < wake_at);
 }
 
 std::int64_t Kernel::LoadVelf(const std::string& path, std::vector<std::uint8_t>* out,

@@ -121,7 +121,6 @@ class Kernel final : public MachineClient {
   void Run(Cycles until) { machine_.Run(until); }
   void RunFor(Cycles dur) { machine_.Run(board_.clock().now() + dur); }
   Cycles Now() const { return machine_.Now(); }
-  void StopMachine() { machine_.Stop(); }
 
   // --- Accessors ---
   const KernelConfig& config() const { return cfg_; }
@@ -134,7 +133,6 @@ class Kernel final : public MachineClient {
   Xv6Fs& rootfs() { return *rootfs_; }
   Bcache& bcache() { return *bcache_; }
   Journal* journal() { return journal_.get(); }
-  FaultInjector* fault_injector() { return fault_.get(); }
   TraceRing& trace() { return trace_; }
   Metrics& metrics() { return metrics_; }
   Profiler& profiler() { return profiler_; }
@@ -146,10 +144,8 @@ class Kernel final : public MachineClient {
   FbDriver& fb_driver() { return *fb_driver_; }
   AudioDriver& audio_driver() { return *audio_driver_; }
   KeyEventDev& events_dev() { return *events_; }
-  KeyEventDev& event1_dev() { return *event1_; }
   WindowManager* wm() { return wm_.get(); }
   NetStack* net() { return net_.get(); }
-  UsbStorageDriver* usb_storage_driver() { return usb_storage_driver_.get(); }
   const std::string& last_panic_dump() const { return last_panic_dump_; }
 
   // Test-only seeded-race hook: increments a racedet-annotated counter with

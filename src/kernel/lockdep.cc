@@ -358,8 +358,6 @@ bool Lockdep::IsHeldByCurrent(const SpinLock* lock) const {
 
 void Lockdep::SetIrqContext(bool in_irq) { Ctx().in_irq = in_irq; }
 
-bool Lockdep::InIrqContext() const { return Ctx().in_irq; }
-
 std::vector<LockClassInfo> Lockdep::Classes() const {
   std::vector<LockClassInfo> out;
   out.reserve(classes_.size());

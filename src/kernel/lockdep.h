@@ -92,7 +92,6 @@ class Lockdep {
 
   // IRQ-context bracket (machine loop dispatch; tests seed it directly).
   void SetIrqContext(bool in_irq);
-  bool InIrqContext() const;
 
   // Shadow-stack backtrace provider: fills the array with the current
   // context's frames (the kernel installs one that copies the running task's

@@ -43,19 +43,15 @@ void Machine::DeliverInterrupts() {
 }
 
 void Machine::Run(Cycles until) {
-  stop_ = false;
   VirtualClock& clock = board_.clock();
   EventQueue& events = board_.events();
   PowerMeter& power = board_.power();
   bool hat = board_.config().game_hat_present;
 
-  while (!stop_ && clock.now() < until) {
+  while (clock.now() < until) {
     // Events due exactly now run before anything else.
     events.RunDue(clock.now());
     DeliverInterrupts();
-    if (stop_) {
-      break;
-    }
 
     auto nt = events.NextTime();
     Cycles wend = std::min(until, nt.value_or(until));
@@ -86,10 +82,10 @@ void Machine::Run(Cycles until) {
     // length, i.e. one timer tick.)
     bool progress = true;
     int zero_progress_guard = 0;
-    while (progress && !stop_) {
+    while (progress) {
       progress = false;
       for (unsigned c = 0; c < cores_; ++c) {
-        while (t[c] < wend && !stop_) {
+        while (t[c] < wend) {
           Task* task = client_->PickNext(c);
           if (task == nullptr) {
             break;  // WFI until someone becomes runnable or the next event

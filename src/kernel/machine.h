@@ -42,12 +42,9 @@ class Machine {
  public:
   Machine(Board& board, MachineClient* client, unsigned cores);
 
-  // Runs the machine until virtual time `until`, or until Stop() is called,
-  // or until the system is fully idle with no pending events.
+  // Runs the machine until virtual time `until`, or until the system is
+  // fully idle with no pending events.
   void Run(Cycles until);
-
-  void Stop() { stop_ = true; }
-  bool stopped() const { return stop_; }
 
   // Virtual "now": on a fiber this includes the fiber's progress into its
   // current activation; in the machine loop it is the global clock.
@@ -80,7 +77,6 @@ class Machine {
   Board& board_;
   MachineClient* client_;
   unsigned cores_;
-  bool stop_ = false;
   std::array<Cycles, kMaxCores> irq_debt_{};
   std::array<Cycles, kMaxCores> busy_{};
   std::array<Cycles, kMaxCores> idle_{};

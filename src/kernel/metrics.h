@@ -66,7 +66,6 @@ class Metrics {
   // /proc/metrics writes: "buckets on" / "buckets off" (RunProcCommands
   // syntax). Returns 0 or kErrInval.
   std::int64_t Command(const std::string& text);
-  bool buckets_enabled() const { return buckets_.load(std::memory_order_relaxed); }
 
  private:
   std::atomic<bool> buckets_{false};

@@ -1,7 +1,7 @@
 // Socket layer: the blocking/nonblocking operations the syscalls call. Every
-// op takes the net lock; blocking paths SleepOn channels inside the tcb or
-// socket (releasing the lock while parked), return kErrIntr when the task is
-// killed, and kErrAgain in nonblock mode — the Pipe discipline, exactly.
+// op takes the net lock; blocking paths wait through Sched::Block on
+// channels inside the tcb or socket (releasing the lock while parked), so a
+// kill ends a wait with kErrIntr and nonblock mode with kErrAgain.
 #include <algorithm>
 #include <cstring>
 
@@ -56,13 +56,10 @@ std::int64_t NetStack::Accept(Task* cur, Socket& s, bool nonblock, std::shared_p
     return kErrInval;
   }
   while (s.accept_q.empty()) {
-    if (cur->killed) {
-      return kErrIntr;
+    std::int64_t r = sched_.Block(cur, &s.accept_chan, &lock_, nonblock);
+    if (r < 0) {
+      return r;
     }
-    if (nonblock) {
-      return kErrAgain;
-    }
-    sched_.SleepOn(cur, &s.accept_chan, lock_);
     if (!s.listening) {
       return kErrInval;  // the listener was closed under us
     }
@@ -132,13 +129,12 @@ std::int64_t NetStack::Connect(Task* cur, Socket& s, std::uint32_t ip, std::uint
   }
   std::shared_ptr<Tcb> t = s.tcb;
   while (t->state == TcpState::kSynSent) {
-    if (cur->killed) {
-      return kErrIntr;  // the handshake continues in the background
+    // On a kill or in nonblock mode the handshake continues in the
+    // background; retry connect() to harvest the result.
+    std::int64_t r = sched_.Block(cur, &t->rcv_chan, &lock_, nonblock);
+    if (r < 0) {
+      return r;
     }
-    if (nonblock) {
-      return kErrAgain;  // retry connect() to harvest the result
-    }
-    sched_.SleepOn(cur, &t->rcv_chan, lock_);
   }
   if (t->state == TcpState::kClosed && t->error != 0) {
     return t->error;
@@ -185,25 +181,14 @@ std::int64_t NetStack::Send(Task* cur, Socket& s, const std::uint8_t* buf, std::
       // We already shut down our write side.
       return done > 0 ? static_cast<std::int64_t>(done) : kErrPipe;
     }
-    if (t->state == TcpState::kSynSent) {
-      // connect() has not finished; block until it does (or fail fast).
-      if (cur->killed) {
-        return done > 0 ? static_cast<std::int64_t>(done) : kErrIntr;
+    bool connecting = t->state == TcpState::kSynSent;
+    if (connecting || t->sndq.size() >= kNetSndBuf) {
+      // Wait for connect() to finish, or for the send buffer to drain.
+      std::int64_t r =
+          sched_.Block(cur, connecting ? &t->rcv_chan : &t->snd_chan, &lock_, nonblock);
+      if (r < 0) {
+        return done > 0 ? static_cast<std::int64_t>(done) : r;
       }
-      if (nonblock) {
-        return done > 0 ? static_cast<std::int64_t>(done) : kErrAgain;
-      }
-      sched_.SleepOn(cur, &t->rcv_chan, lock_);
-      continue;
-    }
-    if (t->sndq.size() >= kNetSndBuf) {
-      if (cur->killed) {
-        return done > 0 ? static_cast<std::int64_t>(done) : kErrIntr;
-      }
-      if (nonblock) {
-        return done > 0 ? static_cast<std::int64_t>(done) : kErrAgain;
-      }
-      sched_.SleepOn(cur, &t->snd_chan, lock_);
       continue;
     }
     std::size_t room = kNetSndBuf - t->sndq.size();
@@ -222,13 +207,10 @@ std::int64_t NetStack::Recv(Task* cur, Socket& s, std::uint8_t* buf, std::size_t
   SpinGuard g(lock_);
   if (s.type == Socket::Type::kUdp) {
     while (s.udpq.empty()) {
-      if (cur->killed) {
-        return kErrIntr;
+      std::int64_t r = sched_.Block(cur, &s.udp_chan, &lock_, nonblock);
+      if (r < 0) {
+        return r;
       }
-      if (nonblock) {
-        return kErrAgain;
-      }
-      sched_.SleepOn(cur, &s.udp_chan, lock_);
     }
     std::vector<std::uint8_t> d = std::move(s.udpq.front());
     s.udpq.pop_front();
@@ -250,13 +232,10 @@ std::int64_t NetStack::Recv(Task* cur, Socket& s, std::uint8_t* buf, std::size_t
     if (t->state == TcpState::kClosed) {
       return t->error != 0 ? t->error : 0;
     }
-    if (cur->killed) {
-      return kErrIntr;
+    std::int64_t r = sched_.Block(cur, &t->rcv_chan, &lock_, nonblock);
+    if (r < 0) {
+      return r;
     }
-    if (nonblock) {
-      return kErrAgain;
-    }
-    sched_.SleepOn(cur, &t->rcv_chan, lock_);
   }
   std::size_t take = std::min(n, t->rcvq.size());
   std::copy(t->rcvq.begin(), t->rcvq.begin() + static_cast<std::ptrdiff_t>(take), buf);

@@ -9,7 +9,7 @@ std::int64_t Pipe::Write(Task* cur, const std::uint8_t* buf, std::size_t n, bool
   std::size_t done = 0;
   std::size_t since_wake = 0;  // bytes staged for the next reader wakeup
   while (done < n) {
-    if (RD_READ(readers_) == 0 || cur->killed) {
+    if (RD_READ(readers_) == 0) {
       break;
     }
     if (RD_READ(ring_).full()) {
@@ -18,10 +18,10 @@ std::int64_t Pipe::Write(Task* cur, const std::uint8_t* buf, std::size_t n, bool
       }
       since_wake = 0;
       sched_.Wakeup(&read_chan_);
-      if (nonblock) {
-        return done > 0 ? static_cast<std::int64_t>(done) : kErrAgain;
+      std::int64_t r = sched_.Block(cur, &write_chan_, &lock_, nonblock);
+      if (r < 0) {
+        return done > 0 ? static_cast<std::int64_t>(done) : r;
       }
-      sched_.SleepOn(cur, &write_chan_, lock_);
       continue;
     }
     // Bulk-copy as much as fits in one go instead of a byte per iteration.
@@ -42,13 +42,10 @@ std::int64_t Pipe::Write(Task* cur, const std::uint8_t* buf, std::size_t n, bool
 std::int64_t Pipe::Read(Task* cur, std::uint8_t* buf, std::size_t n, bool nonblock) {
   SpinGuard g(lock_);
   while (RD_READ(ring_).empty() && RD_READ(writers_) > 0) {
-    if (cur->killed) {
-      return kErrIntr;
+    std::int64_t r = sched_.Block(cur, &read_chan_, &lock_, nonblock);
+    if (r < 0) {
+      return r;
     }
-    if (nonblock) {
-      return kErrAgain;
-    }
-    sched_.SleepOn(cur, &read_chan_, lock_);
   }
   std::size_t done = RD_WRITE(ring_).PopMany(buf, n);
   sched_.Wakeup(&write_chan_);

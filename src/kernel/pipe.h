@@ -26,29 +26,20 @@ class Pipe {
   Pipe(const Pipe&) = delete;
   Pipe& operator=(const Pipe&) = delete;
 
-  // Write of up to n bytes; returns bytes written, kErrPipe if no readers
-  // remain, or stops early if the task is killed. Nonblock mode returns
-  // kErrAgain instead of sleeping on a full ring (a short count if some
-  // bytes already went in).
+  // Write of up to n bytes; returns bytes written, or kErrPipe if no
+  // readers remain. A full ring blocks (Sched::Block): a kill ends the wait
+  // with kErrIntr and nonblock mode with kErrAgain, or with a short count
+  // if some bytes already went in.
   std::int64_t Write(Task* cur, const std::uint8_t* buf, std::size_t n, bool nonblock);
 
-  // Blocking read: waits until data or all writers closed. Nonblock mode
-  // returns kErrAgain instead of sleeping.
+  // Blocking read: waits until data or all writers closed; kErrIntr if
+  // killed, kErrAgain in nonblock mode instead of sleeping.
   std::int64_t Read(Task* cur, std::uint8_t* buf, std::size_t n, bool nonblock);
 
+  // One end each. dup and fork share the File, so a pipe's counts only
+  // ever fall.
   void CloseRead();
   void CloseWrite();
-  // Refcount bumps take the lock like the close paths do. The original
-  // unlocked `++readers_` here is exactly the shape the racedet annotations
-  // exist to catch: a bare increment racing CloseRead's locked decrement.
-  void AddReader() {
-    SpinGuard g(lock_);
-    ++RD_WRITE(readers_);
-  }
-  void AddWriter() {
-    SpinGuard g(lock_);
-    ++RD_WRITE(writers_);
-  }
 
   int readers() const { return readers_; }  // racedet: ok (token-serialized snapshot)
   int writers() const { return writers_; }  // racedet: ok (token-serialized snapshot)

@@ -55,7 +55,6 @@ class Pmm {
 
   std::uint64_t total_pages() const { return nframes_; }
   std::uint64_t free_pages() const { return free_count_; }
-  std::uint64_t used_pages() const { return nframes_ - free_count_; }
 
   PhysMem& mem() { return mem_; }
   PhysAddr start() const { return start_; }

@@ -138,7 +138,6 @@ class Racedet {
   std::uint64_t lockset_shrinks() const { return shrinks_; }
   std::uint64_t dropped_locations() const { return dropped_; }
   std::size_t CellsUsed() const;
-  std::size_t CellCapacity() const { return cells_.size(); }
   // Shadow state of one annotated location (tests drive the state machine).
   RdState StateOf(const volatile void* addr) const;
   // Current candidate lockset of one location, as lock class names.

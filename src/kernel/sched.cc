@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/base/assert.h"
+#include "src/base/status.h"
 #include "src/kernel/lockdep.h"
 
 namespace vos {
@@ -214,6 +215,24 @@ void Sched::OnTick(unsigned core, Cycles now) {
   }
 }
 
+std::int64_t Sched::Block(Task* cur, void* chan, SpinLock* lk, bool nonblock) {
+  if (cur != nullptr && cur->killed) {
+    return kErrIntr;
+  }
+  if (nonblock || cur == nullptr) {
+    return kErrAgain;
+  }
+  if (lk != nullptr) {
+    SleepOn(cur, chan, *lk);
+  } else {
+    Sleep(cur, chan);
+  }
+  if (cur->killed) {
+    return kErrIntr;
+  }
+  return 0;
+}
+
 void Sched::Sleep(Task* cur, void* chan) {
   VOS_CHECK(chan != nullptr);
   // Sleeping with a spinlock held deadlocks the next contender; lockdep
@@ -249,7 +268,7 @@ void Sched::Sleep(Task* cur, void* chan) {
   }
   if (cur->state == TaskState::kSleeping) {
     // BlockAndSwitch returned without parking (kill-unwind in progress):
-    // undo the sleep bookkeeping and let the caller's killed check run.
+    // undo the sleep bookkeeping and let Block report the kill.
     SpinGuard g(lock_);
     RD_WRITE(sleeping_).Remove(cur);
     cur->sleep_chan = nullptr;
@@ -335,15 +354,6 @@ void Sched::Yield(Task* cur) {
   cur->fiber().Burn(cfg_.cost.context_switch);
   // Force a trip through the machine loop so others run.
   cur->fiber().YieldToMachine();
-}
-
-bool Sched::HasRunnable() const {
-  for (unsigned c = 0; c < ncores_; ++c) {
-    if (cores_[c]->Len() > 0) {
-      return true;
-    }
-  }
-  return false;
 }
 
 std::size_t Sched::runqueue_len(unsigned core) const { return cores_[core]->Len(); }

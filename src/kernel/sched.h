@@ -12,11 +12,15 @@
 // first — the order graph can only ever contain sched-core[i] → sched-core[j]
 // edges with i < j, so no inversion between instances is expressible.
 //
+// Waiting (DESIGN.md §10): every kernel wait is xv6's loop — check the
+// condition, Block, check again — and Block is the only way to park a task,
+// so the kill and nonblock rules are stated once, there.
+//
 // Lost wakeups: xv6 needs the sleep-lock dance because another CPU can call
 // wakeup() between releasing the condition lock and sleeping. In the
 // simulator the fiber holds the execution token until BlockAndSwitch(), so
 // the release→sleep window is atomic in virtual time; SleepOn keeps the
-// canonical interface so kernel code reads like the real pattern.
+// canonical pattern, private to Block.
 #ifndef VOS_SRC_KERNEL_SCHED_H_
 #define VOS_SRC_KERNEL_SCHED_H_
 
@@ -46,8 +50,6 @@ class Sched {
  public:
   explicit Sched(const KernelConfig& cfg);
 
-  unsigned ncores() const { return ncores_; }
-
   // Places a woken task back on its home core's runqueue.
   void Enqueue(Task* t);
   // Assigns a home core then enqueues: round-robin by default, or a fixed
@@ -63,18 +65,21 @@ class Sched {
   // Per-core timer tick: drives the periodic MLFQ priority boost.
   void OnTick(unsigned core, Cycles now);
 
-  // Fiber side (current task).
-  void Sleep(Task* cur, void* chan);
-  void SleepOn(Task* cur, void* chan, SpinLock& lk);
+  // Fiber side (current task). Block is the one way to wait: kErrIntr when
+  // a kill is pending, before parking or after waking; kErrAgain when
+  // `nonblock` is set or there is no task to park; otherwise parks `cur` on
+  // `chan` (releasing `lk`, when given, while parked) and returns 0 once
+  // woken. A 0 promises nothing: the caller re-checks its condition.
+  std::int64_t Block(Task* cur, void* chan, SpinLock* lk, bool nonblock);
   std::size_t Wakeup(void* chan);
   void Yield(Task* cur);
 
-  // Pulls a sleeping task out for forced wake (kill path).
+  // Pulls a sleeping task out whatever its channel: the kill path, and
+  // sleep()'s timer, which names its sleeper by pid.
   void WakeTask(Task* t);
 
-  // Read-only queries (machine-thread / procfs); token serialization makes
-  // unlocked reads safe.
-  bool HasRunnable() const;
+  // Read-only query (machine-thread / procfs); token serialization makes the
+  // unlocked read safe.
   std::size_t runqueue_len(unsigned core) const;
 
   // The stat accessors below read runqueue counters unlocked: token
@@ -171,6 +176,10 @@ class Sched {
     return (kTickInterval * kSliceTicks) << (Mlfq() ? level : 0);
   }
   Cycles NowStamp() const { return now_fn_ ? now_fn_() : 0; }
+  // Parks `cur` on `chan` until a Wakeup or WakeTask; SleepOn releases `lk`
+  // while parked. Only Block calls them.
+  void Sleep(Task* cur, void* chan);
+  void SleepOn(Task* cur, void* chan, SpinLock& lk);
   // Pops the highest-priority task of `rq` and accounts the dispatch.
   // Caller holds rq.lock.
   Task* PopLocked(CoreRq& rq);

@@ -36,10 +36,10 @@ std::int64_t SemTable::Wait(Task* cur, int id) {
     return kErrInval;
   }
   while (sems_[id].value == 0) {
-    if (cur->killed) {
-      return kErrIntr;
+    std::int64_t r = sched_.Block(cur, &sems_[id].chan, &lock_, false);
+    if (r < 0) {
+      return r;
     }
-    sched_.SleepOn(cur, &sems_[id].chan, lock_);
     if (!sems_[id].used) {
       return kErrInval;  // destroyed while waiting
     }

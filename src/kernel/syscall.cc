@@ -151,10 +151,10 @@ std::int64_t Kernel::SysWait(int* status) {
       if (!have_children) {
         return kErrChild;
       }
-      if (cur->killed) {
-        return kErrPerm;
+      std::int64_t r = sched_.Block(cur, cur, nullptr, false);
+      if (r < 0) {
+        return r;
       }
-      sched_.Sleep(cur, cur);
     }
   });
 }

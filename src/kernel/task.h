@@ -171,7 +171,6 @@ class Task {
 
   TaskFiber& fiber() { return *fiber_; }
   void AttachFiber(std::unique_ptr<TaskFiber> f) { fiber_ = std::move(f); }
-  bool has_fiber() const { return fiber_ != nullptr; }
 
   ListNode run_hook;  // runqueue membership
 

@@ -1,6 +1,7 @@
 // Virtual timers (Prototype 1): many software timers multiplexed onto one
-// physical system-timer compare channel. The donut animation, sleep(), USB
-// timeouts and the WM composition cadence all run on these.
+// physical system-timer compare channel. The donut animation and every
+// Kernel::KSleepMs (sleep(), the WM composition cadence, the flusher and
+// watchdog polls) run on these.
 #ifndef VOS_SRC_KERNEL_TIMER_H_
 #define VOS_SRC_KERNEL_TIMER_H_
 

@@ -136,7 +136,6 @@ class AddressSpace {
   Cycles TakeCost();
 
   const VmStats& stats() const { return stats_; }
-  std::uint64_t MappedPages() const { return stats_.user_pages; }
 
   PhysMem& mem() { return pmm_.mem(); }
 

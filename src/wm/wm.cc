@@ -179,13 +179,10 @@ std::int64_t WindowManager::ReadEventsFor(Task* t, std::uint8_t* buf, std::uint3
     return kErrBadFd;
   }
   while (s->events().empty()) {
-    if (nonblock) {
-      return kErrWouldBlock;
+    std::int64_t r = kernel_.sched().Block(t, s->event_chan(), nullptr, nonblock);
+    if (r < 0) {
+      return r;
     }
-    if (t->killed) {
-      return kErrPerm;
-    }
-    kernel_.sched().Sleep(t, s->event_chan());
   }
   std::uint32_t max_events = n / sizeof(KeyEvent);
   std::uint32_t done = 0;

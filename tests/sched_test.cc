@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <vector>
 
+#include "src/base/status.h"
+#include "src/ulib/usys.h"
 #include "src/vos/prototypes.h"
 #include "src/vos/system.h"
+#include "tests/run_in_os.h"
 
 namespace vos {
 namespace {
@@ -39,6 +42,58 @@ TEST(Sched, SleepWakesAtTheRightTime) {
   double ms = ToMs(woke_at - slept_from);
   EXPECT_GE(ms, 25.0);
   EXPECT_LT(ms, 28.0);  // wake + schedule slack
+}
+
+// sleep() waits out its deadline. A child's exit wakes its parent's wait()
+// channel; a parent asleep meanwhile must sleep on.
+TEST(Sched, SleepOutlastsAChildsExit) {
+  System sys(OptionsForStage(Stage::kProto5));
+  Kernel* k = &sys.kernel();
+  Cycles slept = 0;
+  Cycles blocked = 0;
+  int rc = RunInOs(sys, "sleepkid", [k, &slept, &blocked](AppEnv& env) -> int {
+    std::int64_t child = ufork(env, [k]() -> int {
+      AppEnv me = ChildEnv(k);
+      UBurn(me, static_cast<double>(Ms(20)));
+      return 0;
+    });
+    if (child <= 0) {
+      return 1;
+    }
+    Task* self = k->CurrentTask();
+    Cycles t0 = k->Now();
+    Cycles blocked0 = self->blocked_time;
+    usleep_ms(env, 100);
+    slept = k->Now() - t0;
+    blocked = self->blocked_time - blocked0;
+    int status;
+    return uwait(env, &status) == child ? 0 : 2;
+  });
+  EXPECT_EQ(rc, 0);
+  EXPECT_GE(ToMs(slept), 100.0);
+  EXPECT_GE(ToMs(blocked), 100.0);
+}
+
+// Block's early returns: none of them parks the task.
+TEST(Sched, BlockReturnsWithoutParkingOnNonblockKillOrNoTask) {
+  System sys(Proto2Opts());
+  Kernel& k = sys.kernel();
+  char chan = 0;
+  std::int64_t nonblock = 1;
+  std::int64_t killed = 1;
+  Cycles blocked = 1;
+  k.CreateKernelTask("blocker", [&] {
+    Task* self = k.CurrentTask();
+    nonblock = k.sched().Block(self, &chan, nullptr, /*nonblock=*/true);
+    self->killed = true;
+    killed = k.sched().Block(self, &chan, nullptr, /*nonblock=*/false);
+    blocked = self->blocked_time;
+  });
+  EXPECT_EQ(k.sched().Block(nullptr, &chan, nullptr, /*nonblock=*/false), kErrAgain);
+  sys.Run(Ms(10));
+  EXPECT_EQ(nonblock, kErrAgain);
+  EXPECT_EQ(killed, kErrIntr);
+  EXPECT_EQ(blocked, 0u);
 }
 
 TEST(Sched, RoundRobinSharesTheCpuFairly) {
@@ -85,11 +140,11 @@ TEST(Sched, WakeupChannelsAreSelective) {
   char chan_a = 0, chan_b = 0;
   bool woke_a = false, woke_b = false;
   k.CreateKernelTask("wa", [&] {
-    k.sched().Sleep(k.CurrentTask(), &chan_a);
+    k.sched().Block(k.CurrentTask(), &chan_a, nullptr, false);
     woke_a = true;
   });
   k.CreateKernelTask("wb", [&] {
-    k.sched().Sleep(k.CurrentTask(), &chan_b);
+    k.sched().Block(k.CurrentTask(), &chan_b, nullptr, false);
     woke_b = true;
   });
   k.CreateKernelTask("waker", [&] {
@@ -142,7 +197,7 @@ TEST(Sched, WakeupCrossesCores) {
   Task* sleeper = k.CreateKernelTask(
       "xcore-sleeper",
       [&] {
-        k.sched().Sleep(k.CurrentTask(), &chan);
+        k.sched().Block(k.CurrentTask(), &chan, nullptr, false);
         woke = true;
       },
       /*core_hint=*/1);
@@ -168,7 +223,7 @@ TEST(Sched, BroadcastWakeupHandlesManySleepers) {
   int woken = 0;
   for (int i = 0; i < kSleepers; ++i) {
     k.CreateKernelTask("s" + std::to_string(i), [&] {
-      k.sched().Sleep(k.CurrentTask(), &chan);
+      k.sched().Block(k.CurrentTask(), &chan, nullptr, false);
       ++woken;
     });
   }

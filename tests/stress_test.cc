@@ -89,7 +89,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PipeStressTest,
 
 // --- Kill injection: a kill lands while the victim is blocked ---------------
 
-enum class BlockSite { kPipeRead, kPipeWriteFull, kSleep, kSemWait, kWaitChild };
+enum class BlockSite {
+  kPipeRead,
+  kPipeWriteFull,
+  kSleep,
+  kSemWait,
+  kWaitChild,
+  kConsoleRead,
+  kEventsRead,
+};
 
 class KillInjectionTest : public ::testing::TestWithParam<BlockSite> {};
 
@@ -97,34 +105,43 @@ TEST_P(KillInjectionTest, BlockedVictimDiesAndIsReaped) {
   const BlockSite site = GetParam();
   System sys(OptionsForStage(Stage::kProto5));
   Kernel* k = &sys.kernel();
-  int rc = RunInOs(sys, "killinj", [site, k](AppEnv& env) -> int {
+  // What the interrupted call returned to the victim: every wait ends with
+  // kErrIntr, except sleep(), whose victim exits inside the call.
+  constexpr std::int64_t kNotReturned = 1;
+  std::int64_t interrupted = kNotReturned;
+  std::size_t timers_before = 0;
+  std::size_t timers_after = 0;
+  int rc = RunInOs(sys, "killinj", [site, k, &interrupted, &timers_before,
+                                    &timers_after](AppEnv& env) -> int {
     int fds[2];
     if (upipe(env, fds) < 0) {
       return 1;
     }
     std::int64_t sem = usem_create(env, 0);
-    std::int64_t victim = ufork(env, [site, k, rfd = fds[0], wfd = fds[1], sem]() -> int {
+    timers_before = k->vtimers().active();
+    std::int64_t victim = ufork(env, [site, k, rfd = fds[0], wfd = fds[1], sem,
+                                      &interrupted]() -> int {
       AppEnv me = ChildEnv(k);
       switch (site) {
         case BlockSite::kPipeRead: {
           char c;
-          uread(me, rfd, &c, 1);  // nobody ever writes
+          interrupted = uread(me, rfd, &c, 1);  // nobody ever writes
           break;
         }
         case BlockSite::kPipeWriteFull: {
           std::uint8_t junk[256] = {};
-          for (;;) {
-            if (uwrite(me, wfd, junk, sizeof(junk)) < 0) {
-              break;  // fills kPipeSize then blocks; nobody drains
-            }
-          }
+          std::int64_t n;
+          do {
+            n = uwrite(me, wfd, junk, sizeof(junk));  // fills kPipeSize, then blocks
+          } while (n > 0);
+          interrupted = n;
           break;
         }
         case BlockSite::kSleep:
-          usleep_ms(me, 60'000);
+          interrupted = usleep_ms(me, 60'000);
           break;
         case BlockSite::kSemWait:
-          usem_wait(me, static_cast<int>(sem));  // never posted
+          interrupted = usem_wait(me, static_cast<int>(sem));  // never posted
           break;
         case BlockSite::kWaitChild: {
           ufork(me, [k]() -> int {
@@ -133,7 +150,16 @@ TEST_P(KillInjectionTest, BlockedVictimDiesAndIsReaped) {
             return 0;
           });
           int status;
-          uwait(me, &status);  // grandchild sleeps a minute: blocks here
+          interrupted = uwait(me, &status);  // grandchild sleeps a minute: blocks here
+          break;
+        }
+        case BlockSite::kConsoleRead:
+        case BlockSite::kEventsRead: {
+          // Nobody types: both rings stay empty.
+          const char* dev = site == BlockSite::kConsoleRead ? "/dev/console" : "/dev/events";
+          std::int64_t fd = uopen(me, dev, kORdonly);
+          KeyEvent ev;
+          interrupted = fd < 0 ? fd : uread(me, static_cast<int>(fd), &ev, sizeof(ev));
           break;
         }
       }
@@ -151,11 +177,19 @@ TEST_P(KillInjectionTest, BlockedVictimDiesAndIsReaped) {
     if (reaped != victim) {
       return 4;
     }
+    timers_after = k->vtimers().active();
     // For kWaitChild the orphaned grandchild is reparented/cleaned by the
     // kernel; either way the parent must not be able to reap it here.
     return 0;
   });
   EXPECT_EQ(rc, 0);
+  if (site == BlockSite::kSleep) {
+    EXPECT_EQ(interrupted, kNotReturned);
+    // The killed sleep cancelled its timer; nothing is left armed for it.
+    EXPECT_EQ(timers_after, timers_before);
+  } else {
+    EXPECT_EQ(interrupted, kErrIntr) << ErrName(interrupted);
+  }
   // The system is still fully serviceable.
   EXPECT_EQ(sys.RunProgram("hello"), 0);
 }
@@ -163,7 +197,8 @@ TEST_P(KillInjectionTest, BlockedVictimDiesAndIsReaped) {
 INSTANTIATE_TEST_SUITE_P(AllSites, KillInjectionTest,
                          ::testing::Values(BlockSite::kPipeRead, BlockSite::kPipeWriteFull,
                                            BlockSite::kSleep, BlockSite::kSemWait,
-                                           BlockSite::kWaitChild));
+                                           BlockSite::kWaitChild, BlockSite::kConsoleRead,
+                                           BlockSite::kEventsRead));
 
 // --- Fork storm: every child forked is reaped exactly once ------------------
 

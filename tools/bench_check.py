@@ -1,17 +1,23 @@
 #!/usr/bin/env python3
-"""Checks on benchmark outputs that have no exact baseline to cmp against.
+"""Checks on benchmark outputs that no plain cmp against a baseline covers.
 
     python3 tools/bench_check.py mem        # bench/out/BENCH_mem.json (bench_memstress)
     python3 tools/bench_check.py trace      # bench/out/BENCH_trace.json (bench_trace)
     python3 tools/bench_check.py baselines  # every bench/baseline/*.json
+    python3 tools/bench_check.py perfbench <workload> <run.json>
 
 `mem` and `trace` smoke-check host-timed benches, whose figures differ run to
 run, so they get floors rather than a byte comparison. `baselines` checks that
 each checked-in baseline is non-empty and parses; the virtual-time benches are
-compared to those files byte for byte with cmp. Run it from the repository
-root, the working directory the benches write bench/out/ under. Exit status
-0 = every check holds; otherwise the first failure is printed with the JSON
-it read.
+compared to those files byte for byte with cmp. `perfbench` reads the last
+stdout line of `perfbench/run.py --workload <workload> --seed 1`, saved to
+<run.json>: the run must be correct with no failed operation, and its virtual
+metrics must equal bench/baseline/PERFBENCH_virtual.json exactly. The host
+metrics beside them differ run to run and are not checked. Any --seconds
+works: a run covers every sub-seed before it stops, and the virtual metrics
+pool one repetition of each. Run it from the repository root, the working
+directory the benches write bench/out/ under. Exit status 0 = every check
+holds; otherwise the first failure is printed with the JSON it read.
 """
 
 import glob
@@ -66,9 +72,27 @@ def check_baselines() -> None:
         print(f"{p}: OK ({size} bytes)")
 
 
-CHECKS = {"mem": check_mem, "trace": check_trace, "baselines": check_baselines}
+def check_perfbench(workload: str, run_path: str) -> None:
+    with open(run_path) as f:
+        lines = f.read().strip().splitlines()
+    check(bool(lines), f"{run_path} holds perfbench's output")
+    run = json.loads(lines[-1])
+    check(run.get("correct") is True, f"{workload}: correct", run)
+    check(run.get("failed") == 0, f"{workload}: 0 failed", run)
+    want = load("bench/baseline/PERFBENCH_virtual.json")["workloads"][workload]
+    for name, value in want.items():
+        got = run["metrics"][name]["value"]
+        check(got == value, f"{workload}: {name} {got!r} == baseline {value!r}", run)
+    print(f"perfbench {workload}: virtual metrics match the baseline")
+
+
+CHECKS = {"mem": check_mem, "trace": check_trace, "baselines": check_baselines,
+          "perfbench": check_perfbench}
+ARGS = {"perfbench": 2}
 
 if __name__ == "__main__":
-    if len(sys.argv) != 2 or sys.argv[1] not in CHECKS:
-        sys.exit(f"usage: {sys.argv[0]} {{{'|'.join(CHECKS)}}}")
-    CHECKS[sys.argv[1]]()
+    if len(sys.argv) < 2 or sys.argv[1] not in CHECKS or \
+            len(sys.argv) != 2 + ARGS.get(sys.argv[1], 0):
+        sys.exit(f"usage: {sys.argv[0]} {{{'|'.join(CHECKS)}}}"
+                 " (perfbench takes <workload> <run.json>)")
+    CHECKS[sys.argv[1]](*sys.argv[2:])
