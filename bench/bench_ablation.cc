@@ -4,6 +4,13 @@
 //  3. ARMv8 assembly memmove for framebuffer blits.
 //  4. WM dirty-rect composition vs full repaints.
 //  5. Eager fork vs copy-on-write (the production-OS mechanism).
+// The ten measured values also go to bench/out/BENCH_ablation.json at full
+// precision: virtual time makes them deterministic, so CI compares the file
+// with bench/baseline/ byte for byte.
+#include <cstdio>
+#include <fstream>
+
+#include "bench/bench_out.h"
 #include "bench/bench_util.h"
 #include "src/wm/wm.h"
 
@@ -71,6 +78,16 @@ double ForkLatencyUs(bool cow) {
   return ParseMetric(sys.SerialOutput(), "fork_ns ").value_or(0) / 1000.0;
 }
 
+// One JSON row: the knob an ablation flips and what it measured with the
+// knob on and off, each printed to round-trip exactly.
+std::string JsonRow(const char* knob, const char* metric, double on, double off) {
+  char buf[192];
+  std::snprintf(buf, sizeof(buf),
+                "    {\"knob\": \"%s\", \"metric\": \"%s\", \"on\": %.17g, \"off\": %.17g}",
+                knob, metric, on, off);
+  return buf;
+}
+
 void Run() {
   PrintHeader("Ablations of the paper's design choices (§5.2 and §4.5)");
 
@@ -95,6 +112,15 @@ void Run() {
   std::printf("5. fork: eager copy %7.1f us vs COW %7.1f us (%.1fx; why Fig 9's fork row\n"
               "   favors the production kernels)\n",
               eager, cow, eager / std::max(cow, 1.0));
+
+  std::ofstream json(BenchOutPath("BENCH_ablation.json"));
+  json << "{\n  \"rows\": [\n"
+       << JsonRow("opt_simd_pixel", "video_fps", simd_on, simd_off) << ",\n"
+       << JsonRow("opt_bcache_bypass", "fat_read_kbps", byp_on, byp_off) << ",\n"
+       << JsonRow("opt_asm_memcpy", "mario_fps", asm_on, asm_off) << ",\n"
+       << JsonRow("opt_wm_dirty_rects", "wm_pixels_blended", dirty_on, dirty_off) << ",\n"
+       << JsonRow("cow_fork", "fork_us", cow, eager) << "\n  ]\n}\n";
+  std::printf("wrote bench/out/BENCH_ablation.json\n");
 }
 
 }  // namespace

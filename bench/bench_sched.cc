@@ -68,7 +68,7 @@ class SeedSched {
   void OnBudget(unsigned core, Task* t) {
     SpinGuard g(lock_);
     t->state = TaskState::kRunnable;
-    if (t->slice_used >= kTickInterval * kSliceTicks) {
+    if (t->slice_used >= kTimeSlice) {
       t->slice_used = 0;
       t->runnable_since = now;
       runq_[core].push_back(t);
@@ -102,7 +102,6 @@ Cycles WorkFor(int i) { return i % 3 == 0 ? Ms(15) : Ms(2); }
 template <typename PickFn, typename StoppedFn, typename SetNowFn>
 void Dispatch(std::vector<std::unique_ptr<Task>>& tasks, std::vector<Cycles>& remaining,
               PickFn pick, StoppedFn stopped, SetNowFn set_now) {
-  const Cycles slice = kTickInterval * kSliceTicks;
   std::array<Cycles, kCores> clock{};
   int done = 0;
   while (done < static_cast<int>(tasks.size())) {
@@ -123,7 +122,7 @@ void Dispatch(std::vector<std::unique_ptr<Task>>& tasks, std::vector<Cycles>& re
     }
     t->state = TaskState::kRunning;
     std::size_t idx = static_cast<std::size_t>(t->pid());
-    Cycles run = std::min(remaining[idx], slice);
+    Cycles run = std::min(remaining[idx], kTimeSlice);
     clock[c] += run;
     t->slice_used += run;
     remaining[idx] -= run;
@@ -291,7 +290,7 @@ double RunIpcExperiment(const std::string& name, const std::string& key) {
 }
 
 void Run() {
-  KernelConfig cfg;  // proto5 defaults: 4 cores, rr policy, stealing on
+  KernelConfig cfg;  // proto5 defaults: 4 cores, stealing on
   std::printf("runqueue-wait p99, %d tasks fanned onto core 0 of %u cores:\n", kTasks, kCores);
   FanoutResult seed = RunSeedFanout();
   FanoutResult sharded = RunShardedFanout(cfg);

@@ -107,7 +107,6 @@ double MeasureThreaded(int threads, MakeEmitFn make_emit) {
 void Run() {
   // The locked baseline pays for lockdep exactly like the old kernel did.
   Lockdep::Instance().Reset();
-  Lockdep::Instance().SetEnabled(true);
 
   LockedTraceRing locked(kCap);
   Rate locked_rate = Measure(kEmitsPerThread, [&locked](std::uint64_t i) {

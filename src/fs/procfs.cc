@@ -176,7 +176,7 @@ std::string FormatSchedStat(const std::vector<ProcSchedLine>& cores,
   for (const ProcTaskLine& t : tasks) {
     os << "pid " << t.pid << " cpu_ms " << t.cpu_ms << " utime_ms " << t.utime_ms
        << " stime_ms " << t.stime_ms << " sys " << t.syscalls << " blocked_ms " << t.blocked_ms
-       << " level " << t.level << " name " << t.name << "\n";
+       << " name " << t.name << "\n";
   }
   return os.str();
 }
@@ -191,8 +191,8 @@ bool ParseSchedTasks(const std::string& schedstat, std::vector<ProcTaskLine>* ou
     char name[64];
     if (std::sscanf(line.c_str(),
                     "pid %d cpu_ms %llu utime_ms %llu stime_ms %llu sys %llu blocked_ms %llu "
-                    "level %d name %63s",
-                    &t.pid, &cpu, &ut, &st, &sys, &bl, &t.level, name) == 8) {
+                    "name %63s",
+                    &t.pid, &cpu, &ut, &st, &sys, &bl, name) == 7) {
       t.cpu_ms = cpu;
       t.utime_ms = ut;
       t.stime_ms = st;

@@ -27,7 +27,6 @@ struct ProcTaskLine {
   std::string name;
   std::string state;
   std::uint64_t cpu_ms = 0;
-  int level = 0;  // MLFQ level (always 0 under the rr policy)
   // Per-task accounting (profiler PR): kernel/user split of cpu_ms, syscall
   // count, and cumulative blocked (sleep->wakeup) time.
   std::uint64_t utime_ms = 0;
@@ -63,8 +62,8 @@ struct ProcMemStat {
 
 // One /proc/schedstat core row: context switches, current runqueue depth,
 // work-stealing traffic (steal operations performed / tasks migrated away),
-// and idle percentage since boot. Per-task CPU time and MLFQ level ride
-// along as ProcTaskLine.
+// and idle percentage since boot. Per-task accounting rides along as
+// ProcTaskLine.
 struct ProcSchedLine {
   unsigned core = 0;
   std::uint64_t switches = 0;

@@ -43,15 +43,6 @@ const char* StageName(Stage s);
 const char* PlatformName(Platform p);
 const char* OsProfileName(OsProfile p);
 
-// Scheduling policy for the per-core runqueues. kRr reproduces the seed
-// behaviour exactly (one level, rotate on slice expiry); kMlfq enables the
-// 3-level multi-level feedback queue (demote on full-slice burn, periodic
-// priority boost) — see DESIGN.md "Scheduling & IPC".
-enum class SchedPolicy : int {
-  kRr = 0,
-  kMlfq = 1,
-};
-
 // All compute costs are cycles of the 1 GHz virtual clock (== ns).
 struct CostModel {
   // Syscall path.
@@ -117,11 +108,9 @@ struct KernelConfig {
 
   unsigned cores = 4;             // used cores (proto5 only; earlier stages use 1)
 
-  // Scheduler policy knobs. The defaults keep seed behaviour: single-level
-  // round robin with work stealing across the per-core runqueues.
-  SchedPolicy sched_policy = SchedPolicy::kRr;
-  bool sched_steal = true;              // steal-half when a core's queue is empty
-  std::uint32_t mlfq_boost_ms = 100;    // periodic boost interval (kMlfq only)
+  // The scheduler is round robin over per-core runqueues; a core whose
+  // queue runs dry steals half of the longest other queue.
+  bool sched_steal = true;
 
   std::uint32_t fb_width = 640;
   std::uint32_t fb_height = 480;
@@ -144,9 +133,6 @@ struct KernelConfig {
 
   std::uint32_t trace_ring_capacity = 16384;  // records per core (tests shrink
                                               // it to exercise wrap/drop)
-  // Lock-order/IRQ-safety validator (§7 of DESIGN.md) and the Eraser lockset
-  // race detector that reads its held stacks; off = record nothing.
-  bool lockdep_enabled = true;
 
   // Sampling profiler (src/kernel/profiler.h). Off by default; /proc/profile
   // (or the `prof` coreutil) starts/stops it at runtime. prof_hz is virtual-

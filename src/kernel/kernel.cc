@@ -32,7 +32,6 @@ std::vector<ProcTaskLine> ProcTaskRows(const std::map<Pid, std::unique_ptr<Task>
         .name = t->name(),
         .state = TaskStateName(t->state),
         .cpu_ms = ms(stime + utime),
-        .level = t->mlfq_level,
         .utime_ms = ms(utime),
         .stime_ms = ms(stime),
         .syscalls = t->syscall_count,
@@ -70,8 +69,6 @@ bool Kernel::Has(SysNeed need) const {
 Kernel::Kernel(Board& board, KernelConfig cfg)
     : board_(board),
       cfg_(cfg),
-      lockdep_session_(cfg.lockdep_enabled),
-      racedet_session_(cfg.lockdep_enabled),
       machine_(board, this, cfg.EffectiveCores()),
       klog_(board.uart()),
       trace_(cfg.trace_ring_capacity),
@@ -665,15 +662,21 @@ void Kernel::DoExitNoThrow(Task* cur, int code) {
   if (kmalloc_ != nullptr) {
     kmalloc_->DrainCore(cur->core);
   }
-  // Reparent children to init (pid 1).
+  // Reparent children to init (pid 1), a kernel thread that never calls
+  // wait(): the kernel reaps its orphans instead, as xv6's init loop does.
+  // A zombie child goes now; its fiber has stopped, as in SysWait. A live
+  // one goes when its fiber stops (OnTaskStopped).
   Task* init = FindTask(1);
-  for (auto& [pid, t] : tasks_) {
+  for (auto it = tasks_.begin(); it != tasks_.end();) {
+    Task* t = it->second.get();
+    if (t->parent == cur && t->state == TaskState::kZombie) {
+      it = tasks_.erase(it);
+      continue;
+    }
     if (t->parent == cur) {
       t->parent = init;
-      if (t->state == TaskState::kZombie && init != nullptr) {
-        sched_.Wakeup(init);
-      }
     }
+    ++it;
   }
   cur->state = TaskState::kZombie;
   if (cur->parent != nullptr) {
@@ -807,6 +810,11 @@ void Kernel::OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r) {
     wd_last_dispatched_[core] = t->pid();
   }
   sched_.OnTaskStopped(core, t, r);
+  // init never waits (DoExitNoThrow): an orphan is reaped here, once its
+  // fiber has stopped and the machine loop is done with it.
+  if (r == TaskFiber::StopReason::kExited && t->parent != nullptr && t->parent->pid() == 1) {
+    ReapTask(t->pid());
+  }
 }
 
 void Kernel::OnSpan(unsigned core, Task* t, Cycles t0, Cycles t1) {
@@ -894,9 +902,6 @@ void Kernel::TickHandler(unsigned core, Cycles now) {
   }
   wd_last_tick_[core] = now;
   machine_.ChargeIrq(core, cfg_.cost.irq_entry + cfg_.cost.timer_tick_work);
-  // MLFQ periodic boost runs off each core's own tick, against its own
-  // runqueue lock only.
-  sched_.OnTick(core, now);
 }
 
 void Kernel::OnIrq(unsigned core, unsigned irq) {

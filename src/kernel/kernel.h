@@ -156,7 +156,7 @@ class Kernel final : public MachineClient {
 
   // Test-only wedge hook (watchdog torture): models a task spinning with
   // IRQs masked on `core` — the core's timer tick is acked but not serviced
-  // (no last-tick stamp, no sched OnTick) and the scheduler stops preempting
+  // (no last-tick stamp, no tick work charged) and the scheduler stops preempting
   // there. Un-wedging restores both and freshens the tick stamp so recovery
   // does not double-bark.
   void DebugWedgeCore(unsigned core, bool wedged);

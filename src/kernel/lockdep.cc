@@ -164,9 +164,6 @@ void Lockdep::Violation(const char* kind, const std::string& detail) {
 }
 
 void Lockdep::OnAcquire(SpinLock& lock) {
-  if (!enabled_) {
-    return;
-  }
   std::vector<HeldLock>& held = Held(generation_);
   bool in_irq = Ctx().in_irq;
   if (lock.class_generation_ != generation_) {
@@ -276,9 +273,6 @@ void Lockdep::ValidateChain(const std::vector<HeldLock>& held, const HeldLock& n
 }
 
 void Lockdep::OnRelease(const SpinLock* lock) {
-  if (!enabled_) {
-    return;
-  }
   // Locks release in LIFO order in practice, but tolerate out-of-order
   // (SleepOn releases the condition lock below the sched bookkeeping).
   std::vector<HeldLock>& held = Held(generation_);
@@ -292,13 +286,10 @@ void Lockdep::OnRelease(const SpinLock* lock) {
       return;
     }
   }
-  // Acquired while lockdep was disabled or before a Reset: ignore.
+  // Acquired before a Reset: ignore.
 }
 
 void Lockdep::OnSleep(const void* chan) {
-  if (!enabled_) {
-    return;
-  }
   const std::vector<HeldLock>& stack = Held(generation_);
   if (stack.empty()) {
     return;
@@ -320,9 +311,6 @@ void Lockdep::OnSleep(const void* chan) {
 }
 
 void Lockdep::OnIrqEnable() {
-  if (!enabled_) {
-    return;
-  }
   // Interrupts just became deliverable while this context still holds locks.
   // Mark every held class; if one is also taken from IRQ context, the IRQ
   // handler could spin on a lock its own core holds.
@@ -340,12 +328,7 @@ void Lockdep::OnIrqEnable() {
   }
 }
 
-std::span<const HeldLock> Lockdep::HeldStack() const {
-  if (!enabled_) {
-    return {};
-  }
-  return Held(generation_);
-}
+std::span<const HeldLock> Lockdep::HeldStack() const { return Held(generation_); }
 
 bool Lockdep::IsHeldByCurrent(const SpinLock* lock) const {
   for (const HeldLock& h : HeldStack()) {
@@ -394,7 +377,7 @@ std::vector<std::string> Lockdep::HeldNames() const {
 
 std::string Lockdep::Report() const {
   std::ostringstream os;
-  os << "lockdep: " << (enabled_ ? "on" : "off") << "\n";
+  os << "lockdep: on\n";
   os << "classes: " << classes_.size() << "  edges: " << EdgeCount() << "\n";
   os << "class            acquisitions maxdepth irq irqs-on\n";
   for (const Class& c : classes_) {

@@ -32,9 +32,8 @@
 //    that is the window where the IRQ handler spins against its own core.
 //
 // Violations throw FatalError via VOS_CHECK_MSG with both offending chains
-// and shadow-stack backtraces (unwind.h-style frames). The checker stays on
-// in every test, bench and perfbench run, which the chain cache keeps cheap;
-// it is a no-op when KernelConfig::lockdep_enabled is off.
+// and shadow-stack backtraces (unwind.h-style frames). The checker is always
+// on, in every test, bench and perfbench run; the chain cache keeps it cheap.
 #ifndef VOS_SRC_KERNEL_LOCKDEP_H_
 #define VOS_SRC_KERNEL_LOCKDEP_H_
 
@@ -69,9 +68,6 @@ class Lockdep {
   // construction starts a fresh session (tests boot many kernels).
   void Reset();
 
-  void SetEnabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   // Class registration; called from the SpinLock constructor, which keeps
   // the id. Locks of one name share the class entry.
   void RegisterClass(SpinLock& lock);
@@ -81,7 +77,7 @@ class Lockdep {
   // IRQ-safety checks; throws FatalError on violation (the caller backs out
   // the acquisition so tests can continue past a detected bug).
   void OnAcquire(SpinLock& lock);
-  // Before the lock is released. Tolerates locks acquired while disabled.
+  // Before the lock is released. Tolerates locks acquired before a Reset.
   void OnRelease(const SpinLock* lock);
   // The scheduler sleep path: no spinlock may be held when a task parks.
   void OnSleep(const void* chan);
@@ -101,9 +97,9 @@ class Lockdep {
   void SetBacktraceProvider(BacktraceFn fn) { backtrace_ = std::move(fn); }
 
   // --- Racedet support (racedet.h) ---
-  // This context's held stack, outermost first (empty when disabled). The
-  // lockset algorithm intersects lock *instances*, not classes: two
-  // "sched-core" locks guard different runqueues and refine independently.
+  // This context's held stack, outermost first. The lockset algorithm
+  // intersects lock *instances*, not classes: two "sched-core" locks guard
+  // different runqueues and refine independently.
   std::span<const HeldLock> HeldStack() const;
   // True if this context holds `lock` right now (backs RD_ASSERT_HELD).
   bool IsHeldByCurrent(const SpinLock* lock) const;
@@ -162,7 +158,6 @@ class Lockdep {
   std::string FormatChain(const std::vector<int>& path) const;
   [[noreturn]] void Violation(const char* kind, const std::string& detail);
 
-  bool enabled_ = true;
   std::map<std::string, int> ids_;
   std::vector<Class> classes_;
   std::vector<Edge> edges_;
@@ -171,19 +166,13 @@ class Lockdep {
   std::uint64_t generation_ = 0;  // bumped by Reset to invalidate held stacks
 };
 
-// Per-kernel lockdep session: Reset + enable/disable on construction, so each
-// Kernel boot starts with an empty graph reflecting the config knob. Lives as
-// an early Kernel member (before any subsystem that constructs SpinLocks).
+// Per-kernel lockdep session: Reset on construction, so each Kernel boot
+// starts with an empty graph. Lives as an early Kernel member (before any
+// subsystem that constructs SpinLocks).
 class LockdepSession {
  public:
-  explicit LockdepSession(bool enabled) {
-    Lockdep::Instance().Reset();
-    Lockdep::Instance().SetEnabled(enabled);
-  }
-  ~LockdepSession() {
-    Lockdep::Instance().SetBacktraceProvider(nullptr);
-    Lockdep::Instance().SetEnabled(true);
-  }
+  LockdepSession() { Lockdep::Instance().Reset(); }
+  ~LockdepSession() { Lockdep::Instance().SetBacktraceProvider(nullptr); }
   LockdepSession(const LockdepSession&) = delete;
   LockdepSession& operator=(const LockdepSession&) = delete;
 };

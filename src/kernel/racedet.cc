@@ -229,7 +229,7 @@ void Racedet::EmitReport(Cell& c, const ExecContext& ctx, const char* file, int 
 
 void Racedet::OnAccess(const volatile void* addr, const char* name, const char* file, int line,
                        bool is_write) {
-  if (!enabled_ || cells_.empty()) {
+  if (cells_.empty()) {
     return;
   }
   ExecContext& ctx = Ctx();
@@ -311,7 +311,7 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
 }
 
 void Racedet::AssertHeld(const SpinLock* lock, const char* expr, const char* file, int line) {
-  if (!enabled_ || Excluded() || !Lockdep::Instance().enabled()) {
+  if (Excluded()) {
     return;
   }
   ++checks_;
@@ -366,7 +366,7 @@ std::vector<std::string> Racedet::LocksetOf(const volatile void* addr) const {
 
 std::string Racedet::Report() const {
   std::ostringstream os;
-  os << "racedet: " << (enabled_ ? "on" : "off") << "\n";
+  os << "racedet: on\n";
   os << "checks: " << checks_ << "  excluded: " << excluded_ << "  shrinks: " << shrinks_
      << "\n";
   os << "cells: " << CellsUsed() << "/" << cells_.size() << "  dropped: " << dropped_ << "\n";

@@ -44,9 +44,9 @@
 //    left unannotated because they are per-core by construction.
 //
 // The checker is driven entirely by annotations — it never traps raw loads.
-// It requires lockdep (the lockset source), so the kernel session enables it
-// exactly when KernelConfig::lockdep_enabled is on. Reports are diagnostics,
-// not panics: detection must not perturb the schedule it is observing.
+// Lockdep's held stacks are its lockset source; both are always on. Reports
+// are diagnostics, not panics: detection must not perturb the schedule it is
+// observing.
 #ifndef VOS_SRC_KERNEL_RACEDET_H_
 #define VOS_SRC_KERNEL_RACEDET_H_
 
@@ -97,16 +97,13 @@ class Racedet {
   // kernels). `cells` is rounded up to a power of two.
   void Reset(std::size_t cells);
 
-  void SetEnabled(bool on) { enabled_ = on; }
-  bool enabled() const { return enabled_; }
-
   // --- The annotation hook (RD_READ / RD_WRITE expand to this) ---
   // `name`/`file`/`line` are the annotation site (static literals).
   void OnAccess(const volatile void* addr, const char* name, const char* file, int line,
                 bool is_write);
 
   // RD_ASSERT_HELD: throws FatalError unless the calling context holds
-  // `lock` (per lockdep's held stack). No-op when disabled or excluded.
+  // `lock` (per lockdep's held stack). No-op when excluded.
   void AssertHeld(const SpinLock* lock, const char* expr, const char* file, int line);
 
   // Drops shadow cells covering [addr, addr+size): called when an annotated
@@ -188,7 +185,6 @@ class Racedet {
   void EmitReport(Cell& c, const ExecContext& ctx, const char* file, int line, bool is_write,
                   std::span<const HeldLock> held);
 
-  bool enabled_ = true;
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   std::vector<RaceReport> reports_;
@@ -207,16 +203,13 @@ class Racedet {
 // Shadow-cell hash capacity of a kernel's racedet session.
 constexpr std::size_t kRacedetCells = 4096;
 
-// Per-kernel racedet session, mirroring LockdepSession: Reset + enable on
+// Per-kernel racedet session, mirroring LockdepSession: Reset on
 // construction so each boot starts with empty shadow state. Lives as an
 // early Kernel member, right after the lockdep session (racedet reads the
 // lockset lockdep maintains).
 class RacedetSession {
  public:
-  explicit RacedetSession(bool enabled) {
-    Racedet::Instance().Reset(kRacedetCells);
-    Racedet::Instance().SetEnabled(enabled);
-  }
+  RacedetSession() { Racedet::Instance().Reset(kRacedetCells); }
   ~RacedetSession() {
     Racedet::Instance().SetTraceHook(nullptr);
     Racedet::Instance().SetContextNameFn(nullptr);
@@ -224,7 +217,6 @@ class RacedetSession {
     // destroyed, and a later allocation at a recycled address must not
     // inherit their lockset state.
     Racedet::Instance().Reset(64);
-    Racedet::Instance().SetEnabled(true);
   }
   RacedetSession(const RacedetSession&) = delete;
   RacedetSession& operator=(const RacedetSession&) = delete;

@@ -25,7 +25,6 @@ void Sched::AddNew(Task* t, int core_hint) {
     }
   }
   t->state = TaskState::kRunnable;
-  t->mlfq_level = 0;  // new tasks start at the highest priority
   EnqueueCore(t);
 }
 
@@ -37,22 +36,20 @@ void Sched::EnqueueCore(Task* t) {
   CoreRq& rq = *cores_[t->core];
   SpinGuard g(rq.lock);
   t->runnable_since = NowStamp();
-  RD_WRITE(rq.q[LevelOf(t)]).PushBack(t);
+  RD_WRITE(rq.q).PushBack(t);
 }
 
 Task* Sched::PopLocked(CoreRq& rq) {
-  for (int l = 0; l < kMlfqLevels; ++l) {
-    Task* t = RD_WRITE(rq.q[l]).PopFront();
-    if (t != nullptr) {
-      ++RD_WRITE(rq.switches);
-      if (runq_wait_hist_ != nullptr && now_fn_) {
-        Cycles now = now_fn_();
-        runq_wait_hist_->Record(now > t->runnable_since ? now - t->runnable_since : 0);
-      }
-      return t;
-    }
+  Task* t = RD_WRITE(rq.q).PopFront();
+  if (t == nullptr) {
+    return nullptr;
   }
-  return nullptr;
+  ++RD_WRITE(rq.switches);
+  if (runq_wait_hist_ != nullptr && now_fn_) {
+    Cycles now = now_fn_();
+    runq_wait_hist_->Record(now > t->runnable_since ? now - t->runnable_since : 0);
+  }
+  return t;
 }
 
 Task* Sched::PickNext(unsigned core) {
@@ -102,21 +99,19 @@ bool Sched::StealInto(unsigned thief) {
   CoreRq& dst = *cores_[thief];
   std::size_t take = src.Len() / 2;
   std::size_t moved = 0;
-  // Steal-half from the tail, lowest priority level first: the newest,
-  // least-urgent arrivals would wait longest behind the victim's backlog, so
-  // moving them helps tail latency most, and the victim's next-to-run head
-  // (warm state) stays put. runnable_since is preserved — the wait continues
-  // on the thief's queue and the runq_wait histogram sees the true latency.
-  for (int l = kMlfqLevels - 1; l >= 0 && moved < take; --l) {
-    while (moved < take) {
-      Task* t = RD_WRITE(src.q[l]).PopBack();
-      if (t == nullptr) {
-        break;
-      }
-      t->core = thief;
-      RD_WRITE(dst.q[l]).PushBack(t);
-      ++moved;
+  // Steal-half from the tail: the newest arrivals would wait longest behind
+  // the victim's backlog, so moving them helps tail latency most, and the
+  // victim's next-to-run head (warm state) stays put. runnable_since is
+  // preserved — the wait continues on the thief's queue and the runq_wait
+  // histogram sees the true latency.
+  while (moved < take) {
+    Task* t = RD_WRITE(src.q).PopBack();
+    if (t == nullptr) {
+      break;
     }
+    t->core = thief;
+    RD_WRITE(dst.q).PushBack(t);
+    ++moved;
   }
   if (moved == 0) {
     return false;
@@ -137,31 +132,22 @@ void Sched::OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r) {
       SpinGuard g(rq.lock);
       t->state = TaskState::kRunnable;
       t->core = core;
-      int lv = LevelOf(t);
       if (wedged_[core]) {  // racedet: ok (test-only flag, token-serialized)
         // Wedged core (watchdog torture): preemption is off, the interrupted
         // task goes straight back to the head with its slice intact — nothing
         // else on this core can run until the wedge lifts.
-        RD_WRITE(rq.q[lv]).PushFront(t);
+        RD_WRITE(rq.q).PushFront(t);
         break;
       }
-      if (t->slice_used >= SliceLenAt(lv)) {
+      if (t->slice_used >= kTimeSlice) {
         if (slice_hist_ != nullptr) {
           slice_hist_->Record(t->slice_used);
         }
         t->slice_used = 0;
-        // MLFQ rule: burning the whole slice marks the task CPU-bound and
-        // demotes it one level. A voluntary yield burns the slice for
-        // rotation purposes but is not a demotion signal.
-        if (Mlfq() && !t->yielded && lv < kMlfqLevels - 1) {
-          t->mlfq_level = lv + 1;
-          lv = t->mlfq_level;
-        }
-        RD_WRITE(rq.q[lv]).PushBack(t);
+        RD_WRITE(rq.q).PushBack(t);
       } else {
-        RD_WRITE(rq.q[lv]).PushFront(t);
+        RD_WRITE(rq.q).PushFront(t);
       }
-      t->yielded = false;
       t->runnable_since = NowStamp();
       break;
     }
@@ -182,36 +168,6 @@ void Sched::OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r) {
         }
       }
       break;
-  }
-}
-
-void Sched::OnTick(unsigned core, Cycles now) {
-  if (!Mlfq() || core >= ncores_) {
-    return;
-  }
-  CoreRq& rq = *cores_[core];
-  Cycles period = Ms(cfg_.mlfq_boost_ms);
-  // Pre-lock staleness check: reading last_boost unlocked can at worst skip
-  // one boost period; the write below is under the lock.
-  if (now < RD_READ(rq.last_boost) + period) {
-    return;
-  }
-  // Periodic boost (starvation guard): everything queued below level 0 moves
-  // back to the top with a fresh slice. Sleeping tasks are untouched — they
-  // re-enter at their old level when woken and catch the next boost.
-  SpinGuard g(rq.lock);
-  RD_WRITE(rq.last_boost) = now;
-  bool promoted = false;
-  for (int l = 1; l < kMlfqLevels; ++l) {
-    while (Task* t = RD_WRITE(rq.q[l]).PopFront()) {
-      t->mlfq_level = 0;
-      t->slice_used = 0;
-      RD_WRITE(rq.q[0]).PushBack(t);
-      promoted = true;
-    }
-  }
-  if (promoted) {
-    ++RD_WRITE(rq.boost_rounds);
   }
 }
 
@@ -250,8 +206,8 @@ void Sched::Sleep(Task* cur, void* chan) {
     SpinGuard g(lock_);
     cur->sleep_chan = chan;
     cur->state = TaskState::kSleeping;
-    // Blocking ends the slice: an I/O-bound task wakes with a fresh budget,
-    // so MLFQ never mistakes many short on-CPU bursts for one long burn.
+    // Blocking ends the slice: a woken task starts a fresh one, so CPU time
+    // it burned before it slept never rotates it behind the hogs on its core.
     cur->slice_used = 0;
     RD_WRITE(sleeping_).PushBack(cur);
   }
@@ -347,10 +303,7 @@ void Sched::WakeTaskLocked(Task* t) {
 
 void Sched::Yield(Task* cur) {
   // Voluntary yield: burn the rest of the slice accounting-wise and rotate.
-  // The `yielded` flag tells OnTaskStopped this was cooperative, so MLFQ
-  // does not read it as a full-slice burn and demote.
-  cur->yielded = true;
-  cur->slice_used = SliceLenAt(LevelOf(cur));
+  cur->slice_used = kTimeSlice;
   cur->fiber().Burn(cfg_.cost.context_switch);
   // Force a trip through the machine loop so others run.
   cur->fiber().YieldToMachine();

@@ -1,9 +1,7 @@
 // The scheduler, sharded per core (Prototype 5 brings multicore): each core
-// owns a runqueue guarded by its own lock class ("sched-core<i>"), so
-// PickNext/Enqueue on different cores never contend. A work-stealing
-// balancer moves half of the longest queue to a core that runs dry, and the
-// queue itself is a 3-level MLFQ when `sched_policy=mlfq` (the default `rr`
-// collapses to the seed's single-level round robin).
+// owns a round-robin runqueue guarded by its own lock class ("sched-core<i>"),
+// so PickNext/Enqueue on different cores never contend. A work-stealing
+// balancer moves half of the longest queue to a core that runs dry.
 //
 // Locking (DESIGN.md §7): the "sched" lock still guards the sleep list and
 // round-robin placement counter; it nests the per-core locks (wakeups hold
@@ -39,12 +37,9 @@
 
 namespace vos {
 
-// Per-core scheduler tick, and the round-robin slice in ticks (10 ms).
+// Per-core scheduler tick, and the round-robin slice: 10 ticks (10 ms).
 constexpr Cycles kTickInterval = Ms(1);
-constexpr unsigned kSliceTicks = 10;
-
-// MLFQ depth. Level 0 is the highest priority; slices double per level.
-constexpr int kMlfqLevels = 3;
+constexpr Cycles kTimeSlice = 10 * kTickInterval;
 
 class Sched {
  public:
@@ -62,8 +57,6 @@ class Sched {
   // queue before giving up and idling the core.
   Task* PickNext(unsigned core);
   void OnTaskStopped(unsigned core, Task* t, TaskFiber::StopReason r);
-  // Per-core timer tick: drives the periodic MLFQ priority boost.
-  void OnTick(unsigned core, Cycles now);
 
   // Fiber side (current task). Block is the one way to wait: kErrIntr when
   // a kill is pending, before parking or after waking; kErrAgain when
@@ -107,10 +100,6 @@ class Sched {
   std::uint64_t migrations(unsigned core) const {
     return cores_[core]->migrated_out;  // racedet: ok (token-serialized gauge snapshot)
   }
-  // MLFQ boost rounds on `core` that actually re-promoted something.
-  std::uint64_t boosts(unsigned core) const {
-    return cores_[core]->boost_rounds;  // racedet: ok (token-serialized gauge snapshot)
-  }
 
   // Observability wiring (kernel boot): a clock for enqueue/dispatch stamps
   // and histograms for runqueue wait (wakeup→dispatch) and slice length.
@@ -141,47 +130,31 @@ class Sched {
   }
 
  private:
-  // One per-core shard: its own lock class plus the MLFQ level queues.
-  // With sched_policy=rr only q[0] is ever populated.
+  // One per-core shard: its own lock class plus its round-robin queue.
   struct CoreRq {
     explicit CoreRq(unsigned i)
         : lock("sched-core" + std::to_string(i)) {}
     SpinLock lock;  // lockdep: class sched-core (per-core name built at runtime)
-    IntrusiveList<Task, &Task::run_hook> q[kMlfqLevels];  // racedet: shared (guarded by lock)
+    IntrusiveList<Task, &Task::run_hook> q;  // racedet: shared (guarded by lock)
     std::uint64_t switches = 0;      // racedet: shared (guarded by lock)
     std::uint64_t steal_ops = 0;     // racedet: shared (guarded by lock; thief side)
     std::uint64_t stolen_in = 0;     // racedet: shared (guarded by lock)
     std::uint64_t migrated_out = 0;  // racedet: shared (guarded by lock)
-    std::uint64_t boost_rounds = 0;  // racedet: shared (guarded by lock)
-    Cycles last_boost = 0;           // racedet: shared (guarded by lock)
 
     std::size_t Len() const {
       // Unlocked by design: the steal victim scan and procfs read lengths as
       // token-serialized snapshots; a stale value only wastes a lock trip.
       RD_EXCLUDE_SCOPE("token-serialized length snapshot (victim scan, procfs)");
-      std::size_t n = 0;
-      for (const auto& l : q) {
-        n += l.size();
-      }
-      return n;
+      return q.size();
     }
   };
 
-  bool Mlfq() const { return cfg_.sched_policy == SchedPolicy::kMlfq; }
-  // Which level queue `t` belongs on under the active policy.
-  int LevelOf(const Task* t) const { return Mlfq() ? t->mlfq_level : 0; }
-  // Slice budget at `level`: doubles per level so demoted CPU hogs run in
-  // longer, less frequent bursts (the classic MLFQ shape).
-  Cycles SliceLenAt(int level) const {
-    return (kTickInterval * kSliceTicks) << (Mlfq() ? level : 0);
-  }
   Cycles NowStamp() const { return now_fn_ ? now_fn_() : 0; }
   // Parks `cur` on `chan` until a Wakeup or WakeTask; SleepOn releases `lk`
   // while parked. Only Block calls them.
   void Sleep(Task* cur, void* chan);
   void SleepOn(Task* cur, void* chan, SpinLock& lk);
-  // Pops the highest-priority task of `rq` and accounts the dispatch.
-  // Caller holds rq.lock.
+  // Pops the head of `rq` and accounts the dispatch. Caller holds rq.lock.
   Task* PopLocked(CoreRq& rq);
   // Steals half of the longest other queue into `thief`'s queue. Returns
   // true if anything moved.

@@ -141,9 +141,7 @@ class Task {
   int exit_code = 0;
   Task* parent = nullptr;
   unsigned core = 0;            // runqueue the task lives on
-  Cycles slice_used = 0;        // for rotation/demotion decisions
-  int mlfq_level = 0;           // MLFQ queue level (0 = highest priority)
-  bool yielded = false;         // slice burned voluntarily: rotate, don't demote
+  Cycles slice_used = 0;        // for rotation decisions
   Cycles runnable_since = 0;    // enqueue stamp, for the runqueue-wait histogram
   Cycles syscall_enter_ts = 0;  // entry stamp, for the syscall-latency histogram
 

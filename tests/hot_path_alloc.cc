@@ -53,10 +53,8 @@ class HotPathAllocTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Lockdep::Instance().Reset();
-    Lockdep::Instance().SetEnabled(true);
     Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
     Racedet::Instance().Reset(256);
-    Racedet::Instance().SetEnabled(true);
   }
   void TearDown() override {
     Racedet::Instance().Reset(64);

@@ -30,14 +30,12 @@ class LockdepTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Lockdep::Instance().Reset();
-    Lockdep::Instance().SetEnabled(true);
     Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
     ASSERT_EQ(IrqOffDepth(), 0);
   }
   void TearDown() override {
     Lockdep::Instance().SetIrqContext(false);
     Lockdep::Instance().SetBacktraceProvider(nullptr);
-    Lockdep::Instance().SetEnabled(true);
     Lockdep::Instance().Reset();
   }
 
@@ -177,22 +175,6 @@ TEST_F(LockdepTest, IrqAcquireOfLockHeldWithIrqsOnDetected) {
   Lockdep::Instance().SetIrqContext(false);
   EXPECT_TRUE(Lockdep::Instance().HeldNames().empty());
   EXPECT_EQ(IrqOffDepth(), 0);
-}
-
-TEST_F(LockdepTest, DisabledRecordsNothing) {
-  Lockdep::Instance().SetEnabled(false);
-  SpinLock a("off_a");
-  SpinLock b("off_b");
-  {
-    SpinGuard ga(a);
-    SpinGuard gb(b);
-  }
-  {
-    SpinGuard gb(b);
-    SpinGuard ga(a);  // would be an inversion with checking on
-  }
-  EXPECT_EQ(Lockdep::Instance().EdgeCount(), 0u);
-  EXPECT_FALSE(Lockdep::Instance().HasPath("off_a", "off_b"));
 }
 
 TEST_F(LockdepTest, ReportFormatsClassesAndEdges) {
@@ -389,16 +371,6 @@ TEST(LockdepBootTest, ProcLockdepListsKernelClassesAfterBoot) {
       EXPECT_GT(c.acquisitions, 0u);
     }
   }
-}
-
-TEST(LockdepBootTest, KnobDisablesChecking) {
-  SystemOptions opt = OptionsForStage(Stage::kProto2);
-  opt.config_hook = [](KernelConfig& cfg) { cfg.lockdep_enabled = false; };
-  System sys(opt);
-  sys.Run(Ms(50));
-  EXPECT_EQ(Lockdep::Instance().EdgeCount(), 0u);
-  const std::string rep = Lockdep::Instance().Report();
-  EXPECT_NE(rep.find("lockdep: off"), std::string::npos) << rep;
 }
 
 }  // namespace

@@ -265,7 +265,6 @@ TEST(MemstatTest, Proto5BootExportsMemstatAndDrainsOnExit) {
   EXPECT_GT(sys.kernel().pmm().stats().range_allocs, 0u);
   EXPECT_EQ(sys.kernel().pmm().stats().oom_events, 0u);
   // Lockdep saw the new classes with no violations (boot would have thrown).
-  EXPECT_TRUE(Lockdep::Instance().enabled());
   std::vector<std::string> names;
   for (const LockClassInfo& c : Lockdep::Instance().Classes()) {
     names.push_back(c.name);

@@ -78,7 +78,6 @@ TEST(HistogramTest, PercentilesLandInTheRightBucket) {
 TEST(TraceRingTest, EmitTakesNoLock) {
   Lockdep& dep = Lockdep::Instance();
   dep.Reset();
-  dep.SetEnabled(true);
   TraceRing ring(/*per_core_capacity=*/1024);
   auto total_acquisitions = [&dep] {
     std::uint64_t t = 0;
@@ -286,7 +285,6 @@ TEST(MetricsTest, CountersGaugesAndHistogramsExport) {
 TEST(MetricsTest, GaugeCallbacksRunOutsideTheMetricsLock) {
   Lockdep& dep = Lockdep::Instance();
   dep.Reset();
-  dep.SetEnabled(true);
   {
     Metrics m;
     SpinLock subsystem("bcache");
@@ -380,7 +378,6 @@ std::vector<ProcTaskLine> FixedTaskRows() {
                        .name = "init",
                        .state = "sleeping",
                        .cpu_ms = 42,
-                       .level = 2,
                        .utime_ms = 30,
                        .stime_ms = 12,
                        .syscalls = 77,
@@ -401,8 +398,8 @@ TEST(ProcFormatTest, SchedStatBytes) {
   EXPECT_EQ(FormatSchedStat(cores, FixedTaskRows()),
             "core 0 switches 1234 runq 2 steals 5 migr 6 idle 87.5%\n"
             "core 1 switches 0 runq 0 steals 0 migr 0 idle 100.0%\n"
-            "pid 1 cpu_ms 42 utime_ms 30 stime_ms 12 sys 77 blocked_ms 900 level 2 name init\n"
-            "pid 17 cpu_ms 5 utime_ms 0 stime_ms 0 sys 0 blocked_ms 0 level 0 name sh\n");
+            "pid 1 cpu_ms 42 utime_ms 30 stime_ms 12 sys 77 blocked_ms 900 name init\n"
+            "pid 17 cpu_ms 5 utime_ms 0 stime_ms 0 sys 0 blocked_ms 0 name sh\n");
 }
 
 // A distinct value in every column, so a parser that reads one column into

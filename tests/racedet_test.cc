@@ -36,16 +36,13 @@ class RacedetTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Lockdep::Instance().Reset();
-    Lockdep::Instance().SetEnabled(true);
     Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
     Racedet::Instance().Reset(256);
-    Racedet::Instance().SetEnabled(true);
   }
   void TearDown() override {
     Racedet::Instance().SetTraceHook(nullptr);
     Racedet::Instance().SetContextNameFn(nullptr);
     Racedet::Instance().Reset(64);
-    Racedet::Instance().SetEnabled(true);
     Lockdep::Instance().SetBacktraceProvider(nullptr);
     Lockdep::Instance().Reset();
   }
@@ -221,13 +218,11 @@ TEST_F(RacedetTest, AssertHeldPassesUnderTheLockAndThrowsWithout) {
     EXPECT_NE(std::string(e.what()).find("rd_other"), std::string::npos)
         << "held-now list missing: " << e.what();
   }
-  // Disabled or excluded, it is a no-op.
+  // Excluded, it is a no-op.
   {
     RD_EXCLUDE_SCOPE("asserting inside excluded region");
     RD_ASSERT_HELD(lk);
   }
-  Racedet::Instance().SetEnabled(false);
-  RD_ASSERT_HELD(lk);
 }
 
 TEST_F(RacedetTest, ForgetRangeRecyclesTheCell) {
@@ -251,16 +246,6 @@ TEST_F(RacedetTest, ForgetRangeRecyclesTheCell) {
   EXPECT_EQ(Racedet::Instance().CellsUsed(), 0u);
   InOtherCtx([&] { RD_WRITE(member) = 9; });  // new owner, no lock: fine
   EXPECT_EQ(Racedet::Instance().StateOf(&member), RdState::kExclusive);
-  EXPECT_EQ(Racedet::Instance().total_reports(), 0u);
-}
-
-TEST_F(RacedetTest, DisabledRecordsNothing) {
-  Racedet::Instance().SetEnabled(false);
-  int counter = 0;
-  RD_WRITE(counter) = 1;
-  InOtherCtx([&] { RD_WRITE(counter) += 1; });
-  EXPECT_EQ(Racedet::Instance().checks(), 0u);
-  EXPECT_EQ(Racedet::Instance().StateOf(&counter), RdState::kVirgin);
   EXPECT_EQ(Racedet::Instance().total_reports(), 0u);
 }
 
@@ -303,7 +288,6 @@ TEST_F(RacedetTest, ReportTextCarriesTheWholeStory) {
 TEST(RacedetBootTest, SeededRaceReportsExactlyOnceThroughProcAndTrace) {
   System sys(OptionsForStage(Stage::kProto5));
   Kernel& k = sys.kernel();
-  ASSERT_TRUE(Racedet::Instance().enabled());
 
   k.DebugSharedInc(true);  // machine context, disciplined
   int rc = RunInOs(sys, "rd_locked", [](AppEnv& env) -> int {

@@ -68,6 +68,65 @@ TEST_F(Proto5Test, ForkWaitExitCodePropagates) {
   EXPECT_EQ(observed, 42);
 }
 
+std::size_t Zombies(Kernel& k) {
+  std::size_t n = 0;
+  for (Task* t : k.AllTasks()) {
+    n += t->state == TaskState::kZombie ? 1 : 0;
+  }
+  return n;
+}
+
+// init (pid 1) is a kernel thread and never calls wait(), so the kernel
+// reaps the orphans it adopts. Ten children each fork a grandchild that
+// sleeps on after its parent exits; once they are done, no zombie is left.
+TEST_F(Proto5Test, OrphansAreReapedWhenTheyExit) {
+  Kernel* k = &sys_.kernel();
+  int rc = RunInOs(sys_, "orphans", [k](AppEnv& env) -> int {
+    for (int i = 0; i < 10; ++i) {
+      std::int64_t child = ufork(env, [k]() -> int {
+        AppEnv me = ChildEnv(k);
+        std::int64_t gc = ufork(me, [k]() -> int {
+          AppEnv gc_env = ChildEnv(k);
+          usleep_ms(gc_env, 10);
+          return 0;
+        });
+        return gc > 0 ? 0 : 1;
+      });
+      int status = -1;
+      if (child <= 0 || uwait(env, &status) != child || status != 0) {
+        return 1;
+      }
+    }
+    return 0;
+  });
+  ASSERT_EQ(rc, 0);
+  sys_.Run(Ms(50));
+  EXPECT_EQ(Zombies(*k), 0u);
+}
+
+// The other order: the grandchild is already a zombie when its parent
+// exits, and goes with it.
+TEST_F(Proto5Test, ZombieOrphansAreReapedWhenTheirParentExits) {
+  Kernel* k = &sys_.kernel();
+  int rc = RunInOs(sys_, "zorphans", [k](AppEnv& env) -> int {
+    for (int i = 0; i < 10; ++i) {
+      std::int64_t child = ufork(env, [k]() -> int {
+        AppEnv me = ChildEnv(k);
+        std::int64_t gc = ufork(me, [] { return 0; });
+        usleep_ms(me, 10);
+        return gc > 0 ? 0 : 1;
+      });
+      int status = -1;
+      if (child <= 0 || uwait(env, &status) != child || status != 0) {
+        return 1;
+      }
+    }
+    return 0;
+  });
+  ASSERT_EQ(rc, 0);
+  EXPECT_EQ(Zombies(*k), 0u);
+}
+
 TEST_F(Proto5Test, WaitWithNoChildrenFails) {
   RunInOs(sys_, "waiter", [](AppEnv& env) -> int {
     int status;

@@ -18,8 +18,8 @@ an unrelated file escapes this lint but not the dynamic checker.
 
 Mechanical details:
   - RD_READ/RD_WRITE/RD_ASSERT_HELD argument spans are removed with balanced
-    parenthesis matching before searching, so `RD_WRITE(rq.q[LevelOf(t)])`
-    does not trip on `q`.
+    parenthesis matching before searching, so `RD_READ((*it)->dirty)`
+    does not trip on `dirty`.
   - Exclusion regions are tracked by brace depth: RD_EXCLUDE_SCOPE is an
     RAII object, live until its enclosing brace closes.
   - Comments and string literals are stripped; markers live in comments.
