@@ -66,7 +66,7 @@ const std::vector<const char*> kBenchFrames = {"sys_send", "tcp_output", "nic_xm
 void BM_LockdepNestedAcquire(benchmark::State& state) {
   // One 3-deep nesting of a chain lockdep has already validated.
   Lockdep::Instance().Reset();
-  Lockdep::Instance().SetBacktraceProvider([](FrameArray& out) { out.Assign(kBenchFrames); });
+  Lockdep::Instance().SetDefaultFrames(&kBenchFrames);
   SpinLock a("bm_outer");
   SpinLock b("bm_middle");
   SpinLock c("bm_inner");
@@ -76,7 +76,7 @@ void BM_LockdepNestedAcquire(benchmark::State& state) {
     SpinGuard gc(c);
   }
   benchmark::DoNotOptimize(c.acquisitions());
-  Lockdep::Instance().SetBacktraceProvider(nullptr);
+  Lockdep::Instance().SetDefaultFrames(nullptr);
   Lockdep::Instance().Reset();
 }
 BENCHMARK(BM_LockdepNestedAcquire);
@@ -84,7 +84,7 @@ BENCHMARK(BM_LockdepNestedAcquire);
 void BM_RacedetSharedWrite(benchmark::State& state) {
   // One locked write to a Shared-Modified cell with C(v) = {lk}.
   Lockdep::Instance().Reset();
-  Lockdep::Instance().SetBacktraceProvider([](FrameArray& out) { out.Assign(kBenchFrames); });
+  Lockdep::Instance().SetDefaultFrames(&kBenchFrames);
   Racedet::Instance().Reset(kRacedetCells);
   SpinLock lk("bm_cell");
   int counter = 0;
@@ -99,7 +99,7 @@ void BM_RacedetSharedWrite(benchmark::State& state) {
   }
   benchmark::DoNotOptimize(counter);
   Racedet::Instance().Reset(64);
-  Lockdep::Instance().SetBacktraceProvider(nullptr);
+  Lockdep::Instance().SetDefaultFrames(nullptr);
   Lockdep::Instance().Reset();
 }
 BENCHMARK(BM_RacedetSharedWrite);

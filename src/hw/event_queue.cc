@@ -54,12 +54,22 @@ void EventQueue::Cancel(EventId id) {
   ++SlotAt(slot).gen;  // its heap record goes stale
   --live_;
   Retire(slot);
+  CompactIfStale();
 }
 
 void EventQueue::DropStaleHead() const {
-  while (!heap_.empty() && SlotAt(heap_.front().slot).gen != heap_.front().gen) {
+  while (!heap_.empty() && Stale(heap_.front())) {
     std::pop_heap(heap_.begin(), heap_.end(), Later{});
     heap_.pop_back();
+  }
+}
+
+void EventQueue::CompactIfStale() {
+  // Every record is either live or stale, so stale ones outnumber live ones
+  // exactly when the heap holds more than twice the live count.
+  if (heap_.size() > 2 * live_) {
+    std::erase_if(heap_, [this](const Entry& e) { return Stale(e); });
+    std::make_heap(heap_.begin(), heap_.end(), Later{});
   }
 }
 
@@ -95,6 +105,7 @@ std::size_t EventQueue::RunDue(Cycles t) {
     ++n;
     VOS_CHECK_MSG(n < 1000000, "event storm: handler keeps rescheduling at the same time");
   }
+  CompactIfStale();
   return n;
 }
 

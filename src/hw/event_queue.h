@@ -7,6 +7,9 @@
 // gen) records. An EventId names a slot and the generation it was armed at:
 // Cancel bumps the generation and destroys the callback at once, releasing
 // whatever it captured, and the cancelled record is skipped when it surfaces.
+// Once cancelled records outnumber live ones, they are swept out and the heap
+// rebuilt, so the heap never holds more than twice the live events; records
+// order by (when, seq), a total order, so events run in the same order.
 #ifndef VOS_SRC_HW_EVENT_QUEUE_H_
 #define VOS_SRC_HW_EVENT_QUEUE_H_
 
@@ -63,6 +66,8 @@ class EventQueue {
 
   // Events scheduled and neither run nor cancelled.
   std::size_t pending() const { return live_; }
+  // Heap records: the pending events plus cancelled ones not yet dropped.
+  std::size_t records() const { return heap_.size(); }
 
  private:
   struct Ops {
@@ -102,6 +107,9 @@ class EventQueue {
   // generation already bumped) and returns the slot to the free list.
   void Retire(std::uint32_t slot);
   void DropStaleHead() const;
+  bool Stale(const Entry& e) const { return SlotAt(e.slot).gen != e.gen; }
+  // Sweeps the cancelled records out once they outnumber the live ones.
+  void CompactIfStale();
 
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;

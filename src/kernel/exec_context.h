@@ -36,12 +36,16 @@ class TaskFiber;
 // deeper than kMax keeps its kMax outermost frames, as profiler samples do.
 struct FrameArray {
   static constexpr std::size_t kMax = 16;
+  std::size_t n = 0;  // first, so a short copy touches one cache line
   std::array<const char*, kMax> pc{};
-  std::size_t n = 0;
 
+  // Copies the frames one by one: a stack is a few frames deep, shorter than
+  // the call a bulk copy would make.
   void Assign(std::span<const char* const> frames) {
     n = std::min(frames.size(), kMax);
-    std::copy_n(frames.begin(), n, pc.begin());
+    for (std::size_t i = 0; i < n; ++i) {
+      pc[i] = frames[i];
+    }
   }
   std::span<const char* const> view() const { return {pc.data(), n}; }
   std::vector<const char*> ToVector() const { return {pc.begin(), pc.begin() + n}; }
@@ -49,30 +53,41 @@ struct FrameArray {
 
 // One entry of lockdep's held-lock stack (lockdep.cc gives it meaning).
 struct HeldLock {
-  const SpinLock* lock;
-  int cls;
-  std::uint64_t chain_key;  // the held classes up to and including this one
-  FrameArray bt;            // acquisition-site backtrace
+  const SpinLock* lock = nullptr;
+  int cls = -1;
+  int chain = -1;  // lockdep's chain of the held classes up to this one
+  FrameArray bt;   // acquisition-site backtrace
 };
 
+// Every lock acquire, release and annotated access reads the fields before
+// `held`, so they come first and share the held stack's first cache lines.
 struct ExecContext {
+  // Deepest lock nesting lockdep tracks. Each held lock is a distinct class,
+  // and the kernel nests at most 3 deep.
+  static constexpr std::size_t kMaxHeld = 16;
+
   TaskFiber* fiber = nullptr;  // nullptr for a host thread's own context
   Task* task = nullptr;        // the kernel task running here, if any
-
-  // lockdep: locks held here, innermost last, valid while held_generation
-  // matches Lockdep's (a Reset invalidates every context's stack lazily).
-  std::vector<HeldLock> held;
-  std::uint64_t held_generation = 0;
-  bool in_irq = false;  // inside the machine loop's interrupt dispatch
+  // The task's shadow call stack, which lockdep and racedet report as this
+  // context's backtrace; nullptr for a context without one.
+  const std::vector<const char*>* frames = nullptr;
 
   int irq_off_depth = 0;  // spinlock.cc's PushOff/PopOff nesting
+  bool in_irq = false;    // inside the machine loop's interrupt dispatch
 
   // racedet: this context's id and name (handed out lazily per Racedet
   // generation) and its RD_EXCLUDE_SCOPE nesting.
+  std::uint32_t rd_name = 0;
   std::uint64_t rd_ctx_id = 0;
   std::uint64_t rd_ctx_generation = 0;
-  std::uint32_t rd_name = 0;
   std::uint64_t rd_exclude_depth = 0;
+
+  // lockdep: the first held_depth slots are the locks held here, innermost
+  // last, valid while held_generation matches Lockdep's (a Reset invalidates
+  // every context's stack lazily).
+  std::size_t held_depth = 0;
+  std::uint64_t held_generation = 0;
+  std::array<HeldLock, kMaxHeld> held;
 
   // libstdc++'s per-thread exception globals (__cxa_eh_globals: the caught
   // exception chain that `throw;` rethrows, and the count behind

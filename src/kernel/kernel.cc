@@ -39,6 +39,14 @@ std::vector<ProcTaskLine> ProcTaskRows(const std::map<Pid, std::unique_ptr<Task>
   }
   return rows;
 }
+
+// A task's fiber, first thing: its context runs `t`, and reports t's shadow
+// call stack as its backtrace.
+void EnterTask(Task* t) {
+  ExecContext& ctx = Ctx();
+  ctx.task = t;
+  ctx.frames = &t->call_stack;
+}
 }  // namespace
 
 const char* SysName(Sys num) {
@@ -76,16 +84,11 @@ Kernel::Kernel(Board& board, KernelConfig cfg)
       profiler_(cfg_, &trace_) {
   VOS_CHECK_MSG(cfg_.EffectiveCores() <= board.config().cores,
                 "kernel configured for more cores than the board has");
-  // Violations report through the tasks' shadow call stacks; off a fiber
-  // (boot, IRQ dispatch on the machine thread) a synthetic frame marks it.
-  Lockdep::Instance().SetBacktraceProvider([](FrameArray& out) {
-    static constexpr const char* kMachineLoop[] = {"<machine-loop>"};
-    if (Task* t = Ctx().task) {
-      out.Assign(t->call_stack);
-    } else {
-      out.Assign(kMachineLoop);
-    }
-  });
+  // Violations report through the tasks' shadow call stacks (a task's fiber
+  // points its context at its call_stack); off a fiber (boot, IRQ dispatch
+  // on the machine thread) a synthetic frame marks it.
+  static const auto* kMachineLoop = new std::vector<const char*>{"<machine-loop>"};
+  Lockdep::Instance().SetDefaultFrames(kMachineLoop);
   // Racedet reporting rides the same infrastructure: contexts are named by
   // the running task, and a lockset-empty detection emits a trace event next
   // to the report text /proc/racedet serves.
@@ -597,7 +600,7 @@ Task* Kernel::CreateKernelTask(const std::string& name, std::function<void()> bo
                                int core_hint) {
   Task* t = NewTask(name, /*kernel_task=*/true);
   t->AttachFiber(std::make_unique<TaskFiber>([this, t, body = std::move(body)] {
-    Ctx().task = t;
+    EnterTask(t);
     // Root frame for the profiler: every kernel-thread sample symbolizes at
     // least to here.
     StackFrame root(t, "kthread_main");
@@ -617,7 +620,7 @@ Task* Kernel::CreateKernelTask(const std::string& name, std::function<void()> bo
 
 void Kernel::AttachUserEntry(Task* t, std::function<int()> body) {
   t->AttachFiber(std::make_unique<TaskFiber>([this, t, body = std::move(body)] {
-    Ctx().task = t;
+    EnterTask(t);
     // Root frame for the profiler (see CreateKernelTask).
     StackFrame root(t, "user_main");
     try {

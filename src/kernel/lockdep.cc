@@ -10,28 +10,10 @@
 
 namespace vos {
 
-namespace {
 // Held stacks are per execution context (exec_context.h): the machine loop
 // and each task fiber keep their own, since "what do I hold" is a per-context
 // question. Only one context runs at a time, so the global class/graph state
 // never sees concurrent mutation.
-//
-// The current context's held stack, emptied first if a Reset since it was
-// last used made it stale.
-std::vector<HeldLock>& Held(std::uint64_t generation) {
-  ExecContext& ctx = Ctx();
-  if (ctx.held_generation != generation) {
-    ctx.held.clear();
-    ctx.held_generation = generation;
-  }
-  return ctx.held;
-}
-}  // namespace
-
-Lockdep& Lockdep::Instance() {
-  static Lockdep* dep = new Lockdep();  // intentionally immortal
-  return *dep;
-}
 
 void Lockdep::Reset() {
   ids_.clear();
@@ -39,7 +21,7 @@ void Lockdep::Reset() {
   edges_.clear();
   chains_.clear();
   ++generation_;  // invalidates held stacks and locks' class ids lazily
-  Held(generation_);  // and empties this context's at once
+  HeldDepth(Ctx());  // and empties this context's at once
   Ctx().in_irq = false;
 }
 
@@ -59,22 +41,6 @@ int Lockdep::ClassId(const std::string& name) {
   c.name = name;
   classes_.push_back(std::move(c));
   return id;
-}
-
-void Lockdep::Backtrace(FrameArray& out) const {
-  out.n = 0;
-  if (backtrace_) {
-    backtrace_(out);
-  }
-}
-
-std::uint64_t Lockdep::ChainKey(std::uint64_t below, int cls) {
-  // Order-sensitive mix (splitmix64's finalizer over key and class): the
-  // chains A,B and B,A must key differently.
-  std::uint64_t k = (below ^ static_cast<std::uint64_t>(cls + 1)) * 0x9E3779B97F4A7C15ull;
-  k ^= k >> 31;
-  k *= 0xBF58476D1CE4E5B9ull;
-  return k ^ (k >> 29);
 }
 
 bool Lockdep::Reachable(int from, int to) const {
@@ -164,19 +130,24 @@ void Lockdep::Violation(const char* kind, const std::string& detail) {
 }
 
 void Lockdep::OnAcquire(SpinLock& lock) {
-  std::vector<HeldLock>& held = Held(generation_);
-  bool in_irq = Ctx().in_irq;
+  ExecContext& ctx = Ctx();
+  std::size_t depth = HeldDepth(ctx);
+  VOS_CHECK_MSG(depth < ExecContext::kMaxHeld, "lockdep: held-lock stack overflow");
   if (lock.class_generation_ != generation_) {
     RegisterClass(lock);  // built before the last Reset
   }
   int cls = lock.class_id_;
-  HeldLock next{&lock, cls, ChainKey(held.empty() ? 0 : held.back().chain_key, cls), {}};
-  Backtrace(next.bt);
+  // The entry is written in the slot above the held ones; it counts as held
+  // only once every check has passed.
+  HeldLock& next = ctx.held[depth];
+  next.lock = &lock;
+  next.cls = cls;
+  next.bt.Assign(Frames(ctx));
   Class& c = classes_[static_cast<std::size_t>(cls)];
 
   // IRQ-safety, direction 1: first acquisition from IRQ context of a class
   // previously seen held with IRQs enabled is the same deadlock window.
-  if (in_irq && !c.irq_used && c.held_irqs_on) {
+  if (ctx.in_irq && !c.irq_used && c.held_irqs_on) {
     Violation("irq-unsafe lock",
               "  class '" + c.name +
                   "' was held with IRQs enabled, and is now taken in IRQ "
@@ -184,36 +155,56 @@ void Lockdep::OnAcquire(SpinLock& lock) {
                   FormatFrames(next.bt.view()));
   }
 
-  if (!held.empty()) {
-    // A chain seen before was proven then, and the graph cannot have gained
-    // the opposing path since: just count its edges again.
-    auto it = chains_.find(next.chain_key);
-    bool hit = it != chains_.end() && it->second.classes.size() == held.size() + 1 &&
-               it->second.classes.back() == cls &&
-               std::equal(held.begin(), held.end(), it->second.classes.begin(),
-                          [](const HeldLock& h, int k) { return h.cls == k; });
-    if (hit) {
-      for (std::size_t e : it->second.edges) {
+  if (depth == 0) {
+    next.chain = c.chain >= 0 ? c.chain : ChainOf(-1, cls);
+  } else {
+    int chain = ChainOf(ctx.held[depth - 1].chain, cls);
+    Chain& known = chains_[static_cast<std::size_t>(chain)];
+    if (known.validated) {
+      // A chain seen before was proven then, and the graph cannot have
+      // gained the opposing path since: just count its edges again.
+      for (std::size_t e : known.edges) {
         ++edges_[e].count;
       }
     } else {
-      // First sighting. A chain whose key collides with a cached one is
-      // never cached itself: it is validated every time.
-      ValidateChain(held, next, it == chains_.end());
+      ValidateChain(ctx, depth, chain);
     }
+    next.chain = chain;
   }
 
   ++c.acquisitions;
-  if (in_irq && !c.irq_used) {
+  if (ctx.in_irq && !c.irq_used) {
     c.irq_used = true;
     c.irq_bt = next.bt.ToVector();
   }
-  held.push_back(next);
-  c.max_hold_depth = std::max(c.max_hold_depth, static_cast<int>(held.size()));
+  ctx.held_depth = depth + 1;
+  c.max_hold_depth = std::max(c.max_hold_depth, static_cast<int>(depth + 1));
 }
 
-void Lockdep::ValidateChain(const std::vector<HeldLock>& held, const HeldLock& next,
-                            bool cache) {
+int Lockdep::ChainOf(int below, int cls) {
+  if (below < 0) {
+    // A lone lock has nothing to be ordered against: valid from the start.
+    int& own = classes_[static_cast<std::size_t>(cls)].chain;
+    if (own < 0) {
+      own = static_cast<int>(chains_.size());
+      chains_.emplace_back().validated = true;
+    }
+    return own;
+  }
+  for (const auto& [k, child] : chains_[static_cast<std::size_t>(below)].children) {
+    if (k == cls) {
+      return child;
+    }
+  }
+  int id = static_cast<int>(chains_.size());
+  chains_.emplace_back();
+  chains_[static_cast<std::size_t>(below)].children.emplace_back(cls, id);
+  return id;
+}
+
+void Lockdep::ValidateChain(const ExecContext& ctx, std::size_t depth, int chain) {
+  std::span<const HeldLock> held(ctx.held.data(), depth);
+  const HeldLock& next = ctx.held[depth];
   int cls = next.cls;
   const Class& c = classes_[static_cast<std::size_t>(cls)];
   // Order check: for every lock already held, acquiring `cls` adds the edge
@@ -256,33 +247,33 @@ void Lockdep::ValidateChain(const std::vector<HeldLock>& held, const HeldLock& n
 
   // Record edges from every held lock (not just the innermost): transitive
   // closure then catches inversions across intermediate hops sooner.
-  Chain chain;
+  Chain& node = chains_[static_cast<std::size_t>(chain)];
   for (const HeldLock& h : held) {
     auto [it, added] = classes_[static_cast<std::size_t>(h.cls)].out.emplace(cls, edges_.size());
     if (added) {
       edges_.push_back(Edge{0, h.bt.ToVector(), next.bt.ToVector()});
     }
     ++edges_[it->second].count;
-    chain.classes.push_back(h.cls);
-    chain.edges.push_back(it->second);
+    node.edges.push_back(it->second);
   }
-  if (cache) {
-    chain.classes.push_back(cls);
-    chains_.emplace(next.chain_key, std::move(chain));
-  }
+  node.validated = true;
 }
 
-void Lockdep::OnRelease(const SpinLock* lock) {
+void Lockdep::ReleaseBelowTop(ExecContext& ctx, std::size_t depth, const SpinLock* lock) {
   // Locks release in LIFO order in practice, but tolerate out-of-order
   // (SleepOn releases the condition lock below the sched bookkeeping).
-  std::vector<HeldLock>& held = Held(generation_);
-  for (std::size_t i = held.size(); i-- > 0;) {
-    if (held[i].lock == lock) {
-      held.erase(held.begin() + static_cast<std::ptrdiff_t>(i));
-      // The entries above the released one now sit on a shorter chain.
-      for (; i < held.size(); ++i) {
-        held[i].chain_key = ChainKey(i == 0 ? 0 : held[i - 1].chain_key, held[i].cls);
+  for (std::size_t i = depth; i-- > 0;) {
+    if (ctx.held[i].lock == lock) {
+      // The entries above the released one move down onto a shorter chain.
+      for (; i + 1 < depth; ++i) {
+        HeldLock& h = ctx.held[i];
+        const HeldLock& above = ctx.held[i + 1];
+        h.lock = above.lock;
+        h.cls = above.cls;
+        h.bt.Assign(above.bt.view());
+        h.chain = ChainOf(i == 0 ? -1 : ctx.held[i - 1].chain, h.cls);
       }
+      ctx.held_depth = depth - 1;
       return;
     }
   }
@@ -290,7 +281,8 @@ void Lockdep::OnRelease(const SpinLock* lock) {
 }
 
 void Lockdep::OnSleep(const void* chan) {
-  const std::vector<HeldLock>& stack = Held(generation_);
+  ExecContext& ctx = Ctx();
+  std::span<const HeldLock> stack = HeldStack(ctx);
   if (stack.empty()) {
     return;
   }
@@ -301,7 +293,7 @@ void Lockdep::OnSleep(const void* chan) {
          << FormatFrames(h.bt.view());
   }
   FrameArray site;
-  Backtrace(site);
+  site.Assign(Frames(ctx));
   std::ostringstream os;
   os << "  task is about to sleep on channel " << chan << " with " << stack.size()
      << " spinlock(s) held\n"
@@ -314,7 +306,7 @@ void Lockdep::OnIrqEnable() {
   // Interrupts just became deliverable while this context still holds locks.
   // Mark every held class; if one is also taken from IRQ context, the IRQ
   // handler could spin on a lock its own core holds.
-  for (HeldLock& h : Held(generation_)) {
+  for (const HeldLock& h : HeldStack(Ctx())) {
     Class& c = classes_[static_cast<std::size_t>(h.cls)];
     c.held_irqs_on = true;
     if (c.irq_used) {
@@ -326,17 +318,6 @@ void Lockdep::OnIrqEnable() {
                     FormatFrames(h.bt.view()));
     }
   }
-}
-
-std::span<const HeldLock> Lockdep::HeldStack() const { return Held(generation_); }
-
-bool Lockdep::IsHeldByCurrent(const SpinLock* lock) const {
-  for (const HeldLock& h : HeldStack()) {
-    if (h.lock == lock) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void Lockdep::SetIrqContext(bool in_irq) { Ctx().in_irq = in_irq; }
@@ -369,7 +350,7 @@ bool Lockdep::HasPath(const std::string& from, const std::string& to) const {
 
 std::vector<std::string> Lockdep::HeldNames() const {
   std::vector<std::string> out;
-  for (const HeldLock& h : Held(generation_)) {
+  for (const HeldLock& h : HeldStack(Ctx())) {
     out.push_back(classes_[static_cast<std::size_t>(h.cls)].name);
   }
   return out;

@@ -18,11 +18,13 @@
 //    current chain and the backtrace that established the opposing edge.
 //  - Lock-chain cache (Linux lockdep's): the graph never gains a cycle, since
 //    the acquire that would close one throws first, so a sequence of held
-//    classes validated once stays valid until Reset. Each held entry carries
-//    a 64-bit key of the classes up to it; an acquire whose chain is cached
-//    only bumps that chain's edge counts. Backtraces are captured into fixed
-//    inline arrays and become vectors only when an edge or IRQ site is first
-//    recorded.
+//    classes validated once stays valid until Reset. Chains form a trie, one
+//    node per class sequence, and each held entry records the node of the
+//    classes up to it: an acquire whose node under the entry below is
+//    already validated only bumps that chain's edge counts. The held entry is
+//    written in place in the context's fixed slots, with the frames of the
+//    context's shadow stack copied inline; frames become vectors only when
+//    an edge or IRQ site is first recorded.
 //  - Sleep safety: the scheduler's sleep path calls OnSleep(); any spinlock
 //    still held there is a bug (SleepOn releases the condition lock first).
 //  - IRQ safety: the machine loop brackets interrupt dispatch with
@@ -38,11 +40,10 @@
 #define VOS_SRC_KERNEL_LOCKDEP_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <span>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/kernel/exec_context.h"
@@ -62,7 +63,10 @@ struct LockClassInfo {
 
 class Lockdep {
  public:
-  static Lockdep& Instance();
+  static Lockdep& Instance() {
+    static Lockdep* dep = new Lockdep();  // intentionally immortal
+    return *dep;
+  }
 
   // Wipes classes, the order graph, and per-context held stacks. Each Kernel
   // construction starts a fresh session (tests boot many kernels).
@@ -78,7 +82,15 @@ class Lockdep {
   // the acquisition so tests can continue past a detected bug).
   void OnAcquire(SpinLock& lock);
   // Before the lock is released. Tolerates locks acquired before a Reset.
-  void OnRelease(const SpinLock* lock);
+  void OnRelease(const SpinLock* lock) {
+    ExecContext& ctx = Ctx();
+    std::size_t depth = HeldDepth(ctx);
+    if (depth > 0 && ctx.held[depth - 1].lock == lock) {
+      ctx.held_depth = depth - 1;  // LIFO, as nearly every release is
+    } else {
+      ReleaseBelowTop(ctx, depth, lock);
+    }
+  }
   // The scheduler sleep path: no spinlock may be held when a task parks.
   void OnSleep(const void* chan);
   // PopOff brought this context's IRQ-off depth to zero: interrupts are
@@ -89,23 +101,28 @@ class Lockdep {
   // IRQ-context bracket (machine loop dispatch; tests seed it directly).
   void SetIrqContext(bool in_irq);
 
-  // Shadow-stack backtrace provider: fills the array with the current
-  // context's frames (the kernel installs one that copies the running task's
-  // call_stack; frames are static string literals). It runs on every
-  // acquire, so it must not allocate.
-  using BacktraceFn = std::function<void(FrameArray&)>;
-  void SetBacktraceProvider(BacktraceFn fn) { backtrace_ = std::move(fn); }
+  // The backtrace of a context is its shadow stack (ExecContext::frames,
+  // a task's call_stack); a context without one reports these frames, or
+  // none when null. The kernel installs a one-frame "<machine-loop>" stack;
+  // frames are static string literals.
+  void SetDefaultFrames(const std::vector<const char*>* frames) { default_frames_ = frames; }
+  // The frames `ctx` reports, root first (racedet reports reuse lockdep's
+  // view of "where am I").
+  std::span<const char* const> Frames(const ExecContext& ctx) const {
+    const std::vector<const char*>* f = ctx.frames != nullptr ? ctx.frames : default_frames_;
+    if (f == nullptr) {
+      return {};
+    }
+    return *f;
+  }
 
   // --- Racedet support (racedet.h) ---
   // This context's held stack, outermost first. The lockset algorithm
   // intersects lock *instances*, not classes: two "sched-core" locks guard
   // different runqueues and refine independently.
-  std::span<const HeldLock> HeldStack() const;
-  // True if this context holds `lock` right now (backs RD_ASSERT_HELD).
-  bool IsHeldByCurrent(const SpinLock* lock) const;
-  // The current context's shadow-stack backtrace via the installed provider
-  // (racedet reports reuse lockdep's view of "where am I").
-  void CurrentBacktrace(FrameArray& out) const { Backtrace(out); }
+  std::span<const HeldLock> HeldStack(ExecContext& ctx) const {
+    return {ctx.held.data(), HeldDepth(ctx)};
+  }
 
   // --- Introspection (/proc/lockdep, tests) ---
   std::size_t ClassCount() const { return classes_.size(); }
@@ -128,28 +145,47 @@ class Lockdep {
     std::vector<const char*> taker_bt;   // site that acquired the new lock
   };
   struct Class {
-    std::string name;
+    // What every acquire of the class reads comes first.
     std::uint64_t acquisitions = 0;
     int max_hold_depth = 0;
+    int chain = -1;  // the one-lock chain of this class
     bool irq_used = false;
     bool held_irqs_on = false;
+    std::string name;
     std::vector<const char*> irq_bt;  // first IRQ-context acquisition site
     std::map<int, std::size_t> out;   // class id -> index into edges_
   };
-  // A validated acquisition: the held classes, outermost first, then the
-  // class taken under them; edges[i] is classes[i] -> classes.back().
+  // A node of the chain trie: its root-to-node path is the held classes,
+  // outermost first, then the class taken under them. A one-lock chain is
+  // its class's `chain`. Once validated, edges[i] is the edge from the i-th
+  // held class to the last one. An out-of-order release can leave a chain
+  // held that was never validated (taken as a whole); the first acquire of
+  // its last class under the classes before it validates it.
   struct Chain {
-    std::vector<int> classes;
+    bool validated = false;
     std::vector<std::size_t> edges;
+    std::vector<std::pair<int, int>> children;  // (class, chain) one lock deeper
   };
 
   int ClassId(const std::string& name);
-  void Backtrace(FrameArray& out) const;
-  static std::uint64_t ChainKey(std::uint64_t below, int cls);
-  // The first sighting of a chain: the same-class and inversion checks, then
-  // the edges from every held lock to `next`, recorded and (when `cache`)
-  // remembered under next.chain_key.
-  void ValidateChain(const std::vector<HeldLock>& held, const HeldLock& next, bool cache);
+  // The context's held depth, emptying its stack first if a Reset since it
+  // was last used made it stale.
+  std::size_t HeldDepth(ExecContext& ctx) const {
+    if (ctx.held_generation != generation_) {
+      ctx.held_depth = 0;
+      ctx.held_generation = generation_;
+    }
+    return ctx.held_depth;
+  }
+  // The chain of class `cls` taken under chain `below` (-1: under nothing),
+  // added to the trie if new.
+  int ChainOf(int below, int cls);
+  // The first sighting of `chain`, the held classes then held[depth]: the
+  // same-class and inversion checks, then the edges from every held lock to
+  // the new one, recorded and remembered in the chain.
+  void ValidateChain(const ExecContext& ctx, std::size_t depth, int chain);
+  // OnRelease of a lock below the top of the held stack, or not on it.
+  void ReleaseBelowTop(ExecContext& ctx, std::size_t depth, const SpinLock* lock);
   // DFS over the order graph: is `to` reachable from `from`?
   bool Reachable(int from, int to) const;
   // Shortest observed path from -> to (class ids), for violation reports.
@@ -161,8 +197,8 @@ class Lockdep {
   std::map<std::string, int> ids_;
   std::vector<Class> classes_;
   std::vector<Edge> edges_;
-  std::unordered_map<std::uint64_t, Chain> chains_;
-  BacktraceFn backtrace_;
+  std::vector<Chain> chains_;
+  const std::vector<const char*>* default_frames_ = nullptr;
   std::uint64_t generation_ = 0;  // bumped by Reset to invalidate held stacks
 };
 
@@ -172,7 +208,7 @@ class Lockdep {
 class LockdepSession {
  public:
   LockdepSession() { Lockdep::Instance().Reset(); }
-  ~LockdepSession() { Lockdep::Instance().SetBacktraceProvider(nullptr); }
+  ~LockdepSession() { Lockdep::Instance().SetDefaultFrames(nullptr); }
   LockdepSession(const LockdepSession&) = delete;
   LockdepSession& operator=(const LockdepSession&) = delete;
 };

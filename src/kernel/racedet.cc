@@ -39,16 +39,12 @@ const char* RdStateName(RdState s) {
   return "?";
 }
 
-Racedet& Racedet::Instance() {
-  static Racedet* det = new Racedet();  // intentionally immortal
-  return *det;
-}
-
 void Racedet::Reset(std::size_t cells) {
   std::size_t cap = 64;
   while (cap < cells) {
     cap <<= 1;
   }
+  keys_.assign(cap, 0);
   cells_.assign(cap, Cell{});
   mask_ = cap - 1;
   reports_.clear();
@@ -90,41 +86,20 @@ std::string Racedet::CtxNameOf(std::uint32_t name) const {
   return n.name.empty() ? "ctx" + std::to_string(n.id) : n.name;
 }
 
-Racedet::Cell* Racedet::Lookup(std::uintptr_t addr, bool create, const char* name,
-                               const char* file, int line) {
-  std::size_t h = static_cast<std::size_t>((addr >> 3) * 0x9E3779B97F4A7C15ull);
-  for (std::size_t i = 0; i < kProbeMax; ++i) {
-    Cell& c = cells_[(h + i) & mask_];
-    if (c.addr == addr) {
-      return &c;
-    }
-    if (c.addr == 0) {
-      if (!create) {
-        return nullptr;
-      }
-      c.addr = addr;
-      c.name = name;
-      c.file = file;
-      c.line = line;
-      return &c;
-    }
-  }
-  // Probe chain exhausted: the location goes untracked (counted, never a
-  // false positive). Raise kRacedetCells if this fires.
-  if (create) {
-    ++dropped_;
-  }
-  return nullptr;
+namespace {
+std::size_t ProbeStart(std::uintptr_t addr) {
+  return static_cast<std::size_t>((addr >> 3) * 0x9E3779B97F4A7C15ull);
 }
+}  // namespace
 
 const Racedet::Cell* Racedet::Find(std::uintptr_t addr) const {
-  std::size_t h = static_cast<std::size_t>((addr >> 3) * 0x9E3779B97F4A7C15ull);
+  std::size_t h = ProbeStart(addr);
   for (std::size_t i = 0; i < kProbeMax; ++i) {
-    const Cell& c = cells_[(h + i) & mask_];
-    if (c.addr == addr) {
-      return &c;
+    std::size_t slot = (h + i) & mask_;
+    if (keys_[slot] == addr) {
+      return &cells_[slot];
     }
-    if (c.addr == 0) {
+    if (keys_[slot] == 0) {
       return nullptr;
     }
   }
@@ -140,9 +115,10 @@ void Racedet::ForgetRange(const void* addr, std::size_t size) {
   // Linear sweep (the table is small and object death is rare). Clearing a
   // slot may split another key's probe chain; that key then restarts at
   // Virgin on next access — a missed refinement, never a false positive.
-  for (Cell& c : cells_) {
-    if (c.addr >= lo && c.addr < hi) {
-      c = Cell{};
+  for (std::size_t i = 0; i < keys_.size(); ++i) {
+    if (keys_[i] >= lo && keys_[i] < hi) {
+      keys_[i] = 0;
+      cells_[i] = Cell{};
     }
   }
 }
@@ -196,16 +172,16 @@ void Racedet::RecordShrink(Cell& c, const ExecContext& ctx, const char* file, in
   c.history.push_back(os.str());
 }
 
-void Racedet::EmitReport(Cell& c, const ExecContext& ctx, const char* file, int line,
-                         bool is_write, std::span<const HeldLock> held) {
+void Racedet::EmitReport(std::uintptr_t addr, Cell& c, const ExecContext& ctx, const char* file,
+                         int line, bool is_write, std::span<const HeldLock> held) {
   c.state = RdState::kReported;  // one bug, one report: the cell goes quiet
   std::size_t index = total_reports_++;
   if (reports_.size() < kMaxReports) {
     FrameArray racing_bt;
-    Lockdep::Instance().CurrentBacktrace(racing_bt);
+    racing_bt.Assign(Lockdep::Instance().Frames(ctx));
     RaceReport r;
     r.location = c.name != nullptr ? c.name : "?";
-    r.addr = c.addr;
+    r.addr = addr;
     r.site = SiteOf(file, line);
     r.racing_write = is_write;
     r.racing_ctx = CtxNameOf(ctx.rd_name);
@@ -222,7 +198,7 @@ void Racedet::EmitReport(Cell& c, const ExecContext& ctx, const char* file, int 
   if (trace_) {
     // Hooks may touch annotated state (trace rings, metrics); self-exclude.
     PushExclude();
-    trace_(c.addr, index);
+    trace_(addr, index);
     PopExclude();
   }
 }
@@ -239,16 +215,29 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
   }
   ++checks_;
   auto a = reinterpret_cast<std::uintptr_t>(const_cast<const void*>(addr));
-  Cell* c = Lookup(a, true, name, file, line);
+  Cell* c = nullptr;
+  for (std::size_t i = 0, h = ProbeStart(a); i < kProbeMax; ++i) {
+    std::size_t slot = (h + i) & mask_;
+    if (keys_[slot] == a) {
+      c = &cells_[slot];
+      break;
+    }
+    if (keys_[slot] == 0) {
+      keys_[slot] = a;
+      c = &cells_[slot];
+      c->name = name;
+      c->file = file;
+      c->line = line;
+      break;
+    }
+  }
   if (c == nullptr) {
+    // Probe chain exhausted: the location goes untracked (counted, never a
+    // false positive). Raise kRacedetCells if this fires.
+    ++dropped_;
     return;
   }
   Identify(ctx);
-  if (is_write) {
-    ++c->writes;
-  } else {
-    ++c->reads;
-  }
 
   switch (c->state) {
     case RdState::kVirgin:
@@ -262,7 +251,7 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
       // Second context: leave Exclusive. C(v) starts as the locks the new
       // context holds right now (the Eraser refinement begins here; the
       // initializing context's locking is deliberately not consulted).
-      std::span<const HeldLock> held = Lockdep::Instance().HeldStack();
+      std::span<const HeldLock> held = Lockdep::Instance().HeldStack(ctx);
       c->lockset = LocksOf(held);
       c->lockset_valid = true;
       if (c->history.size() < kMaxHistory) {
@@ -271,20 +260,30 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
       }
       c->state = is_write ? RdState::kSharedModified : RdState::kShared;
       if (c->state == RdState::kSharedModified && c->lockset.empty()) {
-        EmitReport(*c, ctx, file, line, is_write, held);
+        EmitReport(a, *c, ctx, file, line, is_write, held);
         return;
       }
       break;
     }
     case RdState::kShared:
     case RdState::kSharedModified: {
-      std::span<const HeldLock> held = Lockdep::Instance().HeldStack();
-      std::size_t before = c->lockset.size();
-      std::erase_if(c->lockset, [held](const SpinLock* l) {
-        return std::none_of(held.begin(), held.end(),
-                            [l](const HeldLock& h) { return h.lock == l; });
-      });
-      if (c->lockset.size() != before) {
+      std::span<const HeldLock> held = Lockdep::Instance().HeldStack(ctx);
+      auto not_held = [held](const SpinLock* l) {
+        for (const HeldLock& h : held) {
+          if (h.lock == l) {
+            return false;
+          }
+        }
+        return true;
+      };
+      // Usually every lock of C(v) is still held and C(v) stays as it is.
+      bool shrinks = false;
+      for (const SpinLock* l : c->lockset) {
+        shrinks = shrinks || not_held(l);
+      }
+      if (shrinks) {
+        std::size_t before = c->lockset.size();
+        std::erase_if(c->lockset, not_held);
         RecordShrink(*c, ctx, file, line, before, c->lockset.size());
       }
       if (is_write) {
@@ -293,7 +292,7 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
       // Read-only sharing never reports; once writes joined the party the
       // candidate set must stay nonempty.
       if (c->state == RdState::kSharedModified && c->lockset.empty()) {
-        EmitReport(*c, ctx, file, line, is_write, held);
+        EmitReport(a, *c, ctx, file, line, is_write, held);
         return;
       }
       break;
@@ -307,17 +306,11 @@ void Racedet::OnAccess(const volatile void* addr, const char* name, const char* 
   c->last_file = file;
   c->last_line = line;
   c->last_write = is_write;
-  Lockdep::Instance().CurrentBacktrace(c->last_bt);
+  c->last_bt.Assign(Lockdep::Instance().Frames(ctx));
 }
 
-void Racedet::AssertHeld(const SpinLock* lock, const char* expr, const char* file, int line) {
-  if (Excluded()) {
-    return;
-  }
-  ++checks_;
-  if (Lockdep::Instance().IsHeldByCurrent(lock)) {
-    return;
-  }
+void Racedet::AssertHeldFailed(const SpinLock* lock, const char* expr, const char* file,
+                               int line) {
   std::ostringstream os;
   os << "racedet: RD_ASSERT_HELD(" << expr << ") failed at " << SiteOf(file, line)
      << "\n  lock '" << lock->name() << "' is not held by the calling context\n  held now: ";
@@ -330,20 +323,16 @@ void Racedet::AssertHeld(const SpinLock* lock, const char* expr, const char* fil
     }
   }
   FrameArray site;
-  Lockdep::Instance().CurrentBacktrace(site);
+  site.Assign(Lockdep::Instance().Frames(Ctx()));
   os << "\n  call stack:\n" << FormatFrames(site.view());
   std::string msg = os.str();
   VOS_CHECK_MSG(false, msg.c_str());
+  __builtin_unreachable();  // VOS_CHECK_MSG(false, ...) always throws
 }
 
 std::size_t Racedet::CellsUsed() const {
-  std::size_t n = 0;
-  for (const Cell& c : cells_) {
-    if (c.addr != 0) {
-      ++n;
-    }
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(keys_.begin(), keys_.end(), [](std::uintptr_t k) { return k != 0; }));
 }
 
 RdState Racedet::StateOf(const volatile void* addr) const {

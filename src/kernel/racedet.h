@@ -9,7 +9,8 @@
 //
 // Model (per annotated shared location v):
 //  - Shadow state lives in a fixed-size open-addressed hash of cells keyed
-//    by &v. A cell tracks the Eraser state machine:
+//    by &v (probed through a dense array of the keys alone). A cell tracks
+//    the Eraser state machine:
 //        Virgin -> Exclusive(first context) -> Shared / Shared-Modified
 //    plus the candidate lockset C(v) and a bounded shrink history.
 //  - On each access, the current lockset comes from lockdep's per-context
@@ -18,12 +19,13 @@
 //    C(v) := C(v) ∩ locks_held(current).
 //  - C(v) empty in Shared-Modified (or on the write that enters it) means no
 //    single lock protected every access: a data race. The report carries the
-//    location, both contexts, both shadow-stack backtraces (via the lockdep
-//    backtrace provider), and the lockset shrink history; a kRaceReport
-//    trace event fires and /proc/racedet serves the full text.
+//    location, both contexts, both shadow-stack backtraces (each context's
+//    frames as lockdep reads them), and the lockset shrink history; a
+//    kRaceReport trace event fires and /proc/racedet serves the full text.
 //  - An access allocates nothing: the lockset is refined against lockdep's
-//    held stack in place, and the last access is kept as a context (an
-//    index into the session's name table) plus an inline frame array. A
+//    held stack in place (and left alone while every lock in it is still
+//    held), and the last access is kept as a context (an index into the
+//    session's name table) plus the context's shadow stack copied inline. A
 //    context is named once, when it gets its id (and again if exec renames
 //    its task); names become strings only when a report is formatted, so a
 //    report still names a prior context whose task has exited.
@@ -57,10 +59,9 @@
 #include <vector>
 
 #include "src/kernel/exec_context.h"
+#include "src/kernel/spinlock.h"
 
 namespace vos {
-
-class SpinLock;
 
 // Eraser state machine for one shadow cell.
 enum class RdState : std::uint8_t {
@@ -90,7 +91,10 @@ struct RaceReport {
 
 class Racedet {
  public:
-  static Racedet& Instance();
+  static Racedet& Instance() {
+    static Racedet* det = new Racedet();  // intentionally immortal
+    return *det;
+  }
 
   // Wipes shadow cells, reports, and counters; resizes the cell table.
   // Each Kernel construction starts a fresh session (tests boot many
@@ -103,8 +107,16 @@ class Racedet {
                 bool is_write);
 
   // RD_ASSERT_HELD: throws FatalError unless the calling context holds
-  // `lock` (per lockdep's held stack). No-op when excluded.
-  void AssertHeld(const SpinLock* lock, const char* expr, const char* file, int line);
+  // `lock`. No-op when excluded.
+  void AssertHeld(const SpinLock* lock, const char* expr, const char* file, int line) {
+    if (Excluded()) {
+      return;
+    }
+    ++checks_;
+    if (!lock->HeldByCurrent()) {
+      AssertHeldFailed(lock, expr, file, line);
+    }
+  }
 
   // Drops shadow cells covering [addr, addr+size): called when an annotated
   // object dies, so a reused allocation cannot inherit a stale lockset.
@@ -153,28 +165,27 @@ class Racedet {
   };
   static constexpr std::uint32_t kNoCtx = ~std::uint32_t{0};
 
+  // The shadow state of the location keys_[i] (same index).
   struct Cell {
-    std::uintptr_t addr = 0;
+    RdState state = RdState::kVirgin;
+    bool lockset_valid = false;   // C(v) initialized on first shared access
+    bool last_write = false;
+    std::uint32_t last_ctx = kNoCtx;  // index into names_
+    std::uint64_t owner = 0;      // context id while kExclusive
+    std::vector<const SpinLock*> lockset;
+    // Last disciplined access (the "other side" of an eventual report).
+    const char* last_file = nullptr;
+    int last_line = 0;
+    FrameArray last_bt;
     const char* name = nullptr;  // annotation-site literals
     const char* file = nullptr;
     int line = 0;
-    RdState state = RdState::kVirgin;
-    std::uint64_t owner = 0;      // context id while kExclusive
-    bool lockset_valid = false;   // C(v) initialized on first shared access
-    std::vector<const SpinLock*> lockset;
-    // Last disciplined access (the "other side" of an eventual report).
-    std::uint32_t last_ctx = kNoCtx;  // index into names_
-    const char* last_file = nullptr;
-    int last_line = 0;
-    bool last_write = false;
-    FrameArray last_bt;
     std::vector<std::string> history;  // bounded lockset shrink log
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
   };
 
-  Cell* Lookup(std::uintptr_t addr, bool create, const char* name, const char* file, int line);
   const Cell* Find(std::uintptr_t addr) const;
+  [[noreturn]] void AssertHeldFailed(const SpinLock* lock, const char* expr, const char* file,
+                                     int line);
   // Gives `ctx` its id and name in this session if it has none yet.
   void Identify(ExecContext& ctx);
   std::uint32_t NameContext(std::uint64_t id);
@@ -182,9 +193,10 @@ class Racedet {
   void RecordShrink(Cell& c, const ExecContext& ctx, const char* file, int line,
                     std::size_t before, std::size_t after);
   std::string SiteOfReport(const RaceReport& r) const;
-  void EmitReport(Cell& c, const ExecContext& ctx, const char* file, int line, bool is_write,
-                  std::span<const HeldLock> held);
+  void EmitReport(std::uintptr_t addr, Cell& c, const ExecContext& ctx, const char* file,
+                  int line, bool is_write, std::span<const HeldLock> held);
 
+  std::vector<std::uintptr_t> keys_;  // each cell's location; 0 = free
   std::vector<Cell> cells_;
   std::size_t mask_ = 0;
   std::vector<RaceReport> reports_;

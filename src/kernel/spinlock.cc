@@ -13,12 +13,12 @@ namespace vos {
 void PushOff() { ++Ctx().irq_off_depth; }
 
 void PopOff() {
-  int& depth = Ctx().irq_off_depth;
-  VOS_CHECK_MSG(depth > 0, "PopOff without matching PushOff");
-  --depth;
-  if (depth == 0) {
-    // Interrupts are deliverable again; lockdep verifies nothing irq-used is
-    // still held by this context (the deadlock window on real hardware).
+  ExecContext& ctx = Ctx();
+  VOS_CHECK_MSG(ctx.irq_off_depth > 0, "PopOff without matching PushOff");
+  --ctx.irq_off_depth;
+  if (ctx.irq_off_depth == 0 && ctx.held_depth > 0) {
+    // Interrupts are deliverable again with locks held; lockdep verifies
+    // nothing irq-used is among them (the deadlock window on real hardware).
     Lockdep::Instance().OnIrqEnable();
   }
 }
@@ -33,23 +33,24 @@ void SpinLock::Acquire() {  // lockdep: naked-ok (implementation)
   // One context runs at a time, which makes it safe to examine the lock before
   // PushOff (no preemption window as on real hardware) — and it keeps the
   // IRQ-off depth balanced when a discipline check throws.
-  VOS_CHECK_MSG(!(held_ && owner_ == &Ctx()),
+  ExecContext& ctx = Ctx();
+  VOS_CHECK_MSG(!(held_ && owner_ == &ctx),
                 ("spinlock double-acquire: '" + name_ + "'").c_str());
   // Only one context runs at a time, so the lock is always free here; a
   // held lock from another context would be a machine-loop invariant bug.
   VOS_CHECK_MSG(!held_, "spinlock contended: serialization invariant broken");
-  PushOff();
+  ++ctx.irq_off_depth;  // PushOff
   try {
     // Order/IRQ validation before the lock is visibly held: a detected
     // violation throws, and backing out the PushOff leaves the context
     // balanced so tests can continue past the report.
     Lockdep::Instance().OnAcquire(*this);
   } catch (...) {
-    --Ctx().irq_off_depth;  // raw undo: OnIrqEnable must not re-fire mid-throw
+    --ctx.irq_off_depth;  // raw undo: OnIrqEnable must not re-fire mid-throw
     throw;
   }
   held_ = true;
-  owner_ = &Ctx();
+  owner_ = &ctx;
   ++acquisitions_;
 }
 

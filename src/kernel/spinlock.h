@@ -16,6 +16,8 @@
 #include <cstdint>
 #include <string>
 
+#include "src/kernel/exec_context.h"
+
 namespace vos {
 
 class Task;
@@ -33,21 +35,24 @@ class SpinLock {
   void Release();
 
   bool held() const { return held_; }
+  // True if the running context holds this lock (backs RD_ASSERT_HELD).
+  bool HeldByCurrent() const { return held_ && owner_ == &Ctx(); }
   const std::string& name() const { return name_; }
   std::uint64_t acquisitions() const { return acquisitions_; }
 
  private:
   friend class Lockdep;
 
-  std::string name_;
+  // What every acquire and release reads comes first, the name last.
   bool held_ = false;
-  const void* owner_ = nullptr;  // the holder's ExecContext
-  std::uint64_t acquisitions_ = 0;
   // Lockdep's id for this class, valid while class_generation_ matches the
   // lockdep session's; a lock built before a Lockdep::Reset re-registers by
   // name at its next acquire.
   int class_id_ = -1;
+  const void* owner_ = nullptr;  // the holder's ExecContext
   std::uint64_t class_generation_ = 0;
+  std::uint64_t acquisitions_ = 0;
+  std::string name_;
 };
 
 // RAII guard — the only sanctioned way to take a SpinLock outside the lock

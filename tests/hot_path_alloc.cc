@@ -53,12 +53,12 @@ class HotPathAllocTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Lockdep::Instance().Reset();
-    Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
+    Lockdep::Instance().SetDefaultFrames(&frames_);
     Racedet::Instance().Reset(256);
   }
   void TearDown() override {
     Racedet::Instance().Reset(64);
-    Lockdep::Instance().SetBacktraceProvider(nullptr);
+    Lockdep::Instance().SetDefaultFrames(nullptr);
     Lockdep::Instance().Reset();
   }
 
@@ -81,6 +81,69 @@ TEST_F(HotPathAllocTest, CachedLockChainAcquiresAllocateNothing) {
   }
   EXPECT_EQ(Allocs() - before, 0u);
   EXPECT_EQ(Lockdep::Instance().EdgeCount(), 3u);
+}
+
+TEST_F(HotPathAllocTest, OutOfOrderReleaseUnderAWarmChainAllocatesNothing) {
+  SpinLock a("alloc_ooo_a");
+  SpinLock b("alloc_ooo_b");
+  SpinLock c("alloc_ooo_c");
+  SpinLock d("alloc_ooo_d");
+  auto trip = [&] {
+    a.Acquire();  // lockdep: naked-ok (the SleepOn shape)
+    b.Acquire();  // lockdep: naked-ok
+    c.Acquire();  // lockdep: naked-ok
+    a.Release();  // lockdep: naked-ok (below the top: b and c move down)
+    {
+      SpinGuard gd(d);  // on the shortened chain
+    }
+    c.Release();  // lockdep: naked-ok
+    b.Release();  // lockdep: naked-ok
+  };
+  trip();
+  std::size_t before = Allocs();
+  for (int i = 0; i < kTrips; ++i) {
+    trip();
+  }
+  EXPECT_EQ(Allocs() - before, 0u);
+  EXPECT_TRUE(Lockdep::Instance().HeldNames().empty());
+}
+
+TEST_F(HotPathAllocTest, IrqContextAcquiresOfAWarmClassAllocateNothing) {
+  SpinLock lk("alloc_irq");
+  auto irq_acquire = [&] {
+    Lockdep::Instance().SetIrqContext(true);
+    {
+      SpinGuard g(lk);
+    }
+    Lockdep::Instance().SetIrqContext(false);
+  };
+  irq_acquire();  // first IRQ-context sighting: records the IRQ site
+  std::size_t before = Allocs();
+  for (int i = 0; i < kTrips; ++i) {
+    irq_acquire();
+  }
+  EXPECT_EQ(Allocs() - before, 0u);
+}
+
+TEST_F(HotPathAllocTest, SharedReadsAndAssertHeldAllocateNothing) {
+  SpinLock lk("alloc_shared");
+  int table = 0;
+  RD_WRITE(table) = 1;                                // Exclusive to this context
+  std::thread([&] { (void)RD_READ(table); }).join();  // a second context: Shared
+  ASSERT_EQ(Racedet::Instance().StateOf(&table), RdState::kShared);
+  auto read_and_assert = [&] {
+    SpinGuard g(lk);
+    RD_ASSERT_HELD(lk);
+    return RD_READ(table);
+  };
+  int sum = read_and_assert();
+  std::size_t before = Allocs();
+  for (int i = 0; i < kTrips; ++i) {
+    sum += read_and_assert();
+  }
+  EXPECT_EQ(Allocs() - before, 0u);
+  EXPECT_EQ(sum, kTrips + 1);
+  EXPECT_EQ(Racedet::Instance().total_reports(), 0u);
 }
 
 TEST_F(HotPathAllocTest, SharedModifiedWritesUnderALockAllocateNothing) {
@@ -126,8 +189,7 @@ TEST_F(HotPathAllocTest, ArmCancelRunEventsAllocateNothing) {
   auto conn = std::make_shared<Conn>();
   Cycles now = 0;
   // Each trip arms an RTO and cancels it, then arms one that fires. The
-  // cancelled records stay in the heap until their time comes, so the first
-  // pass grows it to its steady size.
+  // first pass grows the heap and the slot storage to their steady size.
   auto trips = [&] {
     for (int i = 0; i < kTrips; ++i) {
       now += Us(10);

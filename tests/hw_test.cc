@@ -48,6 +48,51 @@ TEST(EventQueue, CancelPreventsRun) {
   EXPECT_EQ(fired, 1);
 }
 
+TEST(EventQueue, CancelledRecordsAreSweptOutOfTheHeap) {
+  EventQueue eq;
+  int fired = 0;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(eq.Schedule(Sec(1), [&fired] { ++fired; }));
+  }
+  for (EventId id : ids) {
+    eq.Cancel(id);
+    ASSERT_LE(eq.records(), 2 * eq.pending() + 1);
+  }
+  eq.Schedule(Ms(1), [&fired] { ++fired; });
+  EXPECT_LE(eq.records(), 2 * eq.pending() + 1);
+  EXPECT_EQ(eq.RunDue(Ms(1)), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(eq.pending(), 0u);
+  EXPECT_LE(eq.records(), 2 * eq.pending() + 1);
+}
+
+TEST(EventQueue, SweepingCancelledRecordsKeepsTimeThenSeqOrder) {
+  EventQueue eq;
+  std::vector<int> order;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 30; ++i) {
+    ids.push_back(eq.Schedule(static_cast<Cycles>((29 - i) % 5), [&order, i] { order.push_back(i); }));
+  }
+  std::vector<std::pair<Cycles, int>> expect;
+  for (int i = 0; i < 30; ++i) {
+    if (i % 3 == 0) {
+      expect.emplace_back((29 - i) % 5, i);
+    } else {
+      eq.Cancel(ids[static_cast<std::size_t>(i)]);  // 20 of 30: the heap is swept
+    }
+  }
+  EXPECT_LT(eq.records(), 30u);  // swept at least once
+  EXPECT_LE(eq.records(), 2 * eq.pending());
+  std::sort(expect.begin(), expect.end());
+  std::vector<int> want;
+  for (const auto& e : expect) {
+    want.push_back(e.second);
+  }
+  eq.RunDue(10);
+  EXPECT_EQ(order, want);
+}
+
 TEST(EventQueue, HandlerMaySchedule) {
   EventQueue eq;
   int fired = 0;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,18 +25,18 @@
 namespace vos {
 namespace {
 
-// Unit fixture: a fresh lockdep session with a controllable fake backtrace
-// provider, so tests can assert that specific frames appear in reports.
+// Unit fixture: a fresh lockdep session with controllable fake frames, so
+// tests can assert that specific frames appear in reports.
 class LockdepTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Lockdep::Instance().Reset();
-    Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
+    Lockdep::Instance().SetDefaultFrames(&frames_);
     ASSERT_EQ(IrqOffDepth(), 0);
   }
   void TearDown() override {
     Lockdep::Instance().SetIrqContext(false);
-    Lockdep::Instance().SetBacktraceProvider(nullptr);
+    Lockdep::Instance().SetDefaultFrames(nullptr);
     Lockdep::Instance().Reset();
   }
 
@@ -276,6 +277,107 @@ TEST_F(LockdepTest, WarmChainCountsEveryNesting) {
   }
   const std::string rep = Lockdep::Instance().Report();
   EXPECT_NE(rep.find("rep_a -> rep_b (seen 1000x)"), std::string::npos) << rep;
+}
+
+TEST_F(LockdepTest, DeepNestingAroundAnOutOfOrderReleaseCountsEveryEdge) {
+  std::vector<std::unique_ptr<SpinLock>> locks;
+  for (int i = 0; i < 9; ++i) {
+    locks.push_back(std::make_unique<SpinLock>("deep" + std::to_string(i)));
+  }
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 8; ++i) {
+      locks[static_cast<std::size_t>(i)]->Acquire();  // lockdep: naked-ok
+    }
+    locks[2]->Release();  // lockdep: naked-ok (below the top)
+    locks[8]->Acquire();  // lockdep: naked-ok (on the shortened chain)
+    for (int i = 8; i >= 0; --i) {
+      if (i != 2) {
+        locks[static_cast<std::size_t>(i)]->Release();  // lockdep: naked-ok
+      }
+    }
+  }
+  EXPECT_TRUE(Lockdep::Instance().HeldNames().empty());
+  EXPECT_EQ(IrqOffDepth(), 0);
+  // Every pair below the ninth lock is an edge except deep2 -> deep8: deep2
+  // was released before deep8 was taken.
+  EXPECT_EQ(Lockdep::Instance().EdgeCount(), 35u);
+  const std::string rep = Lockdep::Instance().Report();
+  const std::string order = rep.substr(rep.find("order:\n"));
+  EXPECT_EQ(order,
+            "order:\n"
+            "  deep0 -> deep1 (seen 3x)\n"
+            "  deep0 -> deep2 (seen 3x)\n"
+            "  deep0 -> deep3 (seen 3x)\n"
+            "  deep0 -> deep4 (seen 3x)\n"
+            "  deep0 -> deep5 (seen 3x)\n"
+            "  deep0 -> deep6 (seen 3x)\n"
+            "  deep0 -> deep7 (seen 3x)\n"
+            "  deep0 -> deep8 (seen 3x)\n"
+            "  deep1 -> deep2 (seen 3x)\n"
+            "  deep1 -> deep3 (seen 3x)\n"
+            "  deep1 -> deep4 (seen 3x)\n"
+            "  deep1 -> deep5 (seen 3x)\n"
+            "  deep1 -> deep6 (seen 3x)\n"
+            "  deep1 -> deep7 (seen 3x)\n"
+            "  deep1 -> deep8 (seen 3x)\n"
+            "  deep2 -> deep3 (seen 3x)\n"
+            "  deep2 -> deep4 (seen 3x)\n"
+            "  deep2 -> deep5 (seen 3x)\n"
+            "  deep2 -> deep6 (seen 3x)\n"
+            "  deep2 -> deep7 (seen 3x)\n"
+            "  deep3 -> deep4 (seen 3x)\n"
+            "  deep3 -> deep5 (seen 3x)\n"
+            "  deep3 -> deep6 (seen 3x)\n"
+            "  deep3 -> deep7 (seen 3x)\n"
+            "  deep3 -> deep8 (seen 3x)\n"
+            "  deep4 -> deep5 (seen 3x)\n"
+            "  deep4 -> deep6 (seen 3x)\n"
+            "  deep4 -> deep7 (seen 3x)\n"
+            "  deep4 -> deep8 (seen 3x)\n"
+            "  deep5 -> deep6 (seen 3x)\n"
+            "  deep5 -> deep7 (seen 3x)\n"
+            "  deep5 -> deep8 (seen 3x)\n"
+            "  deep6 -> deep7 (seen 3x)\n"
+            "  deep6 -> deep8 (seen 3x)\n"
+            "  deep7 -> deep8 (seen 3x)\n");
+  EXPECT_NE(rep.find("deep8            3            8  "), std::string::npos) << rep;
+
+  // The warm chains hide nothing: taking deep1 under deep5 still inverts.
+  SpinGuard g5(*locks[5]);
+  try {
+    locks[1]->Acquire();  // lockdep: naked-ok (seeding a violation)
+    FAIL() << "inversion against a warm deep chain not detected";
+  } catch (const FatalError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("lock-order inversion"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("the graph already proves deep1 -> deep5"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(Lockdep::Instance().HeldNames(), std::vector<std::string>{"deep5"});
+}
+
+TEST_F(LockdepTest, AcquirePastTheHeldCapacityFailsWithoutWritingPastIt) {
+  std::vector<std::unique_ptr<SpinLock>> locks;
+  for (std::size_t i = 0; i <= ExecContext::kMaxHeld; ++i) {
+    locks.push_back(std::make_unique<SpinLock>("cap" + std::to_string(i)));
+  }
+  for (std::size_t i = 0; i < ExecContext::kMaxHeld; ++i) {
+    locks[i]->Acquire();  // lockdep: naked-ok
+  }
+  try {
+    locks.back()->Acquire();  // lockdep: naked-ok (one past the capacity)
+    FAIL() << "acquire past the held capacity not rejected";
+  } catch (const FatalError& e) {
+    EXPECT_NE(std::string(e.what()).find("lockdep: held-lock stack overflow"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_FALSE(locks.back()->held());
+  EXPECT_EQ(Lockdep::Instance().HeldNames().size(), ExecContext::kMaxHeld);
+  EXPECT_EQ(IrqOffDepth(), static_cast<int>(ExecContext::kMaxHeld));
+  for (std::size_t i = ExecContext::kMaxHeld; i-- > 0;) {
+    locks[i]->Release();  // lockdep: naked-ok
+  }
+  EXPECT_TRUE(Lockdep::Instance().HeldNames().empty());
+  EXPECT_EQ(IrqOffDepth(), 0);
 }
 
 TEST_F(LockdepTest, LockBuiltBeforeResetIsClassedByNameAfterIt) {

@@ -30,20 +30,20 @@
 namespace vos {
 namespace {
 
-// Unit fixture: fresh lockdep + racedet sessions and a controllable fake
-// backtrace provider, so reports can be checked frame by frame.
+// Unit fixture: fresh lockdep + racedet sessions and controllable fake
+// frames every context reports, so reports can be checked frame by frame.
 class RacedetTest : public ::testing::Test {
  protected:
   void SetUp() override {
     Lockdep::Instance().Reset();
-    Lockdep::Instance().SetBacktraceProvider([this](FrameArray& out) { out.Assign(frames_); });
+    Lockdep::Instance().SetDefaultFrames(&frames_);
     Racedet::Instance().Reset(256);
   }
   void TearDown() override {
     Racedet::Instance().SetTraceHook(nullptr);
     Racedet::Instance().SetContextNameFn(nullptr);
     Racedet::Instance().Reset(64);
-    Lockdep::Instance().SetBacktraceProvider(nullptr);
+    Lockdep::Instance().SetDefaultFrames(nullptr);
     Lockdep::Instance().Reset();
   }
 
